@@ -11,12 +11,25 @@ search exploit placements the fixed sequence cannot.
 By default the incumbent is seeded with a replay of the fixed elimination
 ladder, so the search starts from a complete decomposition and spends its
 node budget purely on improving it.
+
+The depth-first search runs on an explicit stack rather than by recursion,
+so its depth (up to d(d-1)/2 + d) is not bounded by the interpreter's
+recursion limit.  Each node scores all its candidate (column, row, row2)
+triples in one pass: a single numpy call each for the moduli and phases of
+the node matrix, then a plain-float loop that computes exactly what
+``annihilation_angles`` computes per entry and prices each step with the
+registered ``rotation_cost``.  The moduli come from ``np.hypot`` and the
+angle from ``math.atan2`` because ``np.abs`` on complex arrays and the
+vectorised ``np.arctan2`` can differ from the scalar calls in the last
+ulp, which changes costs and tie-breaks; array ``np.angle`` matches its
+scalar form exactly.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +46,8 @@ from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology
 from .linalg import as_matrix, is_diagonal, is_unitary
 from .qr import qr_cost_bound
+
+_HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -89,8 +104,16 @@ class NoSolutionError(RuntimeError):
         self.stats = stats
 
 
-class _StopSearch(Exception):
-    pass
+@lru_cache(maxsize=128)
+def _triples(dim: int) -> tuple:
+    """Candidate (column, row, row2) triples of a dim x dim node, in
+    expansion order."""
+    return tuple(
+        (c, r, r2)
+        for c in range(dim)
+        for r in range(c, dim)
+        for r2 in range(r + 1, dim)
+    )
 
 
 def _ladder_replay(m0, graph, states, params):
@@ -129,55 +152,77 @@ class _Search:
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
-        self.triples = [
-            (c, r, r2)
-            for c in range(dim)
-            for r in range(c, dim)
-            for r2 in range(r + 1, dim)
-        ]
+        self.triples = _triples(dim)
 
     def current_limit(self) -> float:
         return self.best[0] if self.best is not None else self.limit
 
-    def expand(self, m, graph, gates, cost, depth):
-        if self.stats.nodes_expanded >= self.config.max_nodes:
-            raise _StopSearch
-        self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-
-        dist_table = _topology(graph.num_levels, graph.edges)[1]
+    def score(self, m, graph, cost) -> list:
+        """Children of the node (m, graph, cost) as (step, c, r, r2, theta,
+        phi): one per candidate entry above the threshold whose step keeps the
+        path under the current limit, in triple order or sorted."""
+        mag = np.hypot(m.real, m.imag).tolist()
+        ang = np.angle(m).tolist()
         levels = [graph.logical_map[s] for s in self.states]
+        dist = _topology(graph.num_levels, graph.edges)[1].tolist()
+        threshold = self.config.threshold
+        limit = self.current_limit()
+        pulse, params = self.pulse_cost, self.params
         children = []
         for c, r, r2 in self.triples:
-            if abs(m[r2, c]) <= self.config.threshold:
+            low = mag[r2][c]
+            if low <= threshold:
                 continue
-            theta, phi = annihilation_angles(m, r, r2, c)
-            dist = dist_table[levels[r], levels[r2]]
-            step = (dist - 1) * self.pulse_cost + rotation_cost(theta, 1, self.params)
-            if cost + step >= self.current_limit():
+            theta = 2.0 * math.atan2(low, mag[r][c])
+            step = (dist[levels[r]][levels[r2]] - 1) * pulse + rotation_cost(theta, 1, params)
+            if cost + step >= limit:
                 continue
+            phi = -(_HALF_PI + ang[r][c] - ang[r2][c])
             children.append((step, c, r, r2, theta, phi))
         if self.config.sort_children:
             children.sort()
+        return children
 
-        for step, c, r, r2, theta, phi in children:
-            if cost + step >= self.current_limit():
-                continue  # incumbent may have improved mid-loop
-            step_gates, g2, rot_cost, routing = emit_rotation(
-                graph, self.params, self.states[r], self.states[r2], theta, phi
-            )
-            m2 = m.copy()
-            apply_rotation_rows(m2, r, r2, theta, phi)
-            cost2 = cost + rot_cost + routing
-            gates2 = gates + step_gates
-            if is_diagonal(m2, self.config.diag_tol):
-                self.stats.solutions_found += 1
-                if self.best is None or cost2 < self.best[0]:
-                    self.best = (cost2, gates2, g2, m2)
-                if self.config.return_first:
-                    raise _StopSearch
-            elif depth + 1 < self.depth_cap:
-                self.expand(m2, g2, gates2, cost2, depth + 1)
+    def enter(self, m, graph, gates, cost, depth, stack) -> bool:
+        """Expand a node onto the stack; False once the node budget is spent."""
+        if self.stats.nodes_expanded >= self.config.max_nodes:
+            return False
+        self.stats.nodes_expanded += 1
+        self.stats.max_depth = max(self.stats.max_depth, depth)
+        stack.append((iter(self.score(m, graph, cost)), m, graph, gates, cost, depth))
+        return True
+
+    def run(self, m0, graph0) -> None:
+        """Depth-first search from the root.  Each stack frame holds a node
+        and the iterator over its children, so a child's subtree is searched
+        in full before its next sibling, as a recursive search would."""
+        stack = []
+        if not self.enter(m0, graph0, [], 0.0, 0, stack):
+            return
+        while stack:
+            children, m, graph, gates, cost, depth = stack[-1]
+            for step, c, r, r2, theta, phi in children:
+                if cost + step >= self.current_limit():
+                    continue  # incumbent may have improved mid-loop
+                step_gates, g2, rot_cost, routing = emit_rotation(
+                    graph, self.params, self.states[r], self.states[r2], theta, phi
+                )
+                m2 = m.copy()
+                apply_rotation_rows(m2, r, r2, theta, phi)
+                cost2 = cost + rot_cost + routing
+                gates2 = gates + step_gates
+                if is_diagonal(m2, self.config.diag_tol):
+                    self.stats.solutions_found += 1
+                    if self.best is None or cost2 < self.best[0]:
+                        self.best = (cost2, gates2, g2, m2)
+                    if self.config.return_first:
+                        return
+                elif depth + 1 < self.depth_cap:
+                    if not self.enter(m2, g2, gates2, cost2, depth + 1, stack):
+                        return
+                    break
+            else:
+                stack.pop()
 
 
 def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfig(),
@@ -205,10 +250,7 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             search.best = (wcost, wgates, wgraph, wm)
             search.stats.solutions_found = 1
     if not (config.return_first and search.best is not None):
-        try:
-            search.expand(m0, graph, [], 0.0, 0)
-        except _StopSearch:
-            pass
+        search.run(m0, graph)
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
     if search.best is None:

@@ -1,17 +1,24 @@
 """Adaptive search: pruning soundness, reconstruction, and optimality
 against exhaustive enumeration on small instances."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quditc import cost as cost_module
+from quditc._compile import annihilation_angles, compile_states
 from quditc.adaptive import (
     NoSolutionError,
     SearchConfig,
+    _Search,
     adaptive_compile,
     compile_batch,
 )
-from quditc.cost import CostParams, rotation_cost
+from quditc.bench import architectures_for_dim, path_architecture, star_architecture
+from quditc.clifford import random_cliffords
+from quditc.cost import CostParams, pulse_cost, register_cost_model, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, plan_routing
 from quditc.linalg import is_diagonal
@@ -255,3 +262,117 @@ class TestErrors:
     def test_dim_mismatch_rejected(self, path3):
         with pytest.raises(ValueError):
             adaptive_compile(np.eye(5, dtype=complex), path3)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestDeepSearch:
+    def test_first_solution_search_needs_no_recursion(self):
+        # A cold first-solution search on a d=16 star descends about 120
+        # levels, past a recursion limit only 60 frames above the caller.
+        u = haar_unitary(16, 16)
+        g = star_architecture(16)
+        cfg = SearchConfig(warm_start=False, return_first=True)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 60)
+        try:
+            result = adaptive_compile(u, g, cfg)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert result.stats.max_depth > 60
+        assert result.stats.solutions_found == 1
+        assert verify_result(u, result)
+
+
+def reference_children(search, m, graph, cost):
+    """The node's children from the scalar per-candidate calls, in triple
+    order: threshold filter, annihilation angles, routed step cost, limit
+    filter."""
+    states = search.states
+    dim = len(states)
+    limit = search.current_limit()
+    children = []
+    for c in range(dim):
+        for r in range(c, dim):
+            for r2 in range(r + 1, dim):
+                if abs(m[r2, c]) <= search.config.threshold:
+                    continue
+                theta, phi = annihilation_angles(m, r, r2, c)
+                hops = graph.distance(states[r], states[r2]) - 1
+                step = hops * pulse_cost(search.params) \
+                    + rotation_cost(theta, 1, search.params)
+                if cost + step >= limit:
+                    continue
+                children.append((step, c, r, r2, theta, phi))
+    if search.config.sort_children:
+        children.sort()
+    return children
+
+
+@st.composite
+def scoring_cases(draw):
+    kind = draw(st.sampled_from(["haar", "clifford", "placement"]))
+    # random_cliffords needs a prime dimension
+    dim = draw(st.sampled_from([3, 5, 7]) if kind == "clifford" else st.integers(3, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "clifford":
+        u = random_cliffords(dim, 1, seed)[0]
+    else:
+        u = haar_unitary(dim, seed)
+    if kind == "placement":
+        levels = draw(st.permutations(range(dim)))
+        g = path_architecture(dim)
+        g = CouplingGraph(dim, g.edges, {str(k): lv for k, lv in enumerate(levels)})
+    else:
+        g = draw(st.sampled_from(architectures_for_dim(dim)))[1]
+    # a cost so far that leaves room for some children but not all
+    spent = draw(st.floats(0.0, 0.9)) * qr_cost_bound(u, g)
+    return u, g, spent
+
+
+class TestNodeScoring:
+    @pytest.mark.parametrize("sort_children", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(case=scoring_cases())
+    def test_matches_scalar_reference(self, sort_children, case):
+        u, g, spent = case
+        m = u.conj().T.copy()
+        limit = 1.1 * qr_cost_bound(u, g)
+        search = _Search(compile_states(g, m.shape[0]),
+                         SearchConfig(sort_children=sort_children), CostParams(), limit)
+        children = search.score(m, g, spent)
+        expected = reference_children(search, m, g, spent)
+        # tuples compare float for float: exact equality, no tolerance
+        assert children == expected
+
+
+@pytest.fixture
+def flat_cost_model():
+    name = "flat-per-gate-test"
+    register_cost_model(name, lambda theta, dist, p: 0.01 * p.base_factor * dist)
+    yield CostParams(model=name)
+    cost_module._MODELS.pop(name)
+
+
+class TestCustomCostModel:
+    def test_search_scores_with_selected_model(self, flat_cost_model):
+        # A flat per-gate cost a hundred times below the default model's: its
+        # optimum minimises the gate count, and a scorer that priced children
+        # with the default model would prune every one of them.
+        params = flat_cost_model
+        g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 2, "2": 1})
+        cfg = SearchConfig(max_nodes=10_000_000, max_depth=4, warm_start=False)
+        for seed in range(4):
+            u = haar_unitary(3, 1100 + seed)
+            result = adaptive_compile(u, g, cfg, params)
+            assert result.total_cost == pytest.approx(
+                sequence_cost(result.sequence, params), rel=1e-12)
+            assert result.total_cost == pytest.approx(
+                exhaustive_min_cost(u, g, params), abs=1e-12)
+            assert result.total_cost < result.stats.cost_limit
+            assert verify_result(u, result)
