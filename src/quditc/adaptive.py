@@ -14,15 +14,25 @@ node budget purely on improving it.
 
 The depth-first search runs on an explicit stack rather than by recursion,
 so its depth (up to d(d-1)/2 + d) is not bounded by the interpreter's
-recursion limit.  Each node scores all its candidate (column, row, row2)
-triples in one pass: a single numpy call each for the moduli and phases of
-the node matrix, then a plain-float loop that computes exactly what
-``annihilation_angles`` computes per entry and prices each step with the
-registered ``rotation_cost``.  The moduli come from ``np.hypot`` and the
-angle from ``math.atan2`` because ``np.abs`` on complex arrays and the
-vectorised ``np.arctan2`` can differ from the scalar calls in the last
-ulp, which changes costs and tie-breaks; array ``np.angle`` matches its
-scalar form exactly.
+recursion limit.  A node does only the work its taken children use:
+
+  * Children are generated lazily, in (column, row, row2) triple order,
+    and each candidate is checked against the limit current when it is
+    reached, so a node stops pricing once the search descends.
+  * The moduli and phases of the node matrix are carried as row lists:
+    a child shares its parent's rows and recomputes only the two rows its
+    rotation changed.  The moduli come from ``np.hypot`` and the angle
+    from ``math.atan2`` because ``np.abs`` on complex arrays and the
+    vectorised ``np.arctan2`` can differ from the scalar calls in the
+    last ulp, which changes costs and tie-breaks; array ``np.angle``
+    matches its scalar form exactly.
+  * Each distinct angle is priced once per search: the registered
+    ``rotation_cost`` (a pure function of its arguments) is memoised.
+  * A child is terminal when its two new rows are diagonal within
+    ``diag_tol`` and every other row already was (one dirty bit per row).
+  * A node records its path as parent-linked (r, r2, theta, phi) steps and
+    routes only when its two states are not adjacent.  Gates are emitted
+    once, for the final incumbent, by replaying its path.
 """
 from __future__ import annotations
 
@@ -43,7 +53,7 @@ from ._compile import (
     emit_rotation,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .graph import CouplingGraph, _topology
+from .graph import CouplingGraph, _topology, plan_routing
 from .linalg import as_matrix, is_diagonal, is_unitary
 from .qr import qr_cost_bound
 
@@ -116,28 +126,53 @@ def _triples(dim: int) -> tuple:
     )
 
 
+def _emit_path(graph, states, params, steps):
+    """Route and emit each (r, r2, theta, phi) step in order, starting from
+    graph.  Returns (cost, gates, final graph)."""
+    g = graph
+    gates = []
+    cost = 0.0
+    for r, r2, theta, phi in steps:
+        step_gates, g, rot_cost, routing = emit_rotation(
+            g, params, states[r], states[r2], theta, phi
+        )
+        gates.extend(step_gates)
+        cost += rot_cost + routing
+    return cost, gates, g
+
+
+def _path_steps(path) -> list:
+    """The (r, r2, theta, phi) steps of a parent-linked path, root first."""
+    steps = []
+    while path is not None:
+        path, r, r2, theta, phi = path
+        steps.append((r, r2, theta, phi))
+    steps.reverse()
+    return steps
+
+
 def _ladder_replay(m0, graph, states, params):
     """Replay the fixed adjacent-index elimination ladder through the
     one-way-routing emitter.  Where every index pair sits on a coupling this
     costs exactly the fixed baseline, giving the search a complete incumbent
     from the start."""
     m = m0.copy()
-    g = graph
-    gates = []
-    cost = 0.0
+    steps = []
     dim = m.shape[0]
     for c in range(dim):
         for r2 in range(dim - 1, c, -1):
             if abs(m[r2, c]) < NEGLIGIBLE:
                 continue
             theta, phi = annihilation_angles(m, r2 - 1, r2, c)
-            step_gates, g, rot_cost, routing = emit_rotation(
-                g, params, states[r2 - 1], states[r2], theta, phi
-            )
-            gates.extend(step_gates)
-            cost += rot_cost + routing
+            steps.append((r2 - 1, r2, theta, phi))
             apply_rotation_rows(m, r2 - 1, r2, theta, phi)
+    cost, gates, g = _emit_path(graph, states, params, steps)
     return cost, gates, g, m
+
+
+def _dirty(row: list, k: int, tol: float) -> bool:
+    """True if row k has an off-diagonal modulus above tol."""
+    return max(row[:k] + row[k + 1:]) > tol
 
 
 class _Search:
@@ -147,78 +182,113 @@ class _Search:
         self.params = params
         self.limit = limit
         self.pulse_cost = pulse_cost(params)
-        self.best = None  # (cost, gates, graph, matrix)
+        self.best = None  # (cost, path, matrix); path None marks the ladder
         self.stats = SearchStats(cost_limit=limit)
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
         self.triples = _triples(dim)
+        self.costs = {}   # theta -> rotation_cost(theta, 1, params)
+        self.dist = None  # level distances; routing never changes the edges
 
     def current_limit(self) -> float:
         return self.best[0] if self.best is not None else self.limit
 
-    def score(self, m, graph, cost) -> list:
-        """Children of the node (m, graph, cost) as (step, c, r, r2, theta,
-        phi): one per candidate entry above the threshold whose step keeps the
-        path under the current limit, in triple order or sorted."""
-        mag = np.hypot(m.real, m.imag).tolist()
-        ang = np.angle(m).tolist()
+    def prepare(self, m, graph):
+        """(moduli rows, phase rows, state levels) of a node given as a
+        full matrix and graph; also fixes the search's distance table."""
+        self.dist = _topology(graph.num_levels, graph.edges)[1].tolist()
         levels = [graph.logical_map[s] for s in self.states]
-        dist = _topology(graph.num_levels, graph.edges)[1].tolist()
-        threshold = self.config.threshold
+        return np.hypot(m.real, m.imag).tolist(), np.angle(m).tolist(), levels
+
+    def children(self, mag, ang, levels, cost):
+        """Children of a node as (step, c, r, r2, theta, phi): one per
+        candidate entry above the threshold whose step keeps the path under
+        the limit.  Unsorted, they are generated in triple order and each is
+        checked against the limit current when it is reached: the incumbent
+        only improves while the caller searches a yielded child's subtree."""
+        if self.config.sort_children:
+            return sorted(self._candidates(mag, ang, levels, cost))
+        return self._candidates(mag, ang, levels, cost)
+
+    def _candidates(self, mag, ang, levels, cost):
+        dist, costs, params = self.dist, self.costs, self.params
+        threshold, pulse = self.config.threshold, self.pulse_cost
         limit = self.current_limit()
-        pulse, params = self.pulse_cost, self.params
-        children = []
         for c, r, r2 in self.triples:
             low = mag[r2][c]
             if low <= threshold:
                 continue
             theta = 2.0 * math.atan2(low, mag[r][c])
-            step = (dist[levels[r]][levels[r2]] - 1) * pulse + rotation_cost(theta, 1, params)
+            rot = costs.get(theta)
+            if rot is None:
+                rot = costs[theta] = rotation_cost(theta, 1, params)
+            step = (dist[levels[r]][levels[r2]] - 1) * pulse + rot
             if cost + step >= limit:
                 continue
-            phi = -(_HALF_PI + ang[r][c] - ang[r2][c])
-            children.append((step, c, r, r2, theta, phi))
-        if self.config.sort_children:
-            children.sort()
-        return children
+            yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+            limit = self.current_limit()
 
-    def enter(self, m, graph, gates, cost, depth, stack) -> bool:
-        """Expand a node onto the stack; False once the node budget is spent."""
+    def score(self, m, graph, cost) -> list:
+        """All children of the node (m, graph, cost) under the current limit,
+        in triple order or sorted."""
+        return list(self.children(*self.prepare(m, graph), cost))
+
+    def enter(self, stack, node) -> bool:
+        """Expand a node (m, mag, ang, dirty, levels, graph, path, cost,
+        depth) onto the stack; False once the node budget is spent."""
         if self.stats.nodes_expanded >= self.config.max_nodes:
             return False
         self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-        stack.append((iter(self.score(m, graph, cost)), m, graph, gates, cost, depth))
+        self.stats.max_depth = max(self.stats.max_depth, node[-1])
+        _, mag, ang, _, levels, _, _, cost, _ = node
+        stack.append((iter(self.children(mag, ang, levels, cost)),) + node)
         return True
 
     def run(self, m0, graph0) -> None:
         """Depth-first search from the root.  Each stack frame holds a node
         and the iterator over its children, so a child's subtree is searched
         in full before its next sibling, as a recursive search would."""
+        tol = self.config.diag_tol
+        states, pulse, costs = self.states, self.pulse_cost, self.costs
+        mag0, ang0, levels0 = self.prepare(m0, graph0)
+        dist = self.dist
+        dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k, tol))
         stack = []
-        if not self.enter(m0, graph0, [], 0.0, 0, stack):
+        if not self.enter(stack, (m0, mag0, ang0, dirty0, levels0, graph0, None, 0.0, 0)):
             return
         while stack:
-            children, m, graph, gates, cost, depth = stack[-1]
+            children, m, mag, ang, dirty, levels, graph, path, cost, depth = stack[-1]
             for step, c, r, r2, theta, phi in children:
                 if cost + step >= self.current_limit():
                     continue  # incumbent may have improved mid-loop
-                step_gates, g2, rot_cost, routing = emit_rotation(
-                    graph, self.params, self.states[r], self.states[r2], theta, phi
-                )
+                if dist[levels[r]][levels[r2]] == 1:
+                    graph2, levels2, routing = graph, levels, 0.0
+                else:
+                    plan = plan_routing(graph, states[r], states[r2])
+                    graph2 = plan.resulting_graph
+                    levels2 = [graph2.logical_map[s] for s in states]
+                    routing = len(plan.pulses) * pulse
+                cost2 = cost + costs[theta] + routing
+                path2 = (path, r, r2, theta, phi)
                 m2 = m.copy()
                 apply_rotation_rows(m2, r, r2, theta, phi)
-                cost2 = cost + rot_cost + routing
-                gates2 = gates + step_gates
-                if is_diagonal(m2, self.config.diag_tol):
+                rows = m2[[r, r2]]
+                mag_r, mag_r2 = np.hypot(rows.real, rows.imag).tolist()
+                dirty2 = dirty & ~((1 << r) | (1 << r2)) \
+                    | _dirty(mag_r, r, tol) << r | _dirty(mag_r2, r2, tol) << r2
+                if not dirty2:
                     self.stats.solutions_found += 1
                     if self.best is None or cost2 < self.best[0]:
-                        self.best = (cost2, gates2, g2, m2)
+                        self.best = (cost2, path2, m2)
                     if self.config.return_first:
                         return
                 elif depth + 1 < self.depth_cap:
-                    if not self.enter(m2, g2, gates2, cost2, depth + 1, stack):
+                    mag2, ang2 = mag.copy(), ang.copy()
+                    mag2[r], mag2[r2] = mag_r, mag_r2
+                    ang2[r], ang2[r2] = np.angle(rows).tolist()
+                    node = (m2, mag2, ang2, dirty2, levels2, graph2, path2, cost2, depth + 1)
+                    if not self.enter(stack, node):
                         return
                     break
             else:
@@ -244,10 +314,12 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     limit = config.cost_limit if config.cost_limit is not None \
         else config.cost_limit_factor * qr_cost_bound(u, graph, params)
     search = _Search(states, config, params, limit)
+    ladder = None
     if config.warm_start:
         wcost, wgates, wgraph, wm = _ladder_replay(m0, graph, states, params)
         if wcost < limit and is_diagonal(wm, config.diag_tol):
-            search.best = (wcost, wgates, wgraph, wm)
+            ladder = (wgates, wgraph)
+            search.best = (wcost, None, wm)
             search.stats.solutions_found = 1
     if not (config.return_first and search.best is not None):
         search.run(m0, graph)
@@ -259,7 +331,11 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             f"after {search.stats.nodes_expanded} nodes",
             search.stats,
         )
-    cost, gates, g_final_raw, m_final = search.best
+    cost, path, m_final = search.best
+    # The ladder's gates are already emitted; a search incumbent's are
+    # built here, once, by replaying its path from the initial graph.
+    gates, g_final_raw = ladder if path is None \
+        else _emit_path(graph, states, params, _path_steps(path))[1:]
     sequence, theta, g_final = assemble(graph, g_final_raw, gates, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)
 

@@ -11,7 +11,10 @@ Virtual Z gates cost nothing.
 
 Models are swappable: alternatives register under a name and are selected
 via ``CostParams.model`` (config key cost.model), so every consumer that
-carries a CostParams automatically uses the chosen hardware model.
+carries a CostParams automatically uses the chosen hardware model.  A
+registered model must be a pure function of (theta, dist, params): the
+adaptive search prices each distinct angle once per search and reuses
+the value.
 """
 from __future__ import annotations
 

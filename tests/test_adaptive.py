@@ -1,7 +1,11 @@
 """Adaptive search: pruning soundness, reconstruction, and optimality
 against exhaustive enumeration on small instances."""
+import hashlib
+import json
 import math
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,9 +22,9 @@ from quditc.adaptive import (
 )
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
-from quditc.cost import CostParams, pulse_cost, register_cost_model, rotation_cost, sequence_cost
+from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
-from quditc.graph import CouplingGraph, plan_routing
+from quditc.graph import CouplingGraph, graph_to_dict, plan_routing
 from quditc.linalg import is_diagonal
 from quditc.qr import qr_cost_bound
 from quditc.verify import verify_result
@@ -288,6 +292,31 @@ class TestDeepSearch:
         assert result.stats.solutions_found == 1
         assert verify_result(u, result)
 
+    def test_top_of_scope_first_solution(self):
+        # d = 48 sits at the top of the documented scope: the cold search
+        # descends straight to a solution, one rotation per level.
+        u = haar_unitary(48, 48)
+        result = adaptive_compile(u, star_architecture(48),
+                                  SearchConfig(warm_start=False, return_first=True))
+        assert result.stats.nodes_expanded == 1128
+        assert result.stats.max_depth == 1127
+        assert verify_result(u, result)
+
+    def test_deep_search_memory(self):
+        # Frames share their parent's moduli and phase rows and hold a path
+        # instead of a gate list, so a depth-495 search stays small.
+        u = haar_unitary(32, 32)
+        g = star_architecture(32)
+        cfg = SearchConfig(warm_start=False, return_first=True)
+        tracemalloc.start()
+        try:
+            result = adaptive_compile(u, g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.max_depth == 495
+        assert peak < 64 * 2**20
+
 
 def reference_children(search, m, graph, cost):
     """The node's children from the scalar per-candidate calls, in triple
@@ -350,13 +379,25 @@ class TestNodeScoring:
         # tuples compare float for float: exact equality, no tolerance
         assert children == expected
 
-
-@pytest.fixture
-def flat_cost_model():
-    name = "flat-per-gate-test"
-    register_cost_model(name, lambda theta, dist, p: 0.01 * p.base_factor * dist)
-    yield CostParams(model=name)
-    cost_module._MODELS.pop(name)
+    @settings(max_examples=60, deadline=None)
+    @given(case=scoring_cases(), cut=st.floats(0.0, 1.0), after=st.integers(1, 6))
+    def test_generator_rechecks_improved_incumbent(self, case, cut, after):
+        # The incumbent improves while the caller searches the subtree of
+        # the `after`-th child; the children still to come must be exactly
+        # the score-time list rechecked against the improved limit.
+        u, g, spent = case
+        m = u.conj().T.copy()
+        limit = 1.1 * qr_cost_bound(u, g)
+        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit)
+        improved = spent + cut * (limit - spent)
+        listed = reference_children(search, m, g, spent)
+        expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
+        yielded = []
+        for child in search.children(*search.prepare(m, g), spent):
+            yielded.append(child)
+            if len(yielded) == after:
+                search.best = (improved, None, None)
+        assert yielded == expected
 
 
 class TestCustomCostModel:
@@ -376,3 +417,52 @@ class TestCustomCostModel:
                 exhaustive_min_cost(u, g, params), abs=1e-12)
             assert result.total_cost < result.stats.cost_limit
             assert verify_result(u, result)
+
+    def test_each_angle_priced_once_per_search(self, temp_cost_model):
+        calls = Counter()
+
+        def counting(theta, dist, p):
+            calls[theta] += 1
+            return cost_module._calibrated_linear(theta, dist, p)
+
+        params = temp_cost_model("counting-test", counting)
+        g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 2, "2": 1})
+        cfg = SearchConfig(max_nodes=10_000_000, max_depth=4)
+        for seed in range(4):
+            u = haar_unitary(3, 1200 + seed)
+            m0 = u.conj().T.copy()
+            search = _Search(compile_states(g, 3), cfg, params, 1.1 * qr_cost_bound(u, g))
+            calls.clear()
+            search.run(m0, g)
+            assert calls and max(calls.values()) == 1
+            result = adaptive_compile(u, g, cfg, params)
+            assert result.total_cost == pytest.approx(
+                exhaustive_min_cost(u, g, params), abs=1e-12)
+
+
+def result_digest(results) -> str:
+    """SHA-256 over the exact gates, residual phases, final graph and cost
+    of each result."""
+    h = hashlib.sha256()
+    for res in results:
+        seq = [[g.level_low, g.level_high, g.theta.hex(), g.phi.hex(), g.routing]
+               for g in res.sequence]
+        doc = {"sequence": seq,
+               "residual_phases": [float(p).hex() for p in res.residual_phases],
+               "final_graph": graph_to_dict(res.final_graph),
+               "total_cost": res.total_cost.hex()}
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestGoldenGates:
+    def test_budget_bound_results_unchanged(self):
+        # Half of these incumbents come from the search and half from the
+        # warm-start ladder; the digest pins every gate bit for bit.
+        results = []
+        for dim in (5, 7):
+            for _, g in architectures_for_dim(dim):
+                for u in random_cliffords(dim, 2, 2022):
+                    results.append(adaptive_compile(u, g, SearchConfig(max_nodes=300)))
+        assert result_digest(results) == \
+            "915cc59d97d7b5cd5b026799dc433e94674ddc5848830c30dcee3c464507dd6f"

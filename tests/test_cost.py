@@ -92,14 +92,12 @@ def test_params_must_be_positive():
 
 
 class TestModelRegistry:
-    def test_custom_model_selected_by_name(self, path3):
-        from quditc.cost import register_cost_model
-
-        register_cost_model("flat-test", lambda theta, dist, p: p.base_factor * dist)
-        params = CostParams(model="flat-test")
-        assert rotation_cost(0.1, 1, params) == rotation_cost(3.0, 1, params) == 1e-4
+    def test_custom_model_selected_by_name(self, path3, flat_cost_model):
+        params = flat_cost_model
+        assert rotation_cost(0.1, 1, params) == rotation_cost(3.0, 1, params) \
+            == 0.01 * params.base_factor
         breakdown, _ = gate_cost(RotationGate(0, 2, 1.0, 0.0), path3, params)
-        assert breakdown.total == pytest.approx(2e-4)  # one pulse + the rotation
+        assert breakdown.total == pytest.approx(2e-6)  # one pulse + the rotation
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
