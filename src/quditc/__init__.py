@@ -1,20 +1,17 @@
 """quditc: compile single-qudit unitaries into two-level rotations under
 energy-coupling-graph constraints."""
 
+from ._compile import CompilationResult, SearchStats
 from .adaptive import (
     BatchItem,
-    CompilationResult,
     NoSolutionError,
     SearchConfig,
-    SearchStats,
     adaptive_compile,
     compile_batch,
 )
 from .clifford import CliffordSpec, generator_set, random_clifford, random_cliffords
 from .cost import (
-    CostBreakdown,
     CostParams,
-    gate_cost,
     pulse_cost,
     register_cost_model,
     rotation_cost,
@@ -37,9 +34,7 @@ from .graph import (
     RoutingPlan,
     apply_graph_rules,
     embedding_matrix,
-    list_ancillas,
     load_graph,
-    mark_ancilla,
     plan_routing,
     save_graph,
 )
@@ -50,11 +45,10 @@ from .linalg import (
     is_unitary,
     load_unitary,
     max_norm,
-    multiply,
     save_unitary,
 )
-from .phases import canonicalize, commute_through, sweep_phases
-from .qr import QrResult, qr_cost_bound, qr_decompose
+from .phases import commute_through, sweep_phases
+from .qr import qr_cost_bound, qr_decompose
 from .verify import reconstruction_error, verify_result, verify_sequence_document
 
 __version__ = "0.1.0"
@@ -63,13 +57,11 @@ __all__ = [
     "BatchItem",
     "CliffordSpec",
     "CompilationResult",
-    "CostBreakdown",
     "CostParams",
     "CouplingGraph",
     "DEFAULT_TOL",
     "Gate",
     "NoSolutionError",
-    "QrResult",
     "RotationGate",
     "RoutingPlan",
     "SearchConfig",
@@ -77,23 +69,18 @@ __all__ = [
     "VirtualZGate",
     "adaptive_compile",
     "apply_graph_rules",
-    "canonicalize",
     "commute_through",
     "compile_batch",
     "embedding_matrix",
     "equal_up_to_global_phase",
-    "gate_cost",
     "gate_matrix",
     "generator_set",
     "is_diagonal",
     "is_unitary",
-    "list_ancillas",
     "load_graph",
     "load_sequence",
     "load_unitary",
-    "mark_ancilla",
     "max_norm",
-    "multiply",
     "plan_routing",
     "pulse_cost",
     "qr_cost_bound",

@@ -1,4 +1,5 @@
-"""Shared machinery for the two decomposition back-ends.
+"""Shared machinery for the two decomposition back-ends: the result type,
+the elimination primitives, routed emission and the final assembly.
 
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
@@ -13,15 +14,44 @@ with E_* the embeddings of logical states onto physical levels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostParams, pulse_cost, rotation_cost
+from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .graph import CouplingGraph, plan_routing
 from .phases import conjugated
 
-# Entries below this are treated as already annihilated.
-NEGLIGIBLE = 1e-12
+
+@dataclass
+class SearchStats:
+    nodes_expanded: int = 0
+    max_depth: int = 0
+    solutions_found: int = 0
+    cost_limit: float = 0.0
+    wall_time_ms: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class CompilationResult:
+    """A decomposition from either back-end.  ``stats`` holds the adaptive
+    search's statistics and is None for the fixed qr sequence."""
+
+    sequence: tuple
+    residual_phases: np.ndarray
+    total_cost: float
+    stats: SearchStats | None
+    initial_graph: CouplingGraph
+    final_graph: CouplingGraph
+
+    @property
+    def rotation_count(self) -> int:
+        """Logical rotations; every other gate is a routing pulse."""
+        return sum(1 for g in self.sequence if not g.routing)
+
+    @property
+    def pulse_count(self) -> int:
+        return len(self.sequence) - self.rotation_count
 
 
 def compile_states(graph: CouplingGraph, dim: int) -> list[str]:
@@ -56,17 +86,15 @@ def apply_rotation_rows(m: np.ndarray, r: int, r2: int, theta: float, phi: float
     m[r2, :] = row_r2
 
 
-def emit_rotation(graph: CouplingGraph, params: CostParams, state_i, state_j,
-                  theta: float, phi: float):
+def emit_rotation(graph: CouplingGraph, state_i, state_j, theta: float, phi: float):
     """Route state_j adjacent to state_i, then emit the phase-adjusted
-    rotation.  Returns (gates, new_graph, rotation_cost, routing_cost)."""
+    rotation.  Returns (gates, new_graph): the routing pulses, then the
+    rotation."""
     plan = plan_routing(graph, state_i, state_j)
     g = plan.resulting_graph
     la, lb = g.level_of(state_i), g.level_of(state_j)
     rot = g.adjusted_rotation(la, lb, theta, phi)
-    gates = list(plan.pulses) + [rot]
-    routing = len(plan.pulses) * pulse_cost(params)
-    return gates, g, rotation_cost(theta, 1, params), routing
+    return list(plan.pulses) + [rot], g
 
 
 def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,
@@ -87,18 +115,4 @@ def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,
         lv = initial_graph.level_of(state)
         theta[k] = initial_graph.node_phase[lv] - dphase[lv]
     theta = np.angle(np.exp(1j * theta))
-    clean = CouplingGraph(
-        final_graph.num_levels,
-        final_graph.edges,
-        dict(final_graph.logical_map),
-        final_graph.ancillas,
-        (0.0,) * final_graph.num_levels,
-    )
-    return sequence, theta, clean
-
-
-def count_gates(sequence) -> tuple[int, int]:
-    """(logical rotations, routing pulses) in a physical sequence."""
-    rotations = sum(1 for g in sequence if not getattr(g, "routing", False))
-    pulses = len(sequence) - rotations
-    return rotations, pulses
+    return sequence, theta, final_graph._clone(node_phase=(0.0,) * final_graph.num_levels)

@@ -44,18 +44,19 @@ from functools import lru_cache
 import numpy as np
 
 from ._compile import (
-    NEGLIGIBLE,
-    annihilation_angles,
+    CompilationResult,
+    SearchStats,
+    annihilation_angles,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     apply_rotation_rows,
     assemble,
     compile_states,
-    count_gates,
     emit_rotation,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, plan_routing
 from .linalg import as_matrix, is_diagonal, is_unitary
-from .qr import qr_cost_bound
+from .qr import ladder, ladder_cost
+from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
 
@@ -77,33 +78,6 @@ class SearchConfig:
             raise ValueError("cost_limit_factor must be >= 1 unless an absolute limit is given")
         if self.threshold <= 0 or self.diag_tol <= 0:
             raise ValueError("threshold and diag_tol must be positive")
-
-
-@dataclass
-class SearchStats:
-    nodes_expanded: int = 0
-    max_depth: int = 0
-    solutions_found: int = 0
-    cost_limit: float = 0.0
-    wall_time_ms: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class CompilationResult:
-    sequence: tuple
-    residual_phases: np.ndarray
-    total_cost: float
-    stats: SearchStats
-    initial_graph: CouplingGraph
-    final_graph: CouplingGraph
-
-    @property
-    def rotation_count(self) -> int:
-        return count_gates(self.sequence)[0]
-
-    @property
-    def pulse_count(self) -> int:
-        return count_gates(self.sequence)[1]
 
 
 class NoSolutionError(RuntimeError):
@@ -128,16 +102,15 @@ def _triples(dim: int) -> tuple:
 
 def _emit_path(graph, states, params, steps):
     """Route and emit each (r, r2, theta, phi) step in order, starting from
-    graph.  Returns (cost, gates, final graph)."""
+    graph; routing is never undone.  Returns (cost, gates, final graph)."""
     g = graph
     gates = []
     cost = 0.0
+    pulse = pulse_cost(params)
     for r, r2, theta, phi in steps:
-        step_gates, g, rot_cost, routing = emit_rotation(
-            g, params, states[r], states[r2], theta, phi
-        )
+        step_gates, g = emit_rotation(g, states[r], states[r2], theta, phi)
         gates.extend(step_gates)
-        cost += rot_cost + routing
+        cost += rotation_cost(theta, 1, params) + (len(step_gates) - 1) * pulse
     return cost, gates, g
 
 
@@ -151,23 +124,20 @@ def _path_steps(path) -> list:
     return steps
 
 
-def _ladder_replay(m0, graph, states, params):
-    """Replay the fixed adjacent-index elimination ladder through the
-    one-way-routing emitter.  Where every index pair sits on a coupling this
-    costs exactly the fixed baseline, giving the search a complete incumbent
-    from the start."""
-    m = m0.copy()
-    steps = []
-    dim = m.shape[0]
-    for c in range(dim):
-        for r2 in range(dim - 1, c, -1):
-            if abs(m[r2, c]) < NEGLIGIBLE:
-                continue
-            theta, phi = annihilation_angles(m, r2 - 1, r2, c)
-            steps.append((r2 - 1, r2, theta, phi))
-            apply_rotation_rows(m, r2 - 1, r2, theta, phi)
-    cost, gates, g = _emit_path(graph, states, params, steps)
-    return cost, gates, g, m
+def _ladder_replay(m0, graph, states, params, config):
+    """Run the fixed elimination ladder at most once, for both of its uses:
+    the cost limit (config's absolute one, else its factor times the fixed
+    baseline's cost) and, with warm start, the steps replayed through the
+    one-way-routing emitter as (cost, gates, final graph, final matrix),
+    a complete incumbent from the start."""
+    limit = config.cost_limit
+    if limit is None or config.warm_start:
+        steps, m = ladder(m0)
+    if limit is None:
+        limit = config.cost_limit_factor * ladder_cost(steps, graph, states, params)
+    if not config.warm_start:
+        return limit, None
+    return limit, (*_emit_path(graph, states, params, steps), m)
 
 
 def _dirty(row: list, k: int, tol: float) -> bool:
@@ -207,9 +177,8 @@ class _Search:
         the limit.  Unsorted, they are generated in triple order and each is
         checked against the limit current when it is reached: the incumbent
         only improves while the caller searches a yielded child's subtree."""
-        if self.config.sort_children:
-            return sorted(self._candidates(mag, ang, levels, cost))
-        return self._candidates(mag, ang, levels, cost)
+        children = self._candidates(mag, ang, levels, cost)
+        return sorted(children) if self.config.sort_children else children
 
     def _candidates(self, mag, ang, levels, cost):
         dist, costs, params = self.dist, self.costs, self.params
@@ -228,11 +197,6 @@ class _Search:
                 continue
             yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
             limit = self.current_limit()
-
-    def score(self, m, graph, cost) -> list:
-        """All children of the node (m, graph, cost) under the current limit,
-        in triple order or sorted."""
-        return list(self.children(*self.prepare(m, graph), cost))
 
     def enter(self, stack, node) -> bool:
         """Expand a node (m, mag, ang, dirty, levels, graph, path, cost,
@@ -306,19 +270,17 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
 
     m0 = u.conj().T.copy()
     if is_diagonal(m0, config.diag_tol):
-        stats = SearchStats(cost_limit=0.0)
         sequence, theta, g_final = assemble(graph, graph, [], m0, dim)
-        stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
+        stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
 
-    limit = config.cost_limit if config.cost_limit is not None \
-        else config.cost_limit_factor * qr_cost_bound(u, graph, params)
+    limit, replay = _ladder_replay(m0, graph, states, params, config)
     search = _Search(states, config, params, limit)
-    ladder = None
-    if config.warm_start:
-        wcost, wgates, wgraph, wm = _ladder_replay(m0, graph, states, params)
+    ladder_out = None
+    if replay is not None:
+        wcost, wgates, wgraph, wm = replay
         if wcost < limit and is_diagonal(wm, config.diag_tol):
-            ladder = (wgates, wgraph)
+            ladder_out = (wgates, wgraph)
             search.best = (wcost, None, wm)
             search.stats.solutions_found = 1
     if not (config.return_first and search.best is not None):
@@ -334,7 +296,7 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     cost, path, m_final = search.best
     # The ladder's gates are already emitted; a search incumbent's are
     # built here, once, by replaying its path from the initial graph.
-    gates, g_final_raw = ladder if path is None \
+    gates, g_final_raw = ladder_out if path is None \
         else _emit_path(graph, states, params, _path_steps(path))[1:]
     sequence, theta, g_final = assemble(graph, g_final_raw, gates, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

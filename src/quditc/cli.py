@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .adaptive import NoSolutionError, SearchConfig, adaptive_compile
@@ -25,7 +26,7 @@ from .bench import (
     write_records,
     write_summary_csv,
 )
-from .cost import DEFAULT_MODEL, CostParams
+from .cost import CostParams
 from .gates import save_sequence
 from .graph import load_graph, save_graph
 from .linalg import load_unitary
@@ -43,29 +44,31 @@ def _add_cost_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cost-base-factor", type=float, help="override cost.base_factor")
     parser.add_argument("--cost-calibrated-angle", type=float,
                         help="override cost.calibrated_angle (units of pi)")
-    parser.add_argument("--cost-angle-floor", type=float,
-                        help="override cost.angle_floor (units of pi)")
     parser.add_argument("--cost-model", help="override cost.model (registered model name)")
 
 
 def _cost_params(args) -> CostParams:
-    values = {"base_factor": 1e-4, "calibrated_angle": 0.5, "angle_floor": 0.25,
-              "model": DEFAULT_MODEL}
+    """CostParams from the defaults, then the config file's cost.* keys,
+    then the --cost-* flags."""
+    values = {f.name: f.default for f in fields(CostParams)}
+    section = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        section = doc.get("cost", {})
-        for key in values:
-            if key in section:
-                values[key] = type(values[key])(section[key])
-    for key, flag in [("base_factor", "cost_base_factor"),
-                      ("calibrated_angle", "cost_calibrated_angle"),
-                      ("angle_floor", "cost_angle_floor"),
-                      ("model", "cost_model")]:
-        override = getattr(args, flag)
+            section = json.load(fh).get("cost", {})
+    for key, default in values.items():
+        if key in section:
+            values[key] = type(default)(section[key])
+        override = getattr(args, f"cost_{key}")
         if override is not None:
             values[key] = override
     return CostParams(**values)
+
+
+def _search_config(args) -> SearchConfig:
+    """SearchConfig from the flags named after its fields; a field without
+    a flag on the subcommand keeps its default."""
+    return SearchConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(SearchConfig) if hasattr(args, f.name)})
 
 
 def _bool(text: str) -> bool:
@@ -86,27 +89,8 @@ def cmd_compile(args) -> int:
         return EXIT_INVALID
 
     try:
-        if args.mode == "qr":
-            result = qr_decompose(u, graph, params)
-            stats = {}
-        else:
-            config = SearchConfig(
-                cost_limit_factor=args.cost_limit_factor,
-                cost_limit=args.cost_limit,
-                threshold=args.threshold,
-                max_nodes=args.max_nodes,
-                return_first=args.return_first,
-                sort_children=args.sort_children,
-                max_depth=args.max_depth,
-                warm_start=args.warm_start,
-            )
-            result = adaptive_compile(u, graph, config, params)
-            stats = {
-                "nodes_expanded": result.stats.nodes_expanded,
-                "max_depth": result.stats.max_depth,
-                "cost_limit": result.stats.cost_limit,
-                "wall_time_ms": result.stats.wall_time_ms,
-            }
+        result = qr_decompose(u, graph, params) if args.mode == "qr" \
+            else adaptive_compile(u, graph, _search_config(args), params)
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -131,8 +115,9 @@ def cmd_compile(args) -> int:
         "total_cost": result.total_cost,
         "rotations": result.rotation_count,
         "routing_pulses": result.pulse_count,
-        **stats,
     }
+    if result.stats is not None:
+        summary.update(asdict(result.stats))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -143,19 +128,10 @@ def cmd_bench(args) -> int:
         dims = [int(x) for x in args.dims.split(",") if x]
         counts = [int(x) for x in args.counts.split(",") if x]
         if args.graphs:
-            graphs = []
-            for path in args.graphs.split(","):
-                g = load_graph(path)
-                graphs.append((Path(path).stem, g))
+            graphs = [(Path(path).stem, load_graph(path)) for path in args.graphs.split(",")]
         else:
             graphs = [arch for dim in sorted(set(dims)) for arch in architectures_for_dim(dim)]
-        config = SearchConfig(
-            cost_limit_factor=args.cost_limit_factor,
-            threshold=args.threshold,
-            max_nodes=args.max_nodes,
-            sort_children=args.sort_children,
-        )
-        records = run_suite(dims, counts, graphs, config, params,
+        records = run_suite(dims, counts, graphs, _search_config(args), params,
                             seed=args.seed, workers=args.workers,
                             word_length=args.word_length)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

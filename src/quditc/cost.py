@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .gates import RotationGate, VirtualZGate
-from .graph import CouplingGraph, RoutingPlan, plan_routing
+from .gates import RotationGate
 
 DEFAULT_MODEL = "calibrated-linear"
 
@@ -32,26 +31,11 @@ DEFAULT_MODEL = "calibrated-linear"
 class CostParams:
     base_factor: float = 1e-4
     calibrated_angle: float = 0.5   # units of pi
-    angle_floor: float = 0.25       # units of pi; formula applies below it too
     model: str = DEFAULT_MODEL
 
     def __post_init__(self):
-        if self.base_factor <= 0 or self.calibrated_angle <= 0 or self.angle_floor <= 0:
+        if self.base_factor <= 0 or self.calibrated_angle <= 0:
             raise ValueError("cost parameters must be positive")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    rotation_cost: float
-    routing_cost: float
-
-    def __post_init__(self):
-        if self.rotation_cost < 0 or self.routing_cost < 0:
-            raise ValueError("costs must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.rotation_cost + self.routing_cost
 
 
 CostModel = Callable[[float, int, CostParams], float]
@@ -87,25 +71,6 @@ def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) ->
 def pulse_cost(params: CostParams = CostParams()) -> float:
     """Cost of one reordering pulse: an adjacent pi rotation."""
     return rotation_cost(math.pi, 1, params)
-
-
-def gate_cost(gate, graph: CouplingGraph, params: CostParams = CostParams()):
-    """Cost of executing a gate on the graph, including routing.
-
-    For a rotation on logical states (level_low, level_high interpreted as
-    state indices), returns (CostBreakdown, RoutingPlan): the routing plan
-    brings the second state adjacent to the first, each pulse costing a
-    distance-1 pi rotation, and the rotation itself is then adjacent.
-    Virtual Z gates cost zero.
-    """
-    if isinstance(gate, VirtualZGate):
-        return CostBreakdown(0.0, 0.0), RoutingPlan((), graph)
-    if not isinstance(gate, RotationGate):
-        raise TypeError(f"unsupported gate {gate!r}")
-    plan = plan_routing(graph, gate.level_low, gate.level_high)
-    routing = pulse_cost(params) * len(plan.pulses)
-    rot = rotation_cost(gate.theta, 1, params)
-    return CostBreakdown(rot, routing), plan
 
 
 def sequence_cost(gates, params: CostParams = CostParams()) -> float:

@@ -59,6 +59,22 @@ def canonical_state_order(states) -> list[str]:
     return comp + anc
 
 
+def _checked_placement(mapping, num_levels: int) -> dict:
+    """A state->level placement with normalized labels and int levels.
+    Raises ValueError unless it maps states one-to-one onto levels
+    0..num_levels-1."""
+    try:
+        placement = {state_key(s): int(lv) for s, lv in mapping.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"placement must map state labels to levels: {exc}") from None
+    levels = list(placement.values())
+    if any(not 0 <= lv < num_levels for lv in levels):
+        raise ValueError(f"mapped level out of range 0..{num_levels - 1}")
+    if len(set(levels)) != len(levels):
+        raise ValueError("logical-to-physical mapping must be injective")
+    return placement
+
+
 @lru_cache(maxsize=512)
 def _topology(num_levels: int, edges: frozenset):
     """Shared per-edge-set tables: adjacency lists (sorted) and all-pairs
@@ -102,13 +118,9 @@ class CouplingGraph:
             norm_edges.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm_edges))
 
-        cleaned = {state_key(s): int(lv) for s, lv in self.logical_map.items()}
+        cleaned = _checked_placement(self.logical_map, self.num_levels)
         object.__setattr__(self, "logical_map", cleaned)
         levels = list(cleaned.values())
-        if any(not 0 <= lv < self.num_levels for lv in levels):
-            raise ValueError("mapped level out of range")
-        if len(set(levels)) != len(levels):
-            raise ValueError("logical-to-physical mapping must be injective")
         if not cleaned:
             raise ValueError("at least one logical state must be mapped")
 
@@ -186,31 +198,21 @@ class CouplingGraph:
             path.append(cur)
         return path
 
-    def ancilla_states(self) -> set[str]:
-        return set(self.ancillas)
-
     # -- copy-on-write updates -------------------------------------------
 
-    def _clone(self, *, logical_map=None, ancillas=None, node_phase=None) -> "CouplingGraph":
-        """Copy with updated fields, skipping re-validation.  Only for
-        updates that cannot break the invariants (swaps, phase changes)."""
+    def _clone(self, **fields) -> "CouplingGraph":
+        """Copy with updated fields, skipping re-validation (and the frozen
+        __setattr__).  Only for updates that cannot break the invariants
+        (swaps, phase changes)."""
         g = object.__new__(CouplingGraph)
-        object.__setattr__(g, "num_levels", self.num_levels)
-        object.__setattr__(g, "edges", self.edges)
-        object.__setattr__(g, "logical_map", self.logical_map if logical_map is None else logical_map)
-        object.__setattr__(g, "ancillas", self.ancillas if ancillas is None else ancillas)
-        object.__setattr__(g, "node_phase", self.node_phase if node_phase is None else node_phase)
+        g.__dict__.update(self.__dict__, **fields)
         return g
 
     def with_ancilla_toggled(self, state) -> "CouplingGraph":
-        key = state_key(state)
-        if key not in self.logical_map:
-            raise ValueError(f"logical state {key!r} is not mapped")
-        if key not in self.ancillas and not _ANCILLA_RE.match(key):
-            raise ValueError(f"ancilla label {key!r} must look like 'a0'")
-        anc = set(self.ancillas)
-        anc.symmetric_difference_update({key})
-        return self._clone(ancillas=frozenset(anc))
+        """Copy with the state's ancilla flag flipped, validated as a new
+        graph: only a mapped state labelled like 'a0' can be an ancilla."""
+        anc = self.ancillas ^ {state_key(state)}
+        return CouplingGraph(self.num_levels, self.edges, self.logical_map, anc, self.node_phase)
 
     def with_phase_added(self, level: int, phi: float) -> "CouplingGraph":
         phases = list(self.node_phase)
@@ -312,24 +314,23 @@ def apply_graph_rules(gates, graph: CouplingGraph):
     return out, g
 
 
-def embedding_matrix(graph: CouplingGraph, dim: int) -> np.ndarray:
-    """N x dim matrix whose k-th column is the basis vector of the level
-    holding the k-th canonical state."""
-    order = graph.state_order()
+def placement_embedding(mapping, num_levels: int, dim: int) -> np.ndarray:
+    """num_levels x dim matrix whose k-th column is the basis vector of the
+    level holding the k-th canonical state of a state->level placement
+    (checked as by :func:`_checked_placement`)."""
+    placement = _checked_placement(mapping, num_levels)
+    order = canonical_state_order(placement)
     if dim > len(order):
         raise ValueError(f"dim {dim} exceeds mapped state count {len(order)}")
-    emb = np.zeros((graph.num_levels, dim), dtype=np.complex128)
+    emb = np.zeros((num_levels, dim), dtype=np.complex128)
     for k, state in enumerate(order[:dim]):
-        emb[graph.logical_map[state], k] = 1.0
+        emb[placement[state], k] = 1.0
     return emb
 
 
-def mark_ancilla(graph: CouplingGraph, state) -> CouplingGraph:
-    return graph.with_ancilla_toggled(state)
-
-
-def list_ancillas(graph: CouplingGraph) -> set[str]:
-    return graph.ancilla_states()
+def embedding_matrix(graph: CouplingGraph, dim: int) -> np.ndarray:
+    """The placement embedding of the graph's logical map."""
+    return placement_embedding(graph.logical_map, graph.num_levels, dim)
 
 
 # -- file format ----------------------------------------------------------

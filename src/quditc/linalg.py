@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers: products, unitarity/diagonality checks,
+"""Dense complex matrix helpers: unitarity/diagonality checks,
 equality up to a global phase, and the unitary JSON file format.
 
 Matrices are plain ``complex128`` ndarrays, treated as immutable values.
@@ -26,13 +26,6 @@ def as_matrix(data, min_dim: int = 2) -> np.ndarray:
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with dimension checking."""
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def max_norm(m: np.ndarray) -> float:

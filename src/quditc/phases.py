@@ -13,12 +13,6 @@ import numpy as np
 from .gates import RotationGate, VirtualZGate
 
 
-def canonicalize(phases, pivot: int = 0) -> np.ndarray:
-    """Representative with phase 0 on the pivot level."""
-    p = np.asarray(phases, dtype=np.float64)
-    return p - p[pivot]
-
-
 def conjugated(gate: RotationGate, phases) -> RotationGate:
     """D . R . D^dagger for D = diag(e^{i phases}): phi gains
     phases[high] - phases[low]."""

@@ -1,4 +1,4 @@
-"""Reconstruction checks for compilation results.
+"""Reconstruction checks for compilation results and sequence documents.
 
 A result reconstructs its target when
 
@@ -8,47 +8,47 @@ up to a global phase, where E_initial / E_final embed the logical states
 onto their physical levels before and after the sequence.  With no
 routing (or with all routing undone) and an identity placement this is
 the plain  matrix(sequence) . diag(e^{i theta}) == U.
+
+:func:`reconstruction_sides` builds both sides from plain state->level
+placements, so a result (placements from its graphs) and a sequence
+document (placements from its maps) are checked by the same code.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .gates import sequence_matrix
-from .graph import CouplingGraph, embedding_matrix
+from .gates import sequence_from_dict, sequence_matrix
+from .graph import CouplingGraph, placement_embedding
 from .linalg import equal_up_to_global_phase, max_norm
+
+
+def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phases,
+                         initial_map, final_map) -> tuple[np.ndarray, np.ndarray]:
+    """(left side, right side) of the reconstruction identity.  Raises
+    ValueError for a placement that is not one-to-one onto the levels."""
+    dim = u.shape[0]
+    phys = sequence_matrix(sequence, num_levels)
+    lhs = phys @ placement_embedding(initial_map, num_levels, dim) \
+        @ np.diag(np.exp(1j * np.asarray(residual_phases)))
+    rhs = placement_embedding(final_map, num_levels, dim) @ u
+    return lhs, rhs
 
 
 def reconstruction_error(u: np.ndarray, sequence, residual_phases,
                          initial_graph: CouplingGraph,
                          final_graph: CouplingGraph) -> float:
-    dim = u.shape[0]
-    phys = sequence_matrix(sequence, initial_graph.num_levels)
-    lhs = phys @ embedding_matrix(initial_graph, dim) @ np.diag(np.exp(1j * np.asarray(residual_phases)))
-    rhs = embedding_matrix(final_graph, dim) @ u
+    lhs, rhs = reconstruction_sides(u, sequence, initial_graph.num_levels, residual_phases,
+                                    initial_graph.logical_map, final_graph.logical_map)
     return max_norm(lhs - rhs)
 
 
 def verify_result(u: np.ndarray, result, tol: float = 1e-8) -> bool:
-    """Check a QrResult/CompilationResult against its target unitary."""
-    dim = u.shape[0]
-    phys = sequence_matrix(result.sequence, result.initial_graph.num_levels)
-    lhs = phys @ embedding_matrix(result.initial_graph, dim) \
-        @ np.diag(np.exp(1j * np.asarray(result.residual_phases)))
-    rhs = embedding_matrix(result.final_graph, dim) @ u
-    return equal_up_to_global_phase(lhs, rhs, tol)
-
-
-def embedding_from_map(mapping: dict, num_levels: int, dim: int) -> np.ndarray:
-    """Embedding matrix from a plain state->level dict (sequence files)."""
-    from .graph import canonical_state_order
-
-    order = canonical_state_order(mapping.keys())
-    if dim > len(order):
-        raise ValueError(f"dim {dim} exceeds mapped state count {len(order)}")
-    emb = np.zeros((num_levels, dim), dtype=np.complex128)
-    for k, state in enumerate(order[:dim]):
-        emb[int(mapping[state]), k] = 1.0
-    return emb
+    """Check a CompilationResult against its target unitary."""
+    initial, final = result.initial_graph, result.final_graph
+    sides = reconstruction_sides(u, result.sequence, initial.num_levels,
+                                 result.residual_phases, initial.logical_map,
+                                 final.logical_map)
+    return equal_up_to_global_phase(*sides, tol)
 
 
 def verify_sequence_document(u: np.ndarray, doc: dict, tol: float = 1e-8) -> bool:
@@ -57,9 +57,8 @@ def verify_sequence_document(u: np.ndarray, doc: dict, tol: float = 1e-8) -> boo
     The document's "dim" is the physical level count; optional
     "initial_map"/"final_map" give the state placements (identity is
     assumed when absent, which requires dim == the unitary's dimension).
+    A malformed placement raises ValueError.
     """
-    from .gates import sequence_from_dict
-
     gates, num_levels, phases = sequence_from_dict(doc)
     dim = u.shape[0]
     if phases is None:
@@ -69,8 +68,5 @@ def verify_sequence_document(u: np.ndarray, doc: dict, tol: float = 1e-8) -> boo
     ident = {str(k): k for k in range(dim)}
     init_map = doc.get("initial_map", ident)
     final_map = doc.get("final_map", init_map)
-    e0 = embedding_from_map(init_map, num_levels, dim)
-    ef = embedding_from_map(final_map, num_levels, dim)
-    phys = sequence_matrix(gates, num_levels)
-    lhs = phys @ e0 @ np.diag(np.exp(1j * np.asarray(phases)))
-    return equal_up_to_global_phase(lhs, ef @ u, tol)
+    sides = reconstruction_sides(u, gates, num_levels, phases, init_map, final_map)
+    return equal_up_to_global_phase(*sides, tol)

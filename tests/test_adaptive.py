@@ -1,17 +1,19 @@
 """Adaptive search: pruning soundness, reconstruction, and optimality
 against exhaustive enumeration on small instances."""
 import hashlib
+import importlib.util
 import json
 import math
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditc import cost as cost_module
+from quditc import adaptive as adaptive_module, cost as cost_module
 from quditc._compile import annihilation_angles, compile_states
 from quditc.adaptive import (
     NoSolutionError,
@@ -26,7 +28,7 @@ from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, graph_to_dict, plan_routing
 from quditc.linalg import is_diagonal
-from quditc.qr import qr_cost_bound
+from quditc.qr import qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
@@ -374,7 +376,7 @@ class TestNodeScoring:
         limit = 1.1 * qr_cost_bound(u, g)
         search = _Search(compile_states(g, m.shape[0]),
                          SearchConfig(sort_children=sort_children), CostParams(), limit)
-        children = search.score(m, g, spent)
+        children = list(search.children(*search.prepare(m, g), spent))
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
         assert children == expected
@@ -466,3 +468,32 @@ class TestGoldenGates:
                     results.append(adaptive_compile(u, g, SearchConfig(max_nodes=300)))
         assert result_digest(results) == \
             "915cc59d97d7b5cd5b026799dc433e94674ddc5848830c30dcee3c464507dd6f"
+
+
+def _benchmark_tracing():
+    """benchmark/tracing.py, loaded by path: it is not a package module."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("quditc_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkCounts:
+    def test_warm_started_compile_does_each_job_once(self):
+        # The benchmark's tracer wraps quditc's module bindings; installing
+        # it also checks that every binding it names still resolves.
+        tracing = _benchmark_tracing()
+        u = random_cliffords(7, 1, 2022)[0]
+        g = path_architecture(7)
+        steps = qr_decompose(u, g).rotation_count  # one rotation per ladder step
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            # through the module, so that the call is the tracer's root span
+            result = adaptive_module.adaptive_compile(u, g, SearchConfig(max_nodes=50))
+        assert verify_result(u, result)
+        top = "adaptive.adaptive_compile"
+        assert tracer.calls(top, "linalg.is_unitary") == 1
+        assert tracer.calls(top, "compile.assemble") == 1
+        assert steps > 0
+        assert tracer.calls(top, "compile.annihilation_angles") == steps

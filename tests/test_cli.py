@@ -107,6 +107,23 @@ class TestVerify:
         assert run(["verify", "--unitary", tmp_path / "u.json",
                     "--sequence", tmp_path / "seq.json"]) == EXIT_OK
 
+    @pytest.mark.parametrize("maps", [
+        {"final_map": {"0": 0, "1": 1, "2": 3}},
+        {"initial_map": [0, 1, 2]},
+        {"initial_map": {"0": -1, "1": 1, "2": 2}},
+        {"final_map": {"0": 0, "1": 0, "2": 2}},
+    ])
+    def test_malformed_placement_is_invalid_input(self, workdir, capsys, maps):
+        run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+             "--mode", "qr", "--out", workdir / "seq.json"])
+        doc = json.loads((workdir / "seq.json").read_text())
+        doc.update(maps)
+        (workdir / "seq.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--unitary", workdir / "u.json",
+                    "--sequence", workdir / "seq.json"]) == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
+
     def test_invalid_sequence_file(self, workdir, tmp_path):
         (tmp_path / "seq.json").write_text(json.dumps({"dim": 3, "gates": [{"type": "Q"}]}))
         assert run(["verify", "--unitary", workdir / "u.json",

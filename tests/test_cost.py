@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from quditc.cost import CostBreakdown, CostParams, gate_cost, rotation_cost, sequence_cost
+from quditc.cost import CostParams, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, VirtualZGate
 from quditc.graph import CouplingGraph
+from quditc.qr import qr_decompose
+
+from conftest import haar_unitary
 
 
 class TestRotationCost:
@@ -53,51 +56,22 @@ class TestRotationCost:
             rotation_cost(1.0, 0)
 
 
-class TestGateCost:
-    def test_adjacent_pair(self, path3):
-        breakdown, plan = gate_cost(RotationGate(0, 1, math.pi / 2, 0.0), path3)
-        assert breakdown.routing_cost == 0.0
-        assert breakdown.total == pytest.approx(2e-4, rel=1e-12)
-        assert plan.pulses == ()
-
-    def test_distance_three_pair(self):
-        g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}),
-                          {str(k): k for k in range(4)})
-        breakdown, plan = gate_cost(RotationGate(0, 3, math.pi, 0.0), g)
-        assert len(plan.pulses) == 2
-        assert breakdown.routing_cost == pytest.approx(8e-4, rel=1e-12)
-        assert breakdown.total == pytest.approx(1.2e-3, rel=1e-12)
-
-    def test_virtual_z_is_free(self, path3):
-        breakdown, plan = gate_cost(VirtualZGate(1, 0.4), path3)
-        assert breakdown.total == 0.0
-        assert plan.pulses == ()
-
-    def test_matches_plain_rotation_cost_without_routing(self, path3):
-        theta = 1.234
-        breakdown, _ = gate_cost(RotationGate(1, 2, theta, 0.7), path3)
-        assert breakdown.total == rotation_cost(theta, 1)
-
-
-def test_breakdown_total_invariant():
-    b = CostBreakdown(2e-4, 8e-4)
-    assert b.total == pytest.approx(1e-3)
-    with pytest.raises(ValueError):
-        CostBreakdown(-1.0, 0.0)
-
-
 def test_params_must_be_positive():
     with pytest.raises(ValueError):
         CostParams(base_factor=0.0)
 
 
 class TestModelRegistry:
-    def test_custom_model_selected_by_name(self, path3, flat_cost_model):
+    def test_custom_model_selected_by_name(self, flat_cost_model):
         params = flat_cost_model
         assert rotation_cost(0.1, 1, params) == rotation_cost(3.0, 1, params) \
             == 0.01 * params.base_factor
-        breakdown, _ = gate_cost(RotationGate(0, 2, 1.0, 0.0), path3, params)
-        assert breakdown.total == pytest.approx(2e-6)  # one pulse + the rotation
+        # states 1 and 2 sit two levels apart, so the fixed ladder routes:
+        # every rotation and every pulse costs the flat model's 1e-6
+        g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 1, "1": 0, "2": 2})
+        result = qr_decompose(haar_unitary(3, 31), g, params)
+        assert result.pulse_count > 0
+        assert result.total_cost == pytest.approx(1e-6 * len(result.sequence), rel=1e-12)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

@@ -11,9 +11,7 @@ from quditc.graph import (
     embedding_matrix,
     graph_from_dict,
     graph_to_dict,
-    list_ancillas,
     load_graph,
-    mark_ancilla,
     plan_routing,
     save_graph,
 )
@@ -230,14 +228,14 @@ class TestApplyGraphRules:
 class TestAncillas:
     def test_mark_then_list(self, path3):
         g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "a0": 2})
-        assert list_ancillas(g) == set()
-        g2 = mark_ancilla(g, "a0")
-        assert list_ancillas(g2) == {"a0"}
-        assert list_ancillas(mark_ancilla(g2, "a0")) == set()
+        assert g.ancillas == frozenset()
+        g2 = g.with_ancilla_toggled("a0")
+        assert g2.ancillas == {"a0"}
+        assert g2.with_ancilla_toggled("a0").ancillas == frozenset()
 
     def test_unmapped_state_rejected(self, path3):
         with pytest.raises(ValueError):
-            mark_ancilla(path3, "a7")
+            path3.with_ancilla_toggled("a7")
 
     def test_ancilla_used_as_routing_bridge(self, bridged_graph):
         plan = plan_routing(bridged_graph, "2", "1")

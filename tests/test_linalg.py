@@ -9,8 +9,6 @@ from quditc.linalg import (
     is_diagonal,
     is_unitary,
     load_unitary,
-    max_norm,
-    multiply,
     save_unitary,
 )
 
@@ -20,39 +18,11 @@ W3 = np.exp(2j * np.pi / 3)
 H3 = np.array([[1, 1, 1], [1, W3, W3.conjugate()], [1, W3.conjugate(), W3]]) / np.sqrt(3)
 
 
-def naive_product(a, b):
-    """Brute-force triple-loop product, the independent oracle."""
-    d = a.shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
 class TestMultiply:
-    def test_identity(self):
-        assert np.allclose(multiply(np.eye(3, dtype=complex), H3), H3)
-
     def test_hadamard_on_ground_state(self):
         # applying the three-level Hadamard to (1,0,0) gives the uniform state
         out = H3 @ np.array([1, 0, 0])
         assert np.allclose(out, np.ones(3) / np.sqrt(3))
-
-    def test_matches_naive_product(self):
-        a = haar_unitary(3, 10)
-        b = haar_unitary(3, 11)
-        assert np.allclose(multiply(a, b), naive_product(a, b), atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            multiply(np.eye(3, dtype=complex), np.eye(4, dtype=complex))
-
-    def test_associative_on_random_unitaries(self):
-        for dim in (2, 4, 8):
-            a, b, c = (haar_unitary(dim, 20 + dim + k) for k in range(3))
-            assert max_norm(multiply(multiply(a, b), c) - multiply(a, multiply(b, c))) <= 1e-12
 
 
 class TestIsUnitary:
@@ -71,7 +41,7 @@ class TestIsUnitary:
         a = haar_unitary(4, 31)
         b = haar_unitary(4, 32)
         assert is_unitary(a, 1e-12) and is_unitary(b, 1e-12)
-        assert is_unitary(multiply(a, b), 1e-10)
+        assert is_unitary(a @ b, 1e-10)
 
 
 class TestIsDiagonal:

@@ -4,7 +4,7 @@ import pytest
 
 from quditc.gates import RotationGate, VirtualZGate, rotation_matrix, sequence_matrix
 from quditc.linalg import max_norm
-from quditc.phases import canonicalize, commute_through, sweep_phases
+from quditc.phases import commute_through, sweep_phases
 
 
 def diag_matrix(phases) -> np.ndarray:
@@ -88,9 +88,3 @@ class TestSweepPhases:
                  RotationGate(1, 2, 2.13, 0.5), VirtualZGate(2, -0.3)]
         rots, _ = sweep_phases(gates, dim=3)
         assert [g.theta for g in rots] == [0.77, 2.13]
-
-
-def test_canonicalize_pivot():
-    out = canonicalize([0.4, 1.0, -0.2], pivot=0)
-    assert out[0] == 0.0
-    assert np.allclose(out, [0.0, 0.6, -0.6])

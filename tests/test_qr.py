@@ -1,14 +1,20 @@
 """Fixed-sequence baseline: reconstruction, the fixed elimination order,
-and routing compute/uncompute pairing."""
+routing compute/uncompute pairing, and the gate-free cost bound."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quditc.bench import architectures_for_dim
+from quditc.clifford import random_cliffords
+from quditc.cost import rotation_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph
 from quditc.qr import qr_cost_bound, qr_decompose
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary
+from test_adaptive import result_digest
+from test_graph import random_connected_graph
 
 
 class TestReconstruction:
@@ -93,13 +99,58 @@ class TestCostBound:
     def test_identity_is_free(self, path3):
         assert qr_cost_bound(np.eye(3, dtype=complex), path3) == 0.0
 
-    def test_equals_decompose_cost(self, path3):
-        u = haar_unitary(3, 9)
-        assert qr_cost_bound(u, path3) == qr_decompose(u, path3).total_cost
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_levels=st.integers(3, 7),
+           data=st.data())
+    def test_equals_decompose_cost(self, seed, num_levels, data):
+        # random connected graphs, permuted placements that may leave levels
+        # unmapped, ancillas, and unitaries over either state count
+        rng = np.random.default_rng(seed)
+        edges = random_connected_graph(num_levels, rng)
+        dim = data.draw(st.integers(2, num_levels))
+        ancillas = data.draw(st.integers(0, num_levels - dim))
+        levels = [int(lv) for lv in rng.permutation(num_levels)]
+        states = [str(k) for k in range(dim)] + [f"a{k}" for k in range(ancillas)]
+        g = CouplingGraph(num_levels, edges, dict(zip(states, levels)),
+                          frozenset(states[dim:]))
+        size = data.draw(st.sampled_from([dim, dim + ancillas]))
+        u = haar_unitary(size, seed)
+        result = qr_decompose(u, g)
+        assert qr_cost_bound(u, g) == result.total_cost
+        assert verify_result(u, result)
+
+    def test_routed_step_prices_pulses_both_ways(self):
+        # states 2 and 3 sit three levels apart: their step pays the rotation,
+        # two routing pulses and the two pulses that undo them
+        g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}),
+                          {"0": 1, "1": 2, "2": 0, "3": 3})
+        u = rotation_matrix(RotationGate(2, 3, 1.0, 0.0), 4)
+        result = qr_decompose(u, g)
+        assert (result.rotation_count, result.pulse_count) == (1, 4)
+        assert result.total_cost == pytest.approx(rotation_cost(1.0, 1)
+                                                  + 4 * rotation_cost(np.pi, 1), rel=1e-12)
+        assert qr_cost_bound(u, g) == result.total_cost
 
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))
         assert qr_cost_bound(u, path3) == 0.0
+
+
+class TestGoldenGates:
+    # Digests of the exact gates, residual phases, final graphs and costs,
+    # pinned before the ladder was shared with the adaptive back-end.
+    def test_clifford_results_unchanged(self):
+        results = [qr_decompose(u, g)
+                   for dim in (5, 7) for _, g in architectures_for_dim(dim)
+                   for u in random_cliffords(dim, 2, 2022)]
+        assert result_digest(results) == \
+            "971a4cc3a588d675a135d1a7f65d6f572945940887e277a10d34ec44b27df313"
+
+    def test_haar31_results_unchanged(self):
+        results = [qr_decompose(haar_unitary(31, seed), g)
+                   for _, g in architectures_for_dim(31) for seed in (3101, 3102)]
+        assert result_digest(results) == \
+            "30cf9f8d2135745b268ef4e01fa6a0566ca1a54fdacfbd1ea1b9c1d8d6caf77d"
 
 
 class TestErrors:

@@ -1,5 +1,6 @@
 """Reconstruction checks, including placement-aware sequence documents."""
 import numpy as np
+import pytest
 
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.gates import sequence_to_dict
@@ -50,3 +51,18 @@ def test_document_with_tampered_phase_fails():
     phases[1] += 0.5
     doc = sequence_to_dict(result.sequence, 3, phases)
     assert not verify_sequence_document(u, doc, 1e-8)
+
+
+@pytest.mark.parametrize("maps", [
+    {"final_map": {"0": 0, "1": 1, "2": 3}},    # level past the last one
+    {"initial_map": [0, 1, 2]},                 # not a state->level object
+    {"initial_map": {"0": -1, "1": 1, "2": 2}},  # negative level
+    {"final_map": {"0": 0, "1": 0, "2": 2}},    # two states on one level
+])
+def test_malformed_placement_rejected(maps):
+    g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "2": 2})
+    u = haar_unitary(3, 77)
+    result = qr_decompose(u, g)
+    doc = sequence_to_dict(result.sequence, 3, result.residual_phases, maps)
+    with pytest.raises(ValueError):
+        verify_sequence_document(u, doc, 1e-8)
