@@ -22,7 +22,6 @@ from .gates import (
     RotationGate,
     VirtualZGate,
     gate_matrix,
-    load_sequence,
     reorder_pulse,
     rotation_matrix,
     save_sequence,
@@ -47,7 +46,7 @@ from .linalg import (
     max_norm,
     save_unitary,
 )
-from .phases import commute_through, sweep_phases
+from .phases import commute_through
 from .qr import qr_cost_bound, qr_decompose
 from .verify import reconstruction_error, verify_result, verify_sequence_document
 
@@ -78,7 +77,6 @@ __all__ = [
     "is_diagonal",
     "is_unitary",
     "load_graph",
-    "load_sequence",
     "load_unitary",
     "max_norm",
     "plan_routing",
@@ -97,7 +95,6 @@ __all__ = [
     "save_unitary",
     "sequence_cost",
     "sequence_matrix",
-    "sweep_phases",
     "verify_result",
     "verify_sequence_document",
     "virtual_z_matrix",

@@ -29,7 +29,10 @@ recursion limit.  A node does only the work its taken children use:
   * Each distinct angle is priced once per search: the registered
     ``rotation_cost`` (a pure function of its arguments) is memoised.
   * A child is terminal when its two new rows are diagonal within
-    ``diag_tol`` and every other row already was (one dirty bit per row).
+    ``linalg.DEFAULT_TOL`` and every other row already was (one dirty bit
+    per row).  The same tolerance filters the candidates: an entry at most
+    it is zero, so it is neither rotated nor keeps a node from being
+    terminal.
   * A node records its path as parent-linked (r, r2, theta, phi) steps and
     routes only when its two states are not adjacent.  Gates are emitted
     once, for the final incumbent, by replaying its path.
@@ -54,8 +57,9 @@ from ._compile import (
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, plan_routing
-from .linalg import as_matrix, is_diagonal, is_unitary
-from .qr import ladder, ladder_cost
+from .linalg import DEFAULT_TOL, is_diagonal
+from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
+from .qr import _validated, ladder, ladder_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -65,8 +69,6 @@ _HALF_PI = math.pi / 2
 class SearchConfig:
     cost_limit_factor: float = 1.1
     cost_limit: float | None = None     # absolute override of the factor
-    threshold: float = 1e-8
-    diag_tol: float = 1e-9
     max_nodes: int = 1_000_000
     return_first: bool = False
     sort_children: bool = False
@@ -76,8 +78,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.cost_limit is None and self.cost_limit_factor < 1.0:
             raise ValueError("cost_limit_factor must be >= 1 unless an absolute limit is given")
-        if self.threshold <= 0 or self.diag_tol <= 0:
-            raise ValueError("threshold and diag_tol must be positive")
 
 
 class NoSolutionError(RuntimeError):
@@ -140,9 +140,9 @@ def _ladder_replay(m0, graph, states, params, config):
     return limit, (*_emit_path(graph, states, params, steps), m)
 
 
-def _dirty(row: list, k: int, tol: float) -> bool:
-    """True if row k has an off-diagonal modulus above tol."""
-    return max(row[:k] + row[k + 1:]) > tol
+def _dirty(row: list, k: int) -> bool:
+    """True if row k has an off-diagonal modulus above the zero tolerance."""
+    return max(row[:k] + row[k + 1:]) > DEFAULT_TOL
 
 
 class _Search:
@@ -173,20 +173,21 @@ class _Search:
 
     def children(self, mag, ang, levels, cost):
         """Children of a node as (step, c, r, r2, theta, phi): one per
-        candidate entry above the threshold whose step keeps the path under
-        the limit.  Unsorted, they are generated in triple order and each is
-        checked against the limit current when it is reached: the incumbent
-        only improves while the caller searches a yielded child's subtree."""
+        candidate entry above the zero tolerance whose step keeps the path
+        under the limit.  Unsorted, they are generated in triple order and
+        each is checked against the limit current when it is reached: the
+        incumbent only improves while the caller searches a yielded child's
+        subtree."""
         children = self._candidates(mag, ang, levels, cost)
         return sorted(children) if self.config.sort_children else children
 
     def _candidates(self, mag, ang, levels, cost):
         dist, costs, params = self.dist, self.costs, self.params
-        threshold, pulse = self.config.threshold, self.pulse_cost
+        pulse, tol = self.pulse_cost, DEFAULT_TOL
         limit = self.current_limit()
         for c, r, r2 in self.triples:
             low = mag[r2][c]
-            if low <= threshold:
+            if low <= tol:
                 continue
             theta = 2.0 * math.atan2(low, mag[r][c])
             rot = costs.get(theta)
@@ -213,11 +214,10 @@ class _Search:
         """Depth-first search from the root.  Each stack frame holds a node
         and the iterator over its children, so a child's subtree is searched
         in full before its next sibling, as a recursive search would."""
-        tol = self.config.diag_tol
         states, pulse, costs = self.states, self.pulse_cost, self.costs
         mag0, ang0, levels0 = self.prepare(m0, graph0)
         dist = self.dist
-        dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k, tol))
+        dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
         stack = []
         if not self.enter(stack, (m0, mag0, ang0, dirty0, levels0, graph0, None, 0.0, 0)):
             return
@@ -240,7 +240,7 @@ class _Search:
                 rows = m2[[r, r2]]
                 mag_r, mag_r2 = np.hypot(rows.real, rows.imag).tolist()
                 dirty2 = dirty & ~((1 << r) | (1 << r2)) \
-                    | _dirty(mag_r, r, tol) << r | _dirty(mag_r2, r2, tol) << r2
+                    | _dirty(mag_r, r) << r | _dirty(mag_r2, r2) << r2
                 if not dirty2:
                     self.stats.solutions_found += 1
                     if self.best is None or cost2 < self.best[0]:
@@ -261,15 +261,13 @@ class _Search:
 
 def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfig(),
                      params: CostParams = CostParams()) -> CompilationResult:
-    u = as_matrix(u)
-    if not is_unitary(u, 1e-9):
-        raise ValueError("input matrix is not unitary (tol 1e-9)")
+    u = _validated(u)
     dim = u.shape[0]
     states = compile_states(graph, dim)
     t0 = time.perf_counter()
 
     m0 = u.conj().T.copy()
-    if is_diagonal(m0, config.diag_tol):
+    if is_diagonal(m0):
         sequence, theta, g_final = assemble(graph, graph, [], m0, dim)
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
@@ -279,7 +277,7 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     ladder_out = None
     if replay is not None:
         wcost, wgates, wgraph, wm = replay
-        if wcost < limit and is_diagonal(wm, config.diag_tol):
+        if wcost < limit and is_diagonal(wm):
             ladder_out = (wgates, wgraph)
             search.best = (wcost, None, wm)
             search.stats.solutions_found = 1

@@ -29,7 +29,7 @@ from .bench import (
 from .cost import CostParams
 from .gates import save_sequence
 from .graph import load_graph, save_graph
-from .linalg import load_unitary
+from .linalg import VERIFY_TOL, load_unitary
 from .qr import qr_decompose
 from .verify import verify_sequence_document
 
@@ -54,10 +54,18 @@ def _cost_params(args) -> CostParams:
     section = {}
     if args.config:
         with open(args.config) as fh:
-            section = json.load(fh).get("cost", {})
+            doc = json.load(fh)
+        section = doc.get("cost", {}) if isinstance(doc, dict) else None
+        if not isinstance(section, dict):
+            raise ValueError(f"config file {args.config}: expected an object "
+                             f"whose 'cost' entry is an object")
     for key, default in values.items():
         if key in section:
-            values[key] = type(default)(section[key])
+            try:
+                values[key] = type(default)(section[key])
+            except (TypeError, OverflowError):
+                raise ValueError(f"config file {args.config}: "
+                                 f"bad cost.{key} {section[key]!r}") from None
         override = getattr(args, f"cost_{key}")
         if override is not None:
             values[key] = override
@@ -65,8 +73,8 @@ def _cost_params(args) -> CostParams:
 
 
 def _search_config(args) -> SearchConfig:
-    """SearchConfig from the flags named after its fields; a field without
-    a flag on the subcommand keeps its default."""
+    """SearchConfig from the flags named after its fields; a field whose
+    flag is absent, or not offered by the subcommand, keeps its default."""
     return SearchConfig(**{f.name: getattr(args, f.name)
                            for f in fields(SearchConfig) if hasattr(args, f.name)})
 
@@ -183,15 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitary", required=True, type=Path)
     p.add_argument("--graph", required=True, type=Path)
     p.add_argument("--mode", choices=("adaptive", "qr"), default="adaptive")
-    p.add_argument("--cost-limit-factor", type=float, default=1.1)
-    p.add_argument("--cost-limit", type=float, default=None,
-                   help="absolute cost limit (overrides the factor)")
-    p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--return-first", type=_bool, default=False)
-    p.add_argument("--sort-children", type=_bool, default=False)
-    p.add_argument("--warm-start", type=_bool, default=True)
+    # search flags left out set no attribute: _search_config keeps the defaults
+    search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
+    search.add_argument("--cost-limit-factor", type=float)
+    search.add_argument("--cost-limit", type=float,
+                        help="absolute cost limit (overrides the factor)")
+    search.add_argument("--max-nodes", type=int)
+    search.add_argument("--max-depth", type=int)
+    search.add_argument("--return-first", type=_bool)
+    search.add_argument("--sort-children", type=_bool)
+    search.add_argument("--warm-start", type=_bool)
     p.add_argument("--out", type=Path, help="write the sequence file here")
     _add_cost_args(p)
     p.set_defaults(func=cmd_compile)
@@ -204,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--word-length", type=int, default=12)
-    p.add_argument("--cost-limit-factor", type=float, default=1.1)
-    p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--max-nodes", type=int, default=5000)
-    p.add_argument("--sort-children", type=_bool, default=False)
+    search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
+    search.add_argument("--cost-limit-factor", type=float)
+    search.add_argument("--max-nodes", type=int, default=5000)  # a bench-sized budget
+    search.add_argument("--sort-children", type=_bool)
     p.add_argument("--csv", type=Path, help="summary CSV path")
     p.add_argument("--records", type=Path, help="NDJSON records path")
     p.add_argument("--include-timings", action="store_true",
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a sequence file against a unitary")
     p.add_argument("--unitary", required=True, type=Path)
     p.add_argument("--sequence", required=True, type=Path)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("arch", help="dump shipped architectures as graph files")

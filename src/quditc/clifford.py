@@ -54,7 +54,7 @@ def random_clifford(spec: CliffordSpec) -> np.ndarray:
         u = np.eye(spec.dim, dtype=np.complex128)
         for pick in rng.integers(0, len(gens), size=spec.word_length):
             u = gens[pick] @ u
-        if not is_diagonal(u, 1e-9):
+        if not is_diagonal(u):
             return u
     raise RuntimeError("could not draw a non-diagonal Clifford")  # pragma: no cover
 

@@ -154,39 +154,35 @@ def sequence_to_dict(gates, dim: int, virtual_phases=None, extra: dict | None = 
 
 
 def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
-    """Parse a sequence document; returns (gates, dim, virtual_phases)."""
+    """Parse a sequence document; returns (gates, dim, virtual_phases).
+    Any malformed part raises ValueError."""
     try:
         dim = int(doc["dim"])
-        records = doc["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed sequence document: {exc}") from None
+        gates = [_gate_from_record(rec) for rec in doc["gates"]]
+        phases = doc.get("virtual_phases")
+        if phases is not None:
+            phases = np.asarray(phases, dtype=np.float64)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed sequence document: {exc!r}") from None
     if doc.get("order", "application") != "application":
         raise ValueError(f"unsupported gate order {doc.get('order')!r}")
-    gates: list[Gate] = []
-    for rec in records:
-        kind = rec.get("type")
-        if kind == "R":
-            gates.append(
-                RotationGate(
-                    int(rec["i"]),
-                    int(rec["j"]),
-                    float(rec["theta"]),
-                    float(rec["phi"]),
-                    routing=bool(rec.get("routing", False)),
-                )
-            )
-        elif kind == "Z":
-            gates.append(VirtualZGate(int(rec["i"]), float(rec["phi"])))
-        else:
-            raise ValueError(f"unknown gate type {kind!r}")
-        last = gates[-1]
-        top = last.level if isinstance(last, VirtualZGate) else max(last.level_low, last.level_high)
+    for gate in gates:
+        top = gate.level if isinstance(gate, VirtualZGate) else max(gate.level_low, gate.level_high)
         if top >= dim:
             raise ValueError(f"gate level {top} out of range for dim {dim}")
-    phases = doc.get("virtual_phases")
-    if phases is not None:
-        phases = np.asarray(phases, dtype=np.float64)
+    if phases is not None and (phases.ndim != 1 or not np.all(np.isfinite(phases))):
+        raise ValueError("virtual_phases must be a list of finite numbers")
     return gates, dim, phases
+
+
+def _gate_from_record(rec: dict) -> Gate:
+    kind = rec.get("type")
+    if kind == "R":
+        return RotationGate(int(rec["i"]), int(rec["j"]), float(rec["theta"]),
+                            float(rec["phi"]), routing=bool(rec.get("routing", False)))
+    if kind == "Z":
+        return VirtualZGate(int(rec["i"]), float(rec["phi"]))
+    raise ValueError(f"unknown gate type {kind!r}")
 
 
 def save_sequence(path: str | Path, gates, dim: int, virtual_phases=None,
@@ -194,11 +190,3 @@ def save_sequence(path: str | Path, gates, dim: int, virtual_phases=None,
     with open(path, "w") as fh:
         json.dump(sequence_to_dict(gates, dim, virtual_phases, extra), fh)
         fh.write("\n")
-
-
-def load_sequence(path: str | Path) -> dict:
-    """Load a sequence file, returning the raw document (parsed keys validated)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    sequence_from_dict(doc)  # validate
-    return doc

@@ -65,7 +65,7 @@ def _checked_placement(mapping, num_levels: int) -> dict:
     0..num_levels-1."""
     try:
         placement = {state_key(s): int(lv) for s, lv in mapping.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"placement must map state labels to levels: {exc}") from None
     levels = list(placement.values())
     if any(not 0 <= lv < num_levels for lv in levels):
@@ -349,10 +349,10 @@ def graph_from_dict(doc: dict) -> CouplingGraph:
         levels = int(doc["levels"])
         edges = frozenset((int(a), int(b)) for a, b in doc["edges"])
         mapping = {str(k): int(v) for k, v in doc["logical_map"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        ancillas = frozenset(str(s) for s in doc.get("ancillas", ()))
+        phases = tuple(float(p) for p in doc.get("node_phase", ()))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
-    ancillas = frozenset(str(s) for s in doc.get("ancillas", ()))
-    phases = tuple(float(p) for p in doc.get("node_phase", ()))
     return CouplingGraph(levels, edges, mapping, ancillas, phases)
 
 

@@ -3,6 +3,21 @@ equality up to a global phase, and the unitary JSON file format.
 
 Matrices are plain ``complex128`` ndarrays, treated as immutable values.
 All distances are entrywise max-norm.
+
+The tolerance contract.  Every cut-off in quditc is one of three:
+
+* ``DEFAULT_TOL`` is the zero tolerance: an entry whose modulus is at most
+  it is zero.  It bounds input unitarity and every diagonal test, and it
+  is the adaptive search's one predicate: such an entry is never rotated
+  and does not keep a node from being terminal, so the expansion filter
+  and the terminal test cannot disagree.  Double-precision products of up
+  to ~100 two-level factors stay well below it.
+* ``VERIFY_TOL`` is the reconstruction tolerance.  A result may leave
+  entries up to ``DEFAULT_TOL`` unrotated, and it gathers rounding error
+  over its gates, so it is checked ten times more loosely.
+* ``qr.NEGLIGIBLE`` (1e-12) is the elimination ladder's skip.  It sits
+  three orders below ``DEFAULT_TOL`` so that the ladder's final matrix
+  passes the diagonal test with room to spare.
 """
 from __future__ import annotations
 
@@ -11,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Default tolerance for unitarity/diagonality checks.  Double-precision
-# products of up to ~100 two-level factors stay well below this.
 DEFAULT_TOL = 1e-9
+VERIFY_TOL = 10 * DEFAULT_TOL
 
 
 def as_matrix(data, min_dim: int = 2) -> np.ndarray:
@@ -79,10 +93,9 @@ def load_unitary(path: str | Path) -> np.ndarray:
         doc = json.load(fh)
     try:
         dim = int(doc["dim"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        arr = np.asarray(doc["entries"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed unitary file {path}: {exc}") from None
-    arr = np.asarray(entries, dtype=np.float64)
     if arr.ndim != 3 or arr.shape != (dim, dim, 2):
         raise ValueError(
             f"malformed unitary file {path}: expected {dim}x{dim}x2 entries, got {arr.shape}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import RotationGate, VirtualZGate
+from .gates import RotationGate
 
 
 def conjugated(gate: RotationGate, phases) -> RotationGate:
@@ -31,40 +31,3 @@ def commute_through(phases, rot: RotationGate) -> tuple[RotationGate, np.ndarray
     p = np.asarray(phases, dtype=np.float64)
     return conjugated(rot, p), p
 
-
-def sweep_phases(gates, leading=None, dim: int | None = None):
-    """Collapse every virtual Z gate and the leading diagonal into a single
-    phase layer, leaving only rotations.
-
-    The input sequence is in application order with ``leading`` applied
-    first.  Returns (rotations, theta) with the exact identity
-
-        matrix(gates) . diag(e^{i leading}) == matrix(rotations) . diag(e^{i theta})
-
-    so the total operation is preserved, not just up to global phase.
-    """
-    if dim is None:
-        dim = 0
-        for g in gates:
-            if isinstance(g, VirtualZGate):
-                dim = max(dim, g.level + 1)
-            else:
-                dim = max(dim, g.level_low + 1, g.level_high + 1)
-        if leading is not None:
-            dim = max(dim, len(np.asarray(leading)))
-    acc = np.zeros(dim, dtype=np.float64)
-    if leading is not None:
-        lead = np.asarray(leading, dtype=np.float64)
-        acc[: len(lead)] += lead
-
-    # First pass: pull the accumulated diagonal leftward past each rotation,
-    # so Zs merge into it in O(1).
-    staged: list[RotationGate] = []
-    for gate in gates:
-        if isinstance(gate, VirtualZGate):
-            acc[gate.level] += gate.phi
-        else:
-            staged.append(conjugated(gate, -acc))
-    # Second pass: push the final diagonal back to the applied-first side.
-    rotations = [conjugated(g, acc) for g in staged]
-    return rotations, acc

@@ -24,9 +24,10 @@ from ._compile import (
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology
-from .linalg import as_matrix, is_diagonal, is_unitary
+from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
-# Entries below this are treated as already annihilated.
+# The ladder's skip: entries below this are treated as already annihilated
+# (its place in the tolerance contract is stated in linalg).
 NEGLIGIBLE = 1e-12
 
 
@@ -64,9 +65,11 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams) -> floa
 
 
 def _validated(u) -> np.ndarray:
+    """The input of both back-ends as a square complex matrix; ValueError
+    unless it is unitary within linalg.DEFAULT_TOL."""
     u = as_matrix(u)
-    if not is_unitary(u, 1e-9):
-        raise ValueError("input matrix is not unitary (tol 1e-9)")
+    if not is_unitary(u):
+        raise ValueError(f"input matrix is not unitary (tol {DEFAULT_TOL:g})")
     return u
 
 
@@ -75,7 +78,7 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     dim = u.shape[0]
     states = compile_states(graph, dim)
     steps, m = ladder(u.conj().T)
-    if not is_diagonal(m, 1e-8):
+    if not is_diagonal(m):
         raise ValueError("elimination did not terminate in a diagonal")
 
     g = graph

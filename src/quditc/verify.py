@@ -19,7 +19,7 @@ import numpy as np
 
 from .gates import sequence_from_dict, sequence_matrix
 from .graph import CouplingGraph, placement_embedding
-from .linalg import equal_up_to_global_phase, max_norm
+from .linalg import VERIFY_TOL, equal_up_to_global_phase, max_norm
 
 
 def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phases,
@@ -42,7 +42,7 @@ def reconstruction_error(u: np.ndarray, sequence, residual_phases,
     return max_norm(lhs - rhs)
 
 
-def verify_result(u: np.ndarray, result, tol: float = 1e-8) -> bool:
+def verify_result(u: np.ndarray, result, tol: float = VERIFY_TOL) -> bool:
     """Check a CompilationResult against its target unitary."""
     initial, final = result.initial_graph, result.final_graph
     sides = reconstruction_sides(u, result.sequence, initial.num_levels,
@@ -51,7 +51,7 @@ def verify_result(u: np.ndarray, result, tol: float = 1e-8) -> bool:
     return equal_up_to_global_phase(*sides, tol)
 
 
-def verify_sequence_document(u: np.ndarray, doc: dict, tol: float = 1e-8) -> bool:
+def verify_sequence_document(u: np.ndarray, doc: dict, tol: float = VERIFY_TOL) -> bool:
     """Check a sequence file document against a target unitary.
 
     The document's "dim" is the physical level count; optional

@@ -27,24 +27,24 @@ from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, graph_to_dict, plan_routing
-from quditc.linalg import is_diagonal
+from quditc.linalg import DEFAULT_TOL, is_diagonal
 from quditc.qr import qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
 
 
-def exhaustive_min_cost(u, graph, params=CostParams(), threshold=1e-8,
-                        diag_tol=1e-9, max_depth=4):
+def exhaustive_min_cost(u, graph, params=CostParams(), tol=DEFAULT_TOL, max_depth=4):
     """Enumerate the full child space (no pruning) to a depth bound and
-    return the cheapest complete decomposition's cost."""
+    return the cheapest complete decomposition's cost.  One tolerance, as
+    in the search, is both the candidate filter and the terminal test."""
     dim = u.shape[0]
     states = graph.state_order()[:dim]
     pulse = rotation_cost(math.pi, 1, params)
     best = [math.inf]
 
     def walk(m, g, cost, depth):
-        if is_diagonal(m, diag_tol):
+        if is_diagonal(m, tol):
             best[0] = min(best[0], cost)
             return
         if depth == max_depth:
@@ -52,7 +52,7 @@ def exhaustive_min_cost(u, graph, params=CostParams(), threshold=1e-8,
         for c in range(dim):
             for r in range(c, dim):
                 for r2 in range(r + 1, dim):
-                    if abs(m[r2, c]) <= threshold:
+                    if abs(m[r2, c]) <= tol:
                         continue
                     theta = 2 * math.atan2(abs(m[r2, c]), abs(m[r, c]))
                     phi = -(math.pi / 2 + np.angle(m[r, c]) - np.angle(m[r2, c]))
@@ -220,6 +220,24 @@ class TestHardInputs:
         result = adaptive_compile(u, bridged_graph, SearchConfig(max_nodes=6000))
         assert verify_result(u, result)
 
+    @pytest.mark.parametrize("theta", [3e-9, 1e-8, 2e-8])
+    def test_entry_near_zero_tolerance_is_rotated(self, theta):
+        # R(0,1; theta) leaves entries of modulus ~theta/2, just above
+        # DEFAULT_TOL: the search must rotate them, since they keep a node
+        # from being terminal.  A candidate cut-off above the terminal test's
+        # made such a node a dead end (NoSolutionError cold, the ladder warm).
+        triangle = CouplingGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}),
+                                 {str(k): k for k in range(3)})
+        u = rotation_matrix(RotationGate(0, 1, theta, 0.3), 3) \
+            @ rotation_matrix(RotationGate(1, 2, 1.0, 0.2), 3)
+        cold = adaptive_compile(u, triangle, SearchConfig(warm_start=False))
+        assert verify_result(u, cold)
+        # Every edge is present, so the ladder's path is one of the search's
+        # own, and an exhaustive warm-started search ends at the cold optimum.
+        warm = adaptive_compile(u, triangle)
+        assert verify_result(u, warm)
+        assert warm.total_cost == cold.total_cost
+
 
 class TestRoutedSearch:
     def test_star_graph(self):
@@ -322,8 +340,8 @@ class TestDeepSearch:
 
 def reference_children(search, m, graph, cost):
     """The node's children from the scalar per-candidate calls, in triple
-    order: threshold filter, annihilation angles, routed step cost, limit
-    filter."""
+    order: zero-tolerance filter, annihilation angles, routed step cost,
+    limit filter."""
     states = search.states
     dim = len(states)
     limit = search.current_limit()
@@ -331,7 +349,7 @@ def reference_children(search, m, graph, cost):
     for c in range(dim):
         for r in range(c, dim):
             for r2 in range(r + 1, dim):
-                if abs(m[r2, c]) <= search.config.threshold:
+                if abs(m[r2, c]) <= DEFAULT_TOL:
                     continue
                 theta, phi = annihilation_angles(m, r, r2, c)
                 hops = graph.distance(states[r], states[r2]) - 1

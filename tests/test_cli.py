@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from quditc.adaptive import adaptive_compile
 from quditc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK, main
 from quditc.gates import RotationGate, rotation_matrix
-from quditc.graph import save_graph
+from quditc.graph import graph_to_dict, save_graph
 from quditc.bench import path_architecture
 from quditc.linalg import save_unitary
 
@@ -62,6 +63,37 @@ class TestCompile:
              "--mode", "qr", "--cost-base-factor", "2e-4"])
         doubled = json.loads(capsys.readouterr().out)["total_cost"]
         assert doubled == pytest.approx(2 * base, rel=1e-12)
+
+    def test_search_defaults_are_search_config_defaults(self, workdir, capsys):
+        assert run(["compile", "--unitary", workdir / "u.json",
+                    "--graph", workdir / "g.json"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        result = adaptive_compile(haar_unitary(3, 123), path_architecture(3))
+        assert summary["total_cost"] == result.total_cost
+        assert summary["nodes_expanded"] == result.stats.nodes_expanded
+
+    def test_threshold_flag_removed(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                 "--threshold", "1e-8"])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"cost": None}, [1], {"cost": {"base_factor": None}}])
+    def test_malformed_config_is_invalid_input(self, workdir, tmp_path, capsys, config):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                    "--config", tmp_path / "cfg.json"]) == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["ancillas", "node_phase"])
+    def test_malformed_graph_is_invalid_input(self, workdir, tmp_path, capsys, field):
+        doc = graph_to_dict(path_architecture(3))
+        doc[field] = 5
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run(["compile", "--unitary", workdir / "u.json",
+                    "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
 
     def test_config_file(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -128,6 +160,13 @@ class TestVerify:
         (tmp_path / "seq.json").write_text(json.dumps({"dim": 3, "gates": [{"type": "Q"}]}))
         assert run(["verify", "--unitary", workdir / "u.json",
                     "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("gates", [[{"type": "R", "i": 0}], 5, ["x"]])
+    def test_malformed_gate_list_is_invalid_input(self, workdir, tmp_path, capsys, gates):
+        (tmp_path / "seq.json").write_text(json.dumps({"dim": 3, "gates": gates}))
+        assert run(["verify", "--unitary", workdir / "u.json",
+                    "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestBench:

@@ -152,6 +152,12 @@ class TestSequenceFormat:
                 {"dim": 2, "gates": [{"type": "R", "i": 0, "j": 2, "theta": 1, "phi": 0}]}
             )
 
+    @pytest.mark.parametrize("phases", [[float("nan"), 0.0], [float("inf"), 0.0], [[0.1, 0.2]]])
+    def test_rejects_malformed_phases(self, phases):
+        # a NaN phase would otherwise reach verification and print FAIL
+        with pytest.raises(ValueError):
+            sequence_from_dict({"dim": 2, "gates": [], "virtual_phases": phases})
+
 
 def test_rotation_gate_validation():
     with pytest.raises(ValueError):
