@@ -2,13 +2,7 @@
 energy-coupling-graph constraints."""
 
 from ._compile import CompilationResult, SearchStats
-from .adaptive import (
-    BatchItem,
-    NoSolutionError,
-    SearchConfig,
-    adaptive_compile,
-    compile_batch,
-)
+from .adaptive import NoSolutionError, SearchConfig, adaptive_compile
 from .clifford import CliffordSpec, generator_set, random_clifford, random_cliffords
 from .cost import (
     CostParams,
@@ -53,7 +47,6 @@ from .verify import reconstruction_error, verify_result, verify_sequence_documen
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchItem",
     "CliffordSpec",
     "CompilationResult",
     "CostParams",
@@ -69,7 +62,6 @@ __all__ = [
     "adaptive_compile",
     "apply_graph_rules",
     "commute_through",
-    "compile_batch",
     "embedding_matrix",
     "equal_up_to_global_phase",
     "gate_matrix",

@@ -30,6 +30,10 @@ class SearchStats:
     solutions_found: int = 0
     cost_limit: float = 0.0
     wall_time_ms: float = 0.0
+    # "exhausted" (the result is optimal within the limit and depth),
+    # "node_budget" or "first_solution"
+    stop_reason: str = "exhausted"
+    beat_warm_start: bool = False  # a search incumbent replaced the ladder's
 
 
 @dataclass(frozen=True, eq=False)

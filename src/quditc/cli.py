@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--max-nodes", type=int)
     search.add_argument("--max-depth", type=int)
     search.add_argument("--return-first", type=_bool)
-    search.add_argument("--sort-children", type=_bool)
     search.add_argument("--warm-start", type=_bool)
     p.add_argument("--out", type=Path, help="write the sequence file here")
     _add_cost_args(p)
@@ -216,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
     search.add_argument("--cost-limit-factor", type=float)
     search.add_argument("--max-nodes", type=int, default=5000)  # a bench-sized budget
-    search.add_argument("--sort-children", type=_bool)
     p.add_argument("--csv", type=Path, help="summary CSV path")
     p.add_argument("--records", type=Path, help="NDJSON records path")
     p.add_argument("--include-timings", action="store_true",

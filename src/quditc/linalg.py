@@ -100,8 +100,9 @@ def load_unitary(path: str | Path) -> np.ndarray:
         raise ValueError(
             f"malformed unitary file {path}: expected {dim}x{dim}x2 entries, got {arr.shape}"
         )
-    m = arr[..., 0] + 1j * arr[..., 1]
-    return as_matrix(m)
+    # a view, not arithmetic: an infinite part must reach as_matrix's
+    # finiteness check as it is, with no numpy warning on the way
+    return as_matrix(arr.view(np.complex128)[..., 0])
 
 
 def save_unitary(m: np.ndarray, path: str | Path) -> None:

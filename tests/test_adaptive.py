@@ -15,13 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, cost as cost_module
 from quditc._compile import annihilation_angles, compile_states
-from quditc.adaptive import (
-    NoSolutionError,
-    SearchConfig,
-    _Search,
-    adaptive_compile,
-    compile_batch,
-)
+from quditc.adaptive import NoSolutionError, SearchConfig, _Search, adaptive_compile
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
@@ -128,14 +122,6 @@ class TestSmallInstanceOptimality:
             result = adaptive_compile(u, path3, cfg)
             assert result.total_cost == pytest.approx(oracle, abs=1e-9)
 
-    def test_sorted_expansion_finds_same_optimum(self, path3):
-        u = haar_unitary(3, 600)
-        plain = adaptive_compile(u, path3, SearchConfig(max_nodes=10_000_000, max_depth=4))
-        srt = adaptive_compile(
-            u, path3, SearchConfig(max_nodes=10_000_000, max_depth=4, sort_children=True)
-        )
-        assert plain.total_cost == pytest.approx(srt.total_cost, abs=1e-12)
-
 
 class TestSearchControls:
     def test_return_first_stops_early(self, path3):
@@ -188,6 +174,53 @@ class TestSearchControls:
         assert result.stats.max_depth >= 1
         assert result.stats.wall_time_ms > 0
         assert result.stats.cost_limit > 0
+
+
+class TestStopReason:
+    def test_diagonal_input_is_exhausted(self, path3):
+        u = np.diag(np.exp(1j * np.array([0.3, -0.6, 1.9])))
+        stats = adaptive_compile(u, path3).stats
+        assert (stats.stop_reason, stats.beat_warm_start) == ("exhausted", False)
+
+    def test_exhausted(self, path3):
+        result = adaptive_compile(haar_unitary(3, 71), path3, SearchConfig(max_nodes=100_000))
+        assert result.stats.stop_reason == "exhausted"
+        assert result.stats.nodes_expanded < 100_000
+
+    def test_node_budget(self, path3):
+        result = adaptive_compile(haar_unitary(3, 71), path3, SearchConfig(max_nodes=3))
+        assert result.stats.stop_reason == "node_budget"
+        assert result.stats.nodes_expanded == 3
+
+    def test_first_solution(self, path3):
+        u = haar_unitary(3, 71)
+        warm = adaptive_compile(u, path3, SearchConfig(return_first=True))
+        assert warm.stats.stop_reason == "first_solution"
+        assert warm.stats.nodes_expanded == 0 and not warm.stats.beat_warm_start
+        cold = adaptive_compile(u, path3, SearchConfig(return_first=True, warm_start=False))
+        assert cold.stats.stop_reason == "first_solution"
+        assert cold.stats.nodes_expanded > 0 and not cold.stats.beat_warm_start
+
+    def test_no_solution_error_carries_reason(self, path3):
+        with pytest.raises(NoSolutionError) as info:
+            adaptive_compile(haar_unitary(3, 42), path3, SearchConfig(cost_limit=1e-9))
+        assert info.value.stats.stop_reason == "exhausted"
+        with pytest.raises(NoSolutionError) as info:
+            adaptive_compile(haar_unitary(5, 83), path_architecture(5),
+                             SearchConfig(warm_start=False, max_nodes=2))
+        assert info.value.stats.stop_reason == "node_budget"
+
+    def test_budget_bound_search_beats_warm_start_on_path(self):
+        # Column-then-cost order: the first children a node tries are cheap
+        # rotations, not a pivot into the diagonal row that needs routing,
+        # so a 1000-node budget improves on the ladder replay it started from.
+        g = path_architecture(7)
+        for u in random_cliffords(7, 3, 2022):
+            warm = adaptive_compile(u, g, SearchConfig(return_first=True))
+            result = adaptive_compile(u, g, SearchConfig(max_nodes=1000))
+            assert result.stats.stop_reason == "node_budget"
+            assert result.stats.beat_warm_start
+            assert result.total_cost < warm.total_cost
 
 
 class TestHardInputs:
@@ -255,29 +288,6 @@ class TestRoutedSearch:
         assert verify_result(u, result)
 
 
-class TestBatch:
-    def test_empty(self, path3):
-        assert compile_batch([], path3) == []
-
-    def test_matches_single_calls(self, path3):
-        us = [haar_unitary(3, 900 + k) for k in range(4)]
-        cfg = SearchConfig(max_nodes=5000)
-        batch = compile_batch(us, path3, cfg)
-        for item, u in zip(batch, us):
-            single = adaptive_compile(u, path3, cfg)
-            assert item.error is None
-            assert item.result.sequence == single.sequence
-            assert item.result.total_cost == single.total_cost
-
-    def test_failures_collected(self, path3):
-        us = [haar_unitary(3, 1000), np.diag([1.0 + 0j, 1.0, 1.0])]
-        cfg = SearchConfig(cost_limit=1e-12, max_nodes=100)
-        batch = compile_batch(us, path3, cfg)
-        assert batch[0].result is None and batch[0].error
-        # the diagonal one still succeeds through the fast path
-        assert batch[1].result is not None
-
-
 class TestErrors:
     def test_non_unitary_rejected(self, path3):
         with pytest.raises(ValueError):
@@ -339,14 +349,16 @@ class TestDeepSearch:
 
 
 def reference_children(search, m, graph, cost):
-    """The node's children from the scalar per-candidate calls, in triple
-    order: zero-tolerance filter, annihilation angles, routed step cost,
-    limit filter."""
+    """The node's children from the scalar per-candidate calls, column by
+    column: zero-tolerance filter, annihilation angles, routed step cost,
+    limit filter.  Within a column they stay in (row, row2) order, or are
+    sorted by step cost while the search holds an incumbent."""
     states = search.states
     dim = len(states)
     limit = search.current_limit()
     children = []
     for c in range(dim):
+        column = []
         for r in range(c, dim):
             for r2 in range(r + 1, dim):
                 if abs(m[r2, c]) <= DEFAULT_TOL:
@@ -357,9 +369,10 @@ def reference_children(search, m, graph, cost):
                     + rotation_cost(theta, 1, search.params)
                 if cost + step >= limit:
                     continue
-                children.append((step, c, r, r2, theta, phi))
-    if search.config.sort_children:
-        children.sort()
+                column.append((step, c, r, r2, theta, phi))
+        if search.best is not None:
+            column.sort()
+        children.extend(column)
     return children
 
 
@@ -385,15 +398,19 @@ def scoring_cases(draw):
 
 
 class TestNodeScoring:
-    @pytest.mark.parametrize("sort_children", [False, True])
+    @pytest.mark.parametrize("incumbent", [False, True])
     @settings(max_examples=60, deadline=None)
     @given(case=scoring_cases())
-    def test_matches_scalar_reference(self, sort_children, case):
+    def test_matches_scalar_reference(self, incumbent, case):
+        # Without an incumbent (a cold search before its first solution)
+        # the children come in triple order; with one, each column is
+        # sorted by step cost.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        search = _Search(compile_states(g, m.shape[0]),
-                         SearchConfig(sort_children=sort_children), CostParams(), limit)
+        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit)
+        if incumbent:
+            search.best = (limit, None, None)
         children = list(search.children(*search.prepare(m, g), spent))
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
@@ -404,11 +421,14 @@ class TestNodeScoring:
     def test_generator_rechecks_improved_incumbent(self, case, cut, after):
         # The incumbent improves while the caller searches the subtree of
         # the `after`-th child; the children still to come must be exactly
-        # the score-time list rechecked against the improved limit.
+        # the score-time list rechecked against the improved limit.  The
+        # search starts with an incumbent at the limit, so every column is
+        # sorted by step cost.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
         search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit)
+        search.best = (limit, None, None)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
         expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
@@ -477,15 +497,15 @@ def result_digest(results) -> str:
 
 class TestGoldenGates:
     def test_budget_bound_results_unchanged(self):
-        # Half of these incumbents come from the search and half from the
-        # warm-start ladder; the digest pins every gate bit for bit.
+        # Nine of these twelve incumbents come from the search and three
+        # from the warm-start ladder; the digest pins every gate bit for bit.
         results = []
         for dim in (5, 7):
             for _, g in architectures_for_dim(dim):
                 for u in random_cliffords(dim, 2, 2022):
                     results.append(adaptive_compile(u, g, SearchConfig(max_nodes=300)))
         assert result_digest(results) == \
-            "915cc59d97d7b5cd5b026799dc433e94674ddc5848830c30dcee3c464507dd6f"
+            "834c37a6e40c7f6002938c130662976eee74d3d6cd8d4bd18bca26ecbca0f493"
 
 
 def _benchmark_tracing():

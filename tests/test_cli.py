@@ -72,6 +72,22 @@ class TestCompile:
         assert summary["total_cost"] == result.total_cost
         assert summary["nodes_expanded"] == result.stats.nodes_expanded
 
+    def test_summary_says_why_the_search_stopped(self, workdir, capsys):
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                    "--return-first", "true"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["stop_reason"] == "first_solution"
+        assert summary["beat_warm_start"] is False
+
+    @pytest.mark.parametrize("command", ["compile", "bench"])
+    def test_sort_children_flag_removed(self, workdir, capsys, command):
+        args = ["--unitary", workdir / "u.json", "--graph", workdir / "g.json"] \
+            if command == "compile" else ["--dims", "3", "--counts", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--sort-children", "true"])
+        assert exc.value.code == 2
+        assert "--sort-children" in capsys.readouterr().err
+
     def test_threshold_flag_removed(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",

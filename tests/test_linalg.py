@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ class TestFileFormat:
         path.write_text(json.dumps({"dim": 2, "entries": entries}))
         with pytest.raises(ValueError):
             load_unitary(path)
+
+    @pytest.mark.parametrize("entry", [[0, math.inf], [math.inf, 0]])
+    def test_rejects_infinite_part_without_warning(self, tmp_path, entry):
+        # json writes the bare token Infinity; the file must be rejected
+        # with ValueError, not escape as a numpy RuntimeWarning under -W error
+        path = tmp_path / "inf.json"
+        entries = [[[1, 0], [0, 0]], [[0, 0], entry]]
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                load_unitary(path)
 
     def test_rejects_dim_mismatch(self, tmp_path):
         path = tmp_path / "mismatch.json"
