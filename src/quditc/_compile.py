@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
+from .gates import RotationGate
 from .graph import CouplingGraph, plan_routing
 from .phases import conjugated
 
@@ -96,9 +97,8 @@ def emit_rotation(graph: CouplingGraph, state_i, state_j, theta: float, phi: flo
     rotation."""
     plan = plan_routing(graph, state_i, state_j)
     g = plan.resulting_graph
-    la, lb = g.level_of(state_i), g.level_of(state_j)
-    rot = g.adjusted_rotation(la, lb, theta, phi)
-    return list(plan.pulses) + [rot], g
+    rot = RotationGate(g.level_of(state_i), g.level_of(state_j), theta, phi)
+    return list(plan.pulses) + [conjugated(rot, g.node_phase)], g
 
 
 def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,

@@ -173,9 +173,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_arch(args) -> int:
+    try:
+        archs = architectures_for_dim(args.dim)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for arch_id, graph in architectures_for_dim(args.dim):
+    for arch_id, graph in archs:
         path = outdir / f"{arch_id}.json"
         save_graph(graph, path)
         print(path)

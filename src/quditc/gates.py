@@ -24,6 +24,8 @@ from typing import Union
 
 import numpy as np
 
+from .linalg import check_size
+
 
 @dataclass(frozen=True)
 class RotationGate:
@@ -158,6 +160,7 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
     Any malformed part raises ValueError."""
     try:
         dim = int(doc["dim"])
+        check_size(dim, "sequence dim")
         gates = [_gate_from_record(rec) for rec in doc["gates"]]
         phases = doc.get("virtual_phases")
         if phases is not None:

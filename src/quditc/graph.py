@@ -18,10 +18,9 @@ per level in ``node_phase`` and consumed by later gates:
   * pulse R(low,high)(pi, -pi/2) acts as (swap phases of low/high, then
     add pi at the high level); the inverted pulse deposits at the low
     level; pulses with other phi values deposit phi-dependent phases,
-  * a rotation emitted while levels carry phases psi gets its phi
-    shifted by psi(role-high) - psi(role-low),
-  * a rotation written from a higher to a lower level is rewritten
-    low->high with phi negated.
+  * a rotation written high->low is rewritten low->high with phi negated,
+    and its phi is shifted by psi(high) - psi(low) of the levels' stored
+    phases psi; :func:`phases.conjugated` is the one implementation.
 """
 from __future__ import annotations
 
@@ -36,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .gates import Gate, RotationGate, VirtualZGate, reorder_pulse
+from .linalg import check_size
+from .phases import conjugated
 
 _TWO_PI = 2.0 * math.pi
 _ANCILLA_RE = re.compile(r"^a(\d+)$")
@@ -109,6 +110,7 @@ class CouplingGraph:
     def __post_init__(self):
         if self.num_levels < 2:
             raise ValueError("graph needs at least two levels")
+        check_size(self.num_levels, "graph levels")
         norm_edges = set()
         for a, b in self.edges:
             if a == b:
@@ -177,15 +179,6 @@ class CouplingGraph:
     def is_adjacent(self, level_a: int, level_b: int) -> bool:
         return (min(level_a, level_b), max(level_a, level_b)) in self.edges
 
-    def distance(self, state_i, state_j) -> int:
-        """Edge count of a shortest path between two states' levels."""
-        la, lb = self.level_of(state_i), self.level_of(state_j)
-        _, dist = _topology(self.num_levels, self.edges)
-        d = int(dist[la, lb])
-        if d < 0:
-            raise ValueError(f"states {state_i!r} and {state_j!r} are disconnected")
-        return d
-
     def shortest_level_path(self, src: int, dst: int) -> list[int]:
         """Lexicographically smallest shortest level path from src to dst."""
         adj, dist = _topology(self.num_levels, self.edges)
@@ -207,12 +200,6 @@ class CouplingGraph:
         g = object.__new__(CouplingGraph)
         g.__dict__.update(self.__dict__, **fields)
         return g
-
-    def with_ancilla_toggled(self, state) -> "CouplingGraph":
-        """Copy with the state's ancilla flag flipped, validated as a new
-        graph: only a mapped state labelled like 'a0' can be an ancilla."""
-        anc = self.ancillas ^ {state_key(state)}
-        return CouplingGraph(self.num_levels, self.edges, self.logical_map, anc, self.node_phase)
 
     def with_phase_added(self, level: int, phi: float) -> "CouplingGraph":
         phases = list(self.node_phase)
@@ -244,14 +231,6 @@ class CouplingGraph:
         phases[a] = (phases[a] + dep_a) % _TWO_PI
         phases[b] = (phases[b] + dep_b) % _TWO_PI
         return self._clone(logical_map=mapping, node_phase=tuple(phases))
-
-    def adjusted_rotation(self, level_a: int, level_b: int, theta: float, phi: float,
-                          routing: bool = False) -> RotationGate:
-        """Physical gate for a rotation whose role-low/role-high levels are
-        (level_a, level_b): shift phi by the stored phase difference, then
-        normalize the orientation."""
-        phi = phi + self.node_phase[level_b] - self.node_phase[level_a]
-        return RotationGate(level_a, level_b, theta, phi, routing=routing).normalized()
 
 
 @dataclass(frozen=True)
@@ -309,8 +288,7 @@ def apply_graph_rules(gates, graph: CouplingGraph):
             out.append(norm)
             g = g.apply_pulse(norm)
         else:
-            out.append(g.adjusted_rotation(gate.level_low, gate.level_high,
-                                           gate.theta, gate.phi))
+            out.append(conjugated(gate, g.node_phase))
     return out, g
 
 

@@ -18,6 +18,9 @@ The tolerance contract.  Every cut-off in quditc is one of three:
 * ``qr.NEGLIGIBLE`` (1e-12) is the elimination ladder's skip.  It sits
   three orders below ``DEFAULT_TOL`` so that the ladder's final matrix
   passes the diagonal test with room to spare.
+
+``MAX_LEVELS`` caps a graph's levels and a sequence's or unitary's dim,
+checked before allocating: twice the documented scope of ``d <= 64``.
 """
 from __future__ import annotations
 
@@ -28,6 +31,13 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 VERIFY_TOL = 10 * DEFAULT_TOL
+MAX_LEVELS = 128
+
+
+def check_size(n: int, what: str) -> None:
+    """Raise ValueError if a document names a size above MAX_LEVELS."""
+    if n > MAX_LEVELS:
+        raise ValueError(f"{what} {n} exceeds the cap of {MAX_LEVELS}")
 
 
 def as_matrix(data, min_dim: int = 2) -> np.ndarray:
@@ -93,6 +103,7 @@ def load_unitary(path: str | Path) -> np.ndarray:
         doc = json.load(fh)
     try:
         dim = int(doc["dim"])
+        check_size(dim, "unitary dim")
         arr = np.asarray(doc["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed unitary file {path}: {exc}") from None

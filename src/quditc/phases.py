@@ -14,12 +14,14 @@ from .gates import RotationGate
 
 
 def conjugated(gate: RotationGate, phases) -> RotationGate:
-    """D . R . D^dagger for D = diag(e^{i phases}): phi gains
-    phases[high] - phases[low]."""
-    g = gate.normalized()
-    shift = float(phases[g.level_high]) - float(phases[g.level_low])
-    return RotationGate(g.level_low, g.level_high, g.theta, g.phi + shift,
-                        routing=g.routing)
+    """D . R . D^dagger for D = diag(e^{i phases}), written low->high:
+    phi gains phases[high] - phases[low].  The one implementation of the
+    rotation phase rule, at emission and at assembly alike."""
+    lo, hi, phi = gate.level_low, gate.level_high, gate.phi
+    if lo > hi:
+        lo, hi, phi = hi, lo, -phi
+    shift = float(phases[hi]) - float(phases[lo])
+    return RotationGate(lo, hi, gate.theta, phi + shift, routing=gate.routing)
 
 
 def commute_through(phases, rot: RotationGate) -> tuple[RotationGate, np.ndarray]:

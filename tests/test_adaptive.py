@@ -20,7 +20,7 @@ from quditc.bench import architectures_for_dim, path_architecture, star_architec
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
-from quditc.graph import CouplingGraph, graph_to_dict, plan_routing
+from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
 from quditc.qr import qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
@@ -356,6 +356,7 @@ def reference_children(search, m, graph, cost):
     states = search.states
     dim = len(states)
     limit = search.current_limit()
+    _, dist = _topology(graph.num_levels, graph.edges)
     children = []
     for c in range(dim):
         column = []
@@ -364,7 +365,7 @@ def reference_children(search, m, graph, cost):
                 if abs(m[r2, c]) <= DEFAULT_TOL:
                     continue
                 theta, phi = annihilation_angles(m, r, r2, c)
-                hops = graph.distance(states[r], states[r2]) - 1
+                hops = int(dist[graph.level_of(states[r]), graph.level_of(states[r2])]) - 1
                 step = hops * pulse_cost(search.params) \
                     + rotation_cost(theta, 1, search.params)
                 if cost + step >= limit:

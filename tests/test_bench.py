@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestRunSuite:
         assert [r.unitary_index for r in serial] == [r.unitary_index for r in parallel]
         assert [r.qr_cost for r in serial] == [r.qr_cost for r in parallel]
         assert [r.adaptive_cost for r in serial] == [r.adaptive_cost for r in parallel]
+
+    def test_workers_reproduce_serial_records(self):
+        graphs = architectures_for_dim(3)
+        serial = run_suite([3], [3], graphs, CFG, seed=5, workers=1)
+        parallel = run_suite([3], [3], graphs, CFG, seed=5, workers=2)
+
+        def untimed(records):
+            return [replace(r, wall_time_ms=None) for r in records]
+
+        assert len(serial) == 9
+        assert untimed(parallel) == untimed(serial)
 
 
 class TestSummarize:

@@ -1,6 +1,7 @@
 """Command-line surface: file round-trips, modes, and exit codes."""
 import json
 
+import numpy as np
 import pytest
 
 from quditc.adaptive import adaptive_compile
@@ -8,7 +9,7 @@ from quditc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK, main
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import graph_to_dict, save_graph
 from quditc.bench import path_architecture
-from quditc.linalg import save_unitary
+from quditc.linalg import MAX_LEVELS, save_unitary
 
 from conftest import haar_unitary
 
@@ -217,3 +218,41 @@ class TestArch:
         assert run(["arch", "--dim", "5", "--out", tmp_path]) == EXIT_OK
         names = sorted(p.name for p in tmp_path.glob("*.json"))
         assert names == ["bridge-5.json", "path-5.json", "star-5.json"]
+
+    def test_size_cap_is_invalid_input(self, tmp_path, capsys):
+        # bridge-d needs d + 1 levels
+        assert run(["arch", "--dim", MAX_LEVELS - 1, "--out", tmp_path]) == EXIT_OK
+        assert run(["arch", "--dim", MAX_LEVELS, "--out", tmp_path / "over"]) == EXIT_INVALID
+        assert "cap" in capsys.readouterr().err
+        assert run(["arch", "--dim", 1, "--out", tmp_path / "over"]) == EXIT_INVALID
+        assert not (tmp_path / "over").exists()
+
+
+class TestSizeCap:
+    """A document over MAX_LEVELS is invalid input, the cap itself is not."""
+
+    @pytest.mark.parametrize("levels, code", [(MAX_LEVELS, EXIT_OK),
+                                              (MAX_LEVELS + 1, EXIT_INVALID)])
+    def test_graph_levels(self, workdir, capsys, levels, code):
+        doc = {"levels": levels, "edges": [[k, k + 1] for k in range(levels - 1)],
+               "logical_map": {"0": 0, "1": 1, "2": 2}}
+        (workdir / "big.json").write_text(json.dumps(doc))
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "big.json",
+                    "--mode", "qr"]) == code
+        assert ("cap" in capsys.readouterr().err) == (code == EXIT_INVALID)
+
+    @pytest.mark.parametrize("dim, code", [(MAX_LEVELS, EXIT_FAIL),
+                                           (MAX_LEVELS + 1, EXIT_INVALID)])
+    def test_sequence_dim(self, workdir, capsys, dim, code):
+        # an empty sequence on a 3-state placement does not reconstruct u
+        doc = {"dim": dim, "gates": [], "initial_map": {"0": 0, "1": 1, "2": 2}}
+        (workdir / "s.json").write_text(json.dumps(doc))
+        assert run(["verify", "--unitary", workdir / "u.json", "--sequence",
+                    workdir / "s.json"]) == code
+        assert ("cap" in capsys.readouterr().err) == (code == EXIT_INVALID)
+
+    def test_unitary_dim(self, workdir, capsys):
+        save_unitary(np.eye(MAX_LEVELS + 1), workdir / "big.json")
+        assert run(["compile", "--unitary", workdir / "big.json", "--graph",
+                    workdir / "g.json"]) == EXIT_INVALID
+        assert "cap" in capsys.readouterr().err

@@ -6,14 +6,15 @@ import json
 import math
 from contextlib import suppress
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditc.adaptive import adaptive_compile
-from quditc.bench import path_architecture
-from quditc.gates import sequence_to_dict
+from quditc.bench import architectures_for_dim, path_architecture
+from quditc.gates import sequence_from_dict, sequence_to_dict
 from quditc.graph import CouplingGraph, graph_from_dict, graph_to_dict
-from quditc.linalg import load_unitary
+from quditc.linalg import MAX_LEVELS, load_unitary, save_unitary
 from quditc.qr import qr_decompose
 from quditc.verify import verify_sequence_document
 
@@ -113,3 +114,34 @@ def test_corrupted_graph_raises_value_error_only(doc):
 def test_corrupted_sequence_raises_value_error_only(doc):
     with suppress(ValueError):
         verify_sequence_document(U, doc)
+
+
+def _path_graph_doc(levels: int) -> dict:
+    return {"levels": levels, "edges": [[k, k + 1] for k in range(levels - 1)],
+            "logical_map": {"0": 0, "1": 1, "2": 2}}
+
+
+class TestSizeCap:
+    """Every size a document names is checked against MAX_LEVELS; the cap
+    itself is accepted."""
+
+    def test_every_shipped_architecture_in_scope_loads(self):
+        for _, graph in architectures_for_dim(64):  # bridge-64 has 65 levels
+            assert graph_from_dict(graph_to_dict(graph)) == graph
+
+    def test_graph_levels(self):
+        assert graph_from_dict(_path_graph_doc(MAX_LEVELS)).num_levels == MAX_LEVELS
+        with pytest.raises(ValueError, match="cap"):
+            graph_from_dict(_path_graph_doc(MAX_LEVELS + 1))
+
+    def test_sequence_dim(self):
+        assert sequence_from_dict({"dim": MAX_LEVELS, "gates": []})[1] == MAX_LEVELS
+        with pytest.raises(ValueError, match="cap"):
+            sequence_from_dict({"dim": MAX_LEVELS + 1, "gates": []})
+
+    def test_unitary_dim(self, tmp_path):
+        save_unitary(np.eye(MAX_LEVELS), tmp_path / "u.json")
+        assert load_unitary(tmp_path / "u.json").shape == (MAX_LEVELS, MAX_LEVELS)
+        save_unitary(np.eye(MAX_LEVELS + 1), tmp_path / "u.json")
+        with pytest.raises(ValueError, match="cap"):
+            load_unitary(tmp_path / "u.json")

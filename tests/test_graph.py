@@ -36,13 +36,18 @@ def random_connected_graph(num_levels: int, rng) -> frozenset:
     return frozenset(edges)
 
 
+def hops(g: CouplingGraph, state_i, state_j) -> int:
+    """Edge count of the shortest level path between two states."""
+    return len(g.shortest_level_path(g.level_of(state_i), g.level_of(state_j))) - 1
+
+
 class TestDistance:
     def test_adjacent_pair(self, path3):
-        assert path3.distance(0, 1) == 1
+        assert path3.shortest_level_path(0, 1) == [0, 1]
 
     def test_ancilla_bridge(self, bridged_graph):
         # states |2> and |1> connect only through the ancilla level
-        assert bridged_graph.distance("2", "1") == 2
+        assert bridged_graph.shortest_level_path(0, 1) == [0, 3, 1]
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(5)
@@ -53,11 +58,18 @@ class TestDistance:
             oracle = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
             for i in range(n):
                 for j in range(n):
-                    assert g.distance(i, j) == oracle[i][j]
+                    path = g.shortest_level_path(i, j)
+                    assert path[0] == i and path[-1] == j
+                    assert len(path) - 1 == oracle[i][j]
+                    assert all(g.is_adjacent(a, b) for a, b in zip(path, path[1:]))
 
     def test_unmapped_state_rejected(self, path3):
         with pytest.raises(ValueError):
-            path3.distance(0, 5)
+            plan_routing(path3, 0, 5)
+        # an unmapped level may be isolated; no path reaches it
+        g = CouplingGraph(3, frozenset({(0, 1)}), {"0": 0, "1": 1})
+        with pytest.raises(ValueError):
+            g.shortest_level_path(0, 2)
 
 
 class TestPlanRouting:
@@ -74,7 +86,7 @@ class TestPlanRouting:
             g = CouplingGraph(n, edges, {str(k): k for k in range(n)})
             i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
             plan = plan_routing(g, i, j)
-            assert len(plan.pulses) == g.distance(i, j) - 1
+            assert len(plan.pulses) == hops(g, i, j) - 1
             gf = plan.resulting_graph
             assert gf.is_adjacent(gf.level_of(i), gf.level_of(j))
 
@@ -227,15 +239,15 @@ class TestApplyGraphRules:
 
 class TestAncillas:
     def test_mark_then_list(self, path3):
-        g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "a0": 2})
-        assert g.ancillas == frozenset()
-        g2 = g.with_ancilla_toggled("a0")
-        assert g2.ancillas == {"a0"}
-        assert g2.with_ancilla_toggled("a0").ancillas == frozenset()
+        edges, mapping = frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "a0": 2}
+        assert CouplingGraph(3, edges, mapping).ancillas == frozenset()
+        g = CouplingGraph(3, edges, mapping, ancillas=frozenset({"a0"}))
+        assert g.ancillas == {"a0"}
+        assert g.num_computational == 2
 
     def test_unmapped_state_rejected(self, path3):
         with pytest.raises(ValueError):
-            path3.with_ancilla_toggled("a7")
+            CouplingGraph(3, path3.edges, path3.logical_map, ancillas=frozenset({"a7"}))
 
     def test_ancilla_used_as_routing_bridge(self, bridged_graph):
         plan = plan_routing(bridged_graph, "2", "1")
@@ -263,7 +275,7 @@ class TestValidation:
     def test_routing_may_cross_unmapped_levels(self):
         # levels 0 and 2 mapped, middle level unmapped but usable
         g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 2})
-        assert g.distance(0, 1) == 2
+        assert hops(g, 0, 1) == 2
         plan = plan_routing(g, 0, 1)
         assert len(plan.pulses) == 1
         assert plan.resulting_graph.level_of("1") == 1

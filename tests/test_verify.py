@@ -1,6 +1,9 @@
 """Reconstruction checks, including placement-aware sequence documents."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.gates import sequence_to_dict
@@ -66,3 +69,35 @@ def test_malformed_placement_rejected(maps):
     doc = sequence_to_dict(result.sequence, 3, result.residual_phases, maps)
     with pytest.raises(ValueError):
         verify_sequence_document(u, doc, 1e-8)
+
+
+@st.composite
+def phased_graphs(draw):
+    """A random connected graph on 4-6 levels holding d = levels - 2
+    computational states, the ancilla a0 and one unmapped level, with a
+    nonzero phase stored on every level."""
+    n = draw(st.integers(4, 6))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # a random tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    levels = draw(st.permutations(range(n)))
+    mapping = {str(k): levels[k] for k in range(n - 2)}
+    mapping["a0"] = levels[n - 2]  # levels[n - 1] stays unmapped
+    phase = st.floats(-math.pi, math.pi).filter(lambda p: p != 0.0)
+    phases = draw(st.lists(phase, min_size=n, max_size=n))
+    return CouplingGraph(n, frozenset(edges), mapping, frozenset({"a0"}), tuple(phases))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=phased_graphs(), seed=st.integers(0, 2**16), with_ancilla=st.booleans())
+def test_phased_graphs_reconstruct_under_both_back_ends(graph, seed, with_ancilla):
+    # Every emitted rotation absorbs the stored phases of arbitrary levels.
+    # No cost limit: the one-way warm start may cost more than 1.1x the
+    # fixed sequence, and the property is about phases, not about the limit.
+    dim = graph.num_states if with_ancilla else graph.num_computational
+    u = haar_unitary(dim, seed)
+    assert verify_result(u, qr_decompose(u, graph))
+    config = SearchConfig(max_nodes=50, cost_limit=math.inf)
+    assert verify_result(u, adaptive_compile(u, graph, config))
