@@ -13,6 +13,7 @@ with E_* the embeddings of logical states onto physical levels.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,16 +80,16 @@ def annihilation_angles(m: np.ndarray, r: int, r2: int, c: int) -> tuple[float, 
     return theta, float(phi)
 
 
-def apply_rotation_rows(m: np.ndarray, r: int, r2: int, theta: float, phi: float) -> None:
-    """Left-multiply m by the two-level rotation on rows (r, r2), in place."""
+def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float):
+    """Rows (x, y) left-multiplied by the two-level rotation on them; the
+    inputs are not modified."""
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
-    a = -1j * np.exp(-1j * phi) * s
-    b = -1j * np.exp(1j * phi) * s
-    row_r = c * m[r, :] + a * m[r2, :]
-    row_r2 = b * m[r, :] + c * m[r2, :]
-    m[r, :] = row_r
-    m[r2, :] = row_r2
+    # Two cmath.exp calls, not one and its conjugate: at phi = -0.0 both
+    # exponentials are 1+0j, and at theta = 0 that zero's sign reaches the rows.
+    a = -1j * cmath.exp(-1j * phi) * s
+    b = -1j * cmath.exp(1j * phi) * s
+    return c * x + a * y, b * x + c * y
 
 
 def emit_rotation(graph: CouplingGraph, state_i, state_j, theta: float, phi: float):

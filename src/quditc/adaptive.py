@@ -1,40 +1,35 @@
 """Adaptive decomposition: depth-first search over two-level rotation
 choices with routing-aware costs and a hard cost limit.
 
-Each node holds the remaining matrix, a coupling-graph snapshot, and the
-cost so far.  Children annihilate one entry of one column; a child is
-kept only while the path stays under the cost limit (by default a factor
-of the fixed baseline's cost).  Routing pulses are not uncomputed, so
-the logical placement drifts with the search; this is what lets the
-search exploit placements the fixed sequence cannot.
+Children annihilate one entry of one column; a child is kept only while
+the path stays under the cost limit (by default a factor of the fixed
+sequence's cost).  Routing pulses are not uncomputed, so the logical
+placement drifts with the search; this is what lets the search exploit
+placements the fixed sequence cannot.  By default the incumbent is seeded
+with the fixed elimination ladder (its steps replayed with one-way routing,
+or the fixed sequence itself where that replay does not fit the limit), so
+the search spends its node budget on improving a complete decomposition.
 
-By default the incumbent is seeded with a replay of the fixed elimination
-ladder, so the search starts from a complete decomposition and spends its
-node budget purely on improving it.
+The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
+not bounded by the recursion limit.  A node does only the work its taken
+children use:
 
-The depth-first search runs on an explicit stack rather than by recursion,
-so its depth (up to d(d-1)/2 + d) is not bounded by the interpreter's
-recursion limit.  A node does only the work its taken children use:
-
-  * Children come column by column, and within a column by step cost: a
-    column is priced when it is reached and sorted, so a node first tries
-    the cheapest rotation of its lowest uncleared column.  In triple order
-    its first child pivoted into the diagonal row, which needs routing on
-    a path, and a node budget was spent below that one child.  A column is
-    sorted only while the search holds an incumbent; before that it is
-    priced lazily in (row, row2) order.  Sorted from the start, a cold
-    first-solution search of ``haar_unitary(16, 16)`` on star-16 dives by
-    tiny rotations and finds no solution in 20000 nodes, where (row, row2)
-    order finds one in 120.  Each child is checked against the limit
-    current when it is yielded, and a node prices its next column only
-    once the subtrees of the current one are searched.
-  * The moduli and phases of the node matrix are carried as row lists:
-    a child shares its parent's rows and recomputes only the two rows its
-    rotation changed.  The moduli come from ``np.hypot`` and the angle
-    from ``math.atan2`` because ``np.abs`` on complex arrays and the
-    vectorised ``np.arctan2`` can differ from the scalar calls in the
-    last ulp, which changes costs and tie-breaks; array ``np.angle``
-    matches its scalar form exactly.
+  * A node holds its matrix as a list of d row arrays.  A child copies the
+    list and replaces the two rows returned by ``apply_rotation_rows``, the
+    one row kernel of both back-ends; a matrix is built only for a new
+    incumbent.  The moduli and phases are row lists kept the same way, from
+    ``np.hypot`` and ``np.arctan2`` (what ``np.angle`` computes) of the two
+    new rows: ``np.abs`` on complex arrays can differ from them in the last
+    ulp, which changes costs and tie-breaks.
+  * Children come column by column.  Before the first incumbent a column is
+    priced lazily in (row, row2) order, one candidate per yield; with an
+    incumbent its passing candidates are priced together and sorted by step
+    cost, so a node first tries the cheapest rotation of its lowest
+    uncleared column.  Sorted from the start, a cold first-solution search
+    of ``haar_unitary(16, 16)`` on star-16 dives by tiny rotations and
+    finds no solution in 20000 nodes, where (row, row2) order finds one in
+    120; priced eagerly, a cold star-48 search peaks at 5x the memory.  Each
+    child is checked against the limit current when it is yielded.
   * Each distinct angle is priced once per search: the registered
     ``rotation_cost`` (a pure function of its arguments) is memoised.
   * A child is terminal when its two new rows are diagonal within
@@ -52,7 +47,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,7 +63,7 @@ from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, plan_routing
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .qr import _validated, ladder, ladder_cost
+from .qr import _validated, emit_fixed, ladder, ladder_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -95,17 +89,6 @@ class NoSolutionError(RuntimeError):
     def __init__(self, message: str, stats: SearchStats):
         super().__init__(message)
         self.stats = stats
-
-
-@lru_cache(maxsize=128)
-def _columns(dim: int) -> tuple:
-    """Candidate (column, ((row, row2), ...)) pairs of a dim x dim node, in
-    triple order: a candidate annihilates entry (row2, column) into
-    (row, column)."""
-    return tuple(
-        (c, tuple((r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)))
-        for c in range(dim)
-    )
 
 
 def _emit_path(graph, states, params, steps):
@@ -135,17 +118,22 @@ def _path_steps(path) -> list:
 def _ladder_replay(m0, graph, states, params, config):
     """Run the fixed elimination ladder at most once, for both of its uses:
     the cost limit (config's absolute one, else its factor times the fixed
-    baseline's cost) and, with warm start, the steps replayed through the
-    one-way-routing emitter as (cost, gates, final graph, final matrix),
-    a complete incumbent from the start."""
+    sequence's cost) and, with warm start, an incumbent (cost, gates, final
+    graph, final matrix): the steps replayed with one-way routing, or the
+    fixed sequence where that replay costs at least the limit."""
     limit = config.cost_limit
-    if limit is None or config.warm_start:
-        steps, m = ladder(m0)
+    if limit is not None and not config.warm_start:
+        return limit, None
+    steps, m = ladder(m0)
+    fixed = ladder_cost(steps, graph, states, params)
     if limit is None:
-        limit = config.cost_limit_factor * ladder_cost(steps, graph, states, params)
+        limit = config.cost_limit_factor * fixed
     if not config.warm_start:
         return limit, None
-    return limit, (*_emit_path(graph, states, params, steps), m)
+    cost, gates, g = _emit_path(graph, states, params, steps)
+    if cost >= limit:
+        cost, (gates, g) = fixed, emit_fixed(graph, states, steps)
+    return limit, (cost, gates, g, m)
 
 
 def _dirty(row: list, k: int) -> bool:
@@ -165,58 +153,62 @@ class _Search:
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
-        self.columns = _columns(dim)
-        self.costs = {}   # theta -> rotation_cost(theta, 1, params)
-        self.dist = None  # level distances; routing never changes the edges
+        self.costs = {}      # theta -> rotation_cost(theta, 1, params)
+        self.dist = None     # level distances; routing never changes the edges
+        self.columns = None  # (c, [(r, r2), ...]): entry (r2, c) rotates into (r, c)
 
     def current_limit(self) -> float:
         return self.best[0] if self.best is not None else self.limit
 
     def prepare(self, m, graph):
         """(moduli rows, phase rows, state levels) of a node given as a
-        full matrix and graph; also fixes the search's distance table."""
+        full matrix and graph; also fixes the search's distance table and
+        its candidate (r, r2) pairs per column, in triple order."""
         self.dist = _topology(graph.num_levels, graph.edges)[1].tolist()
+        dim = len(self.states)
+        self.columns = [(c, [(r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)])
+                        for c in range(dim)]
         levels = [graph.logical_map[s] for s in self.states]
-        return np.hypot(m.real, m.imag).tolist(), np.angle(m).tolist(), levels
+        return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), levels
 
     def children(self, mag, ang, levels, cost):
         """Children of a node as (step, c, r, r2, theta, phi): one per
         candidate entry above the zero tolerance whose step keeps the path
         under the limit, column by column.  While the search holds an
-        incumbent, a column is priced when it is reached and sorted by step
-        cost; before that it is priced lazily in (r, r2) order.  Each child
-        is checked against the limit current when it is yielded: the
-        incumbent only improves while the caller searches a yielded child's
-        subtree."""
-        for c, pairs in self.columns:
-            priced = self._priced(c, pairs, mag, levels, cost)
-            if self.best is not None:
-                priced = sorted(priced)
-            for step, r, r2, theta in priced:
-                if cost + step < self.current_limit():
-                    yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
-
-    def _priced(self, c, pairs, mag, levels, cost):
-        """(step, r, r2, theta) of column c's candidates, in (r, r2) order,
-        that pass the zero tolerance and the limit current when the column
-        is reached."""
+        incumbent, a column's passing candidates are priced when it is
+        reached and sorted by step cost; before that they are priced lazily
+        in (r, r2) order.  Each child is checked against the limit current
+        when it is yielded: the incumbent only improves while the caller
+        searches a yielded child's subtree."""
         dist, costs, params = self.dist, self.costs, self.params
         pulse, tol = self.pulse_cost, DEFAULT_TOL
-        limit = self.current_limit()
-        for r, r2 in pairs:
-            low = mag[r2][c]
-            if low <= tol:
-                continue
-            theta = 2.0 * math.atan2(low, mag[r][c])
-            rot = costs.get(theta)
-            if rot is None:
-                rot = costs[theta] = rotation_cost(theta, 1, params)
-            step = (dist[levels[r]][levels[r2]] - 1) * pulse + rot
-            if cost + step < limit:
-                yield step, r, r2, theta
+        for c, pairs in self.columns:
+            lazy = self.best is None
+            limit = self.current_limit()
+            column = []
+            for r, r2 in pairs:
+                low = mag[r2][c]
+                if low <= tol:
+                    continue
+                theta = 2.0 * math.atan2(low, mag[r][c])
+                rot = costs.get(theta)
+                if rot is None:
+                    rot = costs[theta] = rotation_cost(theta, 1, params)
+                step = (dist[levels[r]][levels[r2]] - 1) * pulse + rot
+                if cost + step < limit:
+                    if lazy:
+                        yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+                        limit = self.current_limit()
+                    else:
+                        column.append((step, r, r2, theta))
+            column.sort()
+            for step, r, r2, theta in column:
+                if cost + step >= self.best[0]:
+                    break  # the rest of the column costs at least as much
+                yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
 
     def enter(self, stack, node) -> bool:
-        """Expand a node (m, mag, ang, dirty, levels, graph, path, cost,
+        """Expand a node (rows, mag, ang, dirty, levels, graph, path, cost,
         depth) onto the stack; False once the node budget is spent."""
         if self.stats.nodes_expanded >= self.config.max_nodes:
             self.stats.stop_reason = "node_budget"
@@ -224,7 +216,7 @@ class _Search:
         self.stats.nodes_expanded += 1
         self.stats.max_depth = max(self.stats.max_depth, node[-1])
         _, mag, ang, _, levels, _, _, cost, _ = node
-        stack.append((iter(self.children(mag, ang, levels, cost)),) + node)
+        stack.append((self.children(mag, ang, levels, cost),) + node)
         return True
 
     def run(self, m0, graph0) -> None:
@@ -236,10 +228,10 @@ class _Search:
         dist = self.dist
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
         stack = []
-        if not self.enter(stack, (m0, mag0, ang0, dirty0, levels0, graph0, None, 0.0, 0)):
+        if not self.enter(stack, (list(m0), mag0, ang0, dirty0, levels0, graph0, None, 0.0, 0)):
             return
         while stack:
-            children, m, mag, ang, dirty, levels, graph, path, cost, depth = stack[-1]
+            children, rows, mag, ang, dirty, levels, graph, path, cost, depth = stack[-1]
             for step, c, r, r2, theta, phi in children:
                 if depth + 1 >= self.depth_cap and dirty & ~(1 << r | 1 << r2):
                     continue  # at the cap, only a terminal child is kept
@@ -252,24 +244,26 @@ class _Search:
                     routing = len(plan.pulses) * pulse
                 cost2 = cost + costs[theta] + routing
                 path2 = (path, r, r2, theta, phi)
-                m2 = m.copy()
-                apply_rotation_rows(m2, r, r2, theta, phi)
-                rows = m2[[r, r2]]
-                mag_r, mag_r2 = np.hypot(rows.real, rows.imag).tolist()
+                x, y = apply_rotation_rows(rows[r], rows[r2], theta, phi)
+                rows2 = rows.copy()
+                rows2[r], rows2[r2] = x, y
+                mag_r = np.hypot(x.real, x.imag).tolist()
+                mag_r2 = np.hypot(y.real, y.imag).tolist()
                 dirty2 = dirty & ~((1 << r) | (1 << r2)) \
                     | _dirty(mag_r, r) << r | _dirty(mag_r2, r2) << r2
                 if not dirty2:
                     self.stats.solutions_found += 1
                     if self.best is None or cost2 < self.best[0]:
-                        self.best = (cost2, path2, m2)
+                        self.best = (cost2, path2, np.array(rows2))
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
                 elif depth + 1 < self.depth_cap:
                     mag2, ang2 = mag.copy(), ang.copy()
                     mag2[r], mag2[r2] = mag_r, mag_r2
-                    ang2[r], ang2[r2] = np.angle(rows).tolist()
-                    node = (m2, mag2, ang2, dirty2, levels2, graph2, path2, cost2, depth + 1)
+                    ang2[r] = np.arctan2(x.imag, x.real).tolist()
+                    ang2[r2] = np.arctan2(y.imag, y.real).tolist()
+                    node = (rows2, mag2, ang2, dirty2, levels2, graph2, path2, cost2, depth + 1)
                     if not self.enter(stack, node):
                         return
                     break

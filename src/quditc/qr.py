@@ -45,7 +45,7 @@ def ladder(m0: np.ndarray):
             r = r2 - 1
             theta, phi = annihilation_angles(m, r, r2, c)
             steps.append((r, r2, theta, phi))
-            apply_rotation_rows(m, r, r2, theta, phi)
+            m[r], m[r2] = apply_rotation_rows(m[r], m[r2], theta, phi)
     return steps, m
 
 
@@ -62,6 +62,21 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams) -> floa
         for _ in range(n):
             total += pulse
     return total
+
+
+def emit_fixed(graph: CouplingGraph, states, steps):
+    """(gates, final graph) of the steps as the fixed sequence: each
+    rotation's routing is undone right after it, as ladder_cost prices."""
+    g = graph
+    gates = []
+    for r, r2, theta, phi in steps:
+        step_gates, g = emit_rotation(g, states[r], states[r2], theta, phi)
+        gates.extend(step_gates)
+        for pulse in reversed(step_gates[:-1]):
+            inv = pulse.inverse()
+            gates.append(inv)
+            g = g.apply_pulse(inv)
+    return gates, g
 
 
 def _validated(u) -> np.ndarray:
@@ -81,17 +96,7 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     if not is_diagonal(m):
         raise ValueError("elimination did not terminate in a diagonal")
 
-    g = graph
-    gates = []
-    for r, r2, theta, phi in steps:
-        step_gates, g = emit_rotation(g, states[r], states[r2], theta, phi)
-        gates.extend(step_gates)
-        # Undo the routing so the fixed sequence always sees the
-        # original placement.
-        for pulse in reversed(step_gates[:-1]):
-            inv = pulse.inverse()
-            gates.append(inv)
-            g = g.apply_pulse(inv)
+    gates, g = emit_fixed(graph, states, steps)
     sequence, theta_res, g_final = assemble(graph, g, gates, m, dim)
     total = ladder_cost(steps, graph, states, params)
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)

@@ -160,6 +160,21 @@ class TestSearchControls:
         assert verify_result(u, seeded)
         assert seeded.total_cost <= 1.1 * qr_cost_bound(u, g) + 1e-15
 
+    @pytest.mark.parametrize("max_nodes", [50, 500])
+    def test_fixed_sequence_is_warm_start_when_replay_exceeds_limit(self, max_nodes):
+        # The one-way replay of the ladder costs 1.196x the fixed sequence
+        # here, over the 1.1x limit; the fixed sequence itself fits it.
+        g = CouplingGraph(6, frozenset({(0, 1), (0, 4), (0, 5), (1, 2), (1, 3)}),
+                          {"0": 0, "1": 2, "2": 1, "3": 3, "a0": 4}, frozenset({"a0"}))
+        u = haar_unitary(4, 3)
+        fixed = qr_decompose(u, g)
+        first = adaptive_compile(u, g, SearchConfig(return_first=True))
+        assert first.sequence == fixed.sequence
+        assert first.total_cost == fixed.total_cost
+        result = adaptive_compile(u, g, SearchConfig(max_nodes=max_nodes))
+        assert verify_result(u, result)
+        assert result.total_cost <= fixed.total_cost
+
     def test_without_warm_start_still_searches(self, path3):
         u = haar_unitary(3, 99)
         cold = adaptive_compile(u, path3, SearchConfig(max_nodes=5000, warm_start=False))
@@ -333,8 +348,9 @@ class TestDeepSearch:
         assert verify_result(u, result)
 
     def test_deep_search_memory(self):
-        # Frames share their parent's moduli and phase rows and hold a path
-        # instead of a gate list, so a depth-495 search stays small.
+        # Frames share their parent's matrix, moduli and phase rows and hold
+        # a path instead of a gate list, and a cold search prices its
+        # candidates lazily, so a depth-495 search stays small.
         u = haar_unitary(32, 32)
         g = star_architecture(32)
         cfg = SearchConfig(warm_start=False, return_first=True)
@@ -345,7 +361,7 @@ class TestDeepSearch:
         finally:
             tracemalloc.stop()
         assert result.stats.max_depth == 495
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
 
 
 def reference_children(search, m, graph, cost):
@@ -439,6 +455,41 @@ class TestNodeScoring:
             if len(yielded) == after:
                 search.best = (improved, None, None)
         assert yielded == expected
+
+
+    def test_cold_root_prices_lazily(self, temp_cost_model):
+        # Before the first incumbent a node prices its candidates in (r, r2)
+        # order and stops at the first one it yields.
+        priced = []
+
+        def counting(theta, dist, p):
+            priced.append(theta)
+            return cost_module._calibrated_linear(theta, dist, p)
+
+        params = temp_cost_model("lazy-pricing-test", counting)
+        g = path_architecture(5)
+        g = CouplingGraph(5, g.edges, {str(k): (2 * k + 1) % 5 for k in range(5)})
+        rejected = 0
+        for seed in range(4):
+            u = haar_unitary(5, 1300 + seed)
+            m = u.conj().T.copy()
+            limit = 1.1 * qr_cost_bound(u, g)
+            states = compile_states(g, 5)
+            reference = _Search(states, SearchConfig(), CostParams(), limit)
+            # Past limit - pulse, a candidate that needs routing is rejected.
+            for spent in (0.0, limit - pulse_cost(params)):
+                listed = reference_children(reference, m, g, spent)
+                thetas = [annihilation_angles(m, r, r2, c)[0]
+                          for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
+                          if abs(m[r2, c]) > DEFAULT_TOL]
+                expected = thetas[:thetas.index(listed[0][4]) + 1]
+                search = _Search(states, SearchConfig(), params, limit)
+                priced.clear()
+                children = search.children(*search.prepare(m, g), spent)
+                assert next(children) == listed[0]
+                assert priced == expected
+                rejected += len(expected) - 1
+        assert rejected > 0
 
 
 class TestCustomCostModel:

@@ -1,9 +1,12 @@
 """Fixed-sequence baseline: reconstruction, the fixed elimination order,
 routing compute/uncompute pairing, and the gate-free cost bound."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from quditc._compile import apply_rotation_rows
 from quditc.bench import architectures_for_dim
 from quditc.clifford import random_cliffords
 from quditc.cost import rotation_cost
@@ -134,6 +137,45 @@ class TestCostBound:
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))
         assert qr_cost_bound(u, path3) == 0.0
+
+
+def reference_rotation_rows(m, r, r2, theta, phi):
+    """The kernel's earlier in-place form, with numpy-scalar exponentials."""
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    a = -1j * np.exp(-1j * phi) * s
+    b = -1j * np.exp(1j * phi) * s
+    row_r = c * m[r, :] + a * m[r2, :]
+    row_r2 = b * m[r, :] + c * m[r2, :]
+    m[r, :] = row_r
+    m[r2, :] = row_r2
+
+
+# Clifford-like entries: exact and signed zeros, units and d=7 moduli.
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 7 ** -0.5, -(7 ** -0.5)]),
+                   st.floats(-2.0, 2.0))
+_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]),
+                    st.floats(-4 * math.pi, 4 * math.pi))
+
+
+class TestRotationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 8).flatmap(
+               lambda d: st.lists(st.lists(st.tuples(_parts, _parts), min_size=d, max_size=d),
+                                  min_size=2, max_size=2)),
+           theta=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                           st.floats(0.0, math.pi)),
+           phi=_angles)
+    # At phi = -0.0 both exponentials are 1+0j, not conjugates of each other.
+    @example(rows=[[(-0.0, 0.0)], [(-0.0, 0.0)]], theta=0.0, phi=-0.0)
+    def test_bit_identical_to_in_place_form(self, rows, theta, phi):
+        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+        x, y = m[0].copy(), m[1].copy()
+        new_x, new_y = apply_rotation_rows(x, y, theta, phi)
+        assert x.tobytes() == m[0].tobytes() and y.tobytes() == m[1].tobytes()
+        reference_rotation_rows(m, 0, 1, theta, phi)
+        assert new_x.tobytes() == m[0].tobytes()
+        assert new_y.tobytes() == m[1].tobytes()
 
 
 class TestGoldenGates:

@@ -94,10 +94,11 @@ def phased_graphs(draw):
 @given(graph=phased_graphs(), seed=st.integers(0, 2**16), with_ancilla=st.booleans())
 def test_phased_graphs_reconstruct_under_both_back_ends(graph, seed, with_ancilla):
     # Every emitted rotation absorbs the stored phases of arbitrary levels.
-    # No cost limit: the one-way warm start may cost more than 1.1x the
-    # fixed sequence, and the property is about phases, not about the limit.
+    # The default limit: where the one-way warm start costs more than it,
+    # the fixed sequence is the warm start, so a 50-node search still ends
+    # in a result.
     dim = graph.num_states if with_ancilla else graph.num_computational
     u = haar_unitary(dim, seed)
     assert verify_result(u, qr_decompose(u, graph))
-    config = SearchConfig(max_nodes=50, cost_limit=math.inf)
+    config = SearchConfig(max_nodes=50)
     assert verify_result(u, adaptive_compile(u, graph, config))
