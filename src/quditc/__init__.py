@@ -15,6 +15,7 @@ from .gates import (
     Gate,
     RotationGate,
     VirtualZGate,
+    conjugated,
     gate_matrix,
     reorder_pulse,
     rotation_matrix,
@@ -40,7 +41,6 @@ from .linalg import (
     max_norm,
     save_unitary,
 )
-from .phases import commute_through
 from .qr import qr_cost_bound, qr_decompose
 from .verify import reconstruction_error, verify_result, verify_sequence_document
 
@@ -61,7 +61,7 @@ __all__ = [
     "VirtualZGate",
     "adaptive_compile",
     "apply_graph_rules",
-    "commute_through",
+    "conjugated",
     "embedding_matrix",
     "equal_up_to_global_phase",
     "gate_matrix",

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .gates import RotationGate
+from .gates import RotationGate, conjugated
 from .graph import CouplingGraph, plan_routing
-from .phases import conjugated
 
 
 @dataclass

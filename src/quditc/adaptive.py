@@ -79,8 +79,14 @@ class SearchConfig:
     warm_start: bool = True             # seed the incumbent with the fixed ladder
 
     def __post_init__(self):
+        if math.isnan(self.cost_limit_factor) or math.isnan(self.cost_limit or 0.0):
+            raise ValueError("cost limits must not be NaN (inf means no limit)")
         if self.cost_limit is None and self.cost_limit_factor < 1.0:
             raise ValueError("cost_limit_factor must be >= 1 unless an absolute limit is given")
+        if self.max_nodes < 0:
+            raise ValueError("max_nodes must be >= 0")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
 
 
 class NoSolutionError(RuntimeError):

@@ -44,32 +44,30 @@ def _add_cost_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cost-base-factor", type=float, help="override cost.base_factor")
     parser.add_argument("--cost-calibrated-angle", type=float,
                         help="override cost.calibrated_angle (units of pi)")
-    parser.add_argument("--cost-model", help="override cost.model (registered model name)")
+
+
+_COST_KEYS = ("base_factor", "calibrated_angle")
 
 
 def _cost_params(args) -> CostParams:
     """CostParams from the defaults, then the config file's cost.* keys,
     then the --cost-* flags."""
-    values = {f.name: f.default for f in fields(CostParams)}
-    section = {}
+    values = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
         section = doc.get("cost", {}) if isinstance(doc, dict) else None
-        if not isinstance(section, dict):
-            raise ValueError(f"config file {args.config}: expected an object "
-                             f"whose 'cost' entry is an object")
-    for key, default in values.items():
-        if key in section:
-            try:
-                values[key] = type(default)(section[key])
-            except (TypeError, OverflowError):
-                raise ValueError(f"config file {args.config}: "
-                                 f"bad cost.{key} {section[key]!r}") from None
-        override = getattr(args, f"cost_{key}")
-        if override is not None:
-            values[key] = override
-    return CostParams(**values)
+        if not isinstance(section, dict) or not set(section) <= set(_COST_KEYS):
+            raise ValueError(f"config file {args.config}: expected an object whose 'cost' "
+                             f"entry is an object with keys among {_COST_KEYS}")
+        values.update(section)
+    for key in _COST_KEYS:
+        if getattr(args, f"cost_{key}") is not None:
+            values[key] = getattr(args, f"cost_{key}")
+    try:
+        return CostParams(**{key: float(v) for key, v in values.items()})
+    except (TypeError, OverflowError):
+        raise ValueError(f"bad cost parameters {values}") from None
 
 
 def _search_config(args) -> SearchConfig:
@@ -92,13 +90,14 @@ def cmd_compile(args) -> int:
         u = load_unitary(args.unitary)
         graph = load_graph(args.graph)
         params = _cost_params(args)
+        config = _search_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     try:
         result = qr_decompose(u, graph, params) if args.mode == "qr" \
-            else adaptive_compile(u, graph, _search_config(args), params)
+            else adaptive_compile(u, graph, config, params)
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION

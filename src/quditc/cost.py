@@ -10,7 +10,7 @@ where t = |theta|/pi and c is the calibrated angle in units of pi.
 Virtual Z gates cost nothing.
 
 Models are swappable: alternatives register under a name and are selected
-via ``CostParams.model`` (config key cost.model), so every consumer that
+via ``CostParams.model``, so every consumer that
 carries a CostParams automatically uses the chosen hardware model.  A
 registered model must be a pure function of (theta, dist, params): the
 adaptive search prices each distinct angle once per search and reuses
@@ -34,8 +34,8 @@ class CostParams:
     model: str = DEFAULT_MODEL
 
     def __post_init__(self):
-        if self.base_factor <= 0 or self.calibrated_angle <= 0:
-            raise ValueError("cost parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.base_factor, self.calibrated_angle)):
+            raise ValueError("cost parameters must be finite and positive")
 
 
 CostModel = Callable[[float, int, CostParams], float]

@@ -8,8 +8,9 @@ Convention: a rotation R(theta, phi) acting on the ordered level pair
      [-i e^{i phi} sin(t/2),    cos(t/2)]]
 
 on rows/columns (low, high) and identity elsewhere.  Writing the same
-rotation with the level roles swapped negates phi, so gates are stored
-with any orientation and normalized on demand.
+rotation with the level roles swapped negates phi, so a gate written
+high->low is stored low->high with phi negated: every RotationGate has
+level_low < level_high.
 
 Sequences are plain lists in application order: the first element is
 applied first, i.e. it is the rightmost factor of the matrix product.
@@ -45,25 +46,24 @@ class RotationGate:
             raise ValueError("rotation levels must be non-negative")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.level_low < self.level_high
-
-    def normalized(self) -> "RotationGate":
-        """Rewrite a gate written from the higher to the lower level as
-        low->high, negating phi."""
-        if self.is_normalized:
-            return self
-        return replace(
-            self,
-            level_low=self.level_high,
-            level_high=self.level_low,
-            phi=-self.phi,
-        )
+        if self.level_low > self.level_high:  # stored low->high, phi negated
+            lo, hi = self.level_high, self.level_low
+            object.__setattr__(self, "level_low", lo)
+            object.__setattr__(self, "level_high", hi)
+            object.__setattr__(self, "phi", -self.phi)
 
     def inverse(self) -> "RotationGate":
         return replace(self, theta=-self.theta)
+
+
+def conjugated(gate: RotationGate, phases) -> RotationGate:
+    """D . R . D^dagger for D = diag(e^{i phases}): phi gains
+    phases[high] - phases[low], so that D . R(theta, phi) = R(theta, phi +
+    phases[high] - phases[low]) . D.  The one implementation of the
+    rotation phase rule, at emission and at assembly alike."""
+    lo, hi = gate.level_low, gate.level_high
+    shift = float(phases[hi]) - float(phases[lo])
+    return RotationGate(lo, hi, gate.theta, gate.phi + shift, routing=gate.routing)
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,16 @@ def reorder_pulse(level_a: int, level_b: int) -> RotationGate:
 
 def rotation_matrix(gate: RotationGate, dim: int) -> np.ndarray:
     """Full dim x dim matrix of a two-level rotation."""
-    g = gate.normalized()
-    if g.level_high >= dim:
-        raise ValueError(f"gate levels {g.level_low},{g.level_high} out of range for dim {dim}")
+    i, j = gate.level_low, gate.level_high
+    if j >= dim:
+        raise ValueError(f"gate levels {i},{j} out of range for dim {dim}")
     m = np.eye(dim, dtype=np.complex128)
-    c = math.cos(g.theta / 2)
-    s = math.sin(g.theta / 2)
-    i, j = g.level_low, g.level_high
+    c = math.cos(gate.theta / 2)
+    s = math.sin(gate.theta / 2)
     m[i, i] = c
     m[j, j] = c
-    m[i, j] = -1j * np.exp(-1j * g.phi) * s
-    m[j, i] = -1j * np.exp(1j * g.phi) * s
+    m[i, j] = -1j * np.exp(-1j * gate.phi) * s
+    m[j, i] = -1j * np.exp(1j * gate.phi) * s
     return m
 
 
@@ -170,7 +169,7 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
     if doc.get("order", "application") != "application":
         raise ValueError(f"unsupported gate order {doc.get('order')!r}")
     for gate in gates:
-        top = gate.level if isinstance(gate, VirtualZGate) else max(gate.level_low, gate.level_high)
+        top = gate.level if isinstance(gate, VirtualZGate) else gate.level_high
         if top >= dim:
             raise ValueError(f"gate level {top} out of range for dim {dim}")
     if phases is not None and (phases.ndim != 1 or not np.all(np.isfinite(phases))):

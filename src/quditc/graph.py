@@ -18,9 +18,9 @@ per level in ``node_phase`` and consumed by later gates:
   * pulse R(low,high)(pi, -pi/2) acts as (swap phases of low/high, then
     add pi at the high level); the inverted pulse deposits at the low
     level; pulses with other phi values deposit phi-dependent phases,
-  * a rotation written high->low is rewritten low->high with phi negated,
-    and its phi is shifted by psi(high) - psi(low) of the levels' stored
-    phases psi; :func:`phases.conjugated` is the one implementation.
+  * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
+    stored phases psi; :func:`gates.conjugated` is the one implementation
+    (a gate written high->low is already stored low->high, phi negated).
 """
 from __future__ import annotations
 
@@ -34,9 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import Gate, RotationGate, VirtualZGate, reorder_pulse
+from .gates import Gate, RotationGate, VirtualZGate, conjugated, reorder_pulse
 from .linalg import check_size
-from .phases import conjugated
 
 _TWO_PI = 2.0 * math.pi
 _ANCILLA_RE = re.compile(r"^a(\d+)$")
@@ -209,15 +208,14 @@ class CouplingGraph:
     def apply_pulse(self, pulse: RotationGate) -> "CouplingGraph":
         """Graph state after a reordering pulse: swap the two levels'
         logical content and stored phases, then add the pulse's deposits."""
-        p = pulse.normalized()
-        a, b = p.level_low, p.level_high
+        a, b = pulse.level_low, pulse.level_high
         if not self.is_adjacent(a, b):
             raise ValueError(f"pulse on non-coupled levels ({a},{b})")
-        if not math.isclose(abs(p.theta), math.pi, rel_tol=0, abs_tol=1e-12):
+        if not math.isclose(abs(pulse.theta), math.pi, rel_tol=0, abs_tol=1e-12):
             raise ValueError("reordering pulses must have |theta| == pi")
-        sign = 1.0 if p.theta > 0 else -1.0
-        dep_a = -p.phi - sign * math.pi / 2
-        dep_b = p.phi - sign * math.pi / 2
+        sign = 1.0 if pulse.theta > 0 else -1.0
+        dep_a = -pulse.phi - sign * math.pi / 2
+        dep_b = pulse.phi - sign * math.pi / 2
 
         mapping = dict(self.logical_map)
         sa, sb = self.state_at(a), self.state_at(b)
@@ -266,8 +264,8 @@ def apply_graph_rules(gates, graph: CouplingGraph):
 
     Walks the sequence in application order.  Reordering pulses update the
     mapping and deposit phases; plain rotations absorb the current phase
-    difference into phi and are orientation-normalized; virtual Z gates are
-    recorded on the graph's nodes instead of being emitted.
+    difference into phi; virtual Z gates are recorded on the graph's nodes
+    instead of being emitted.
 
     Returns (adjusted sequence, resulting graph).
     """
@@ -281,12 +279,11 @@ def apply_graph_rules(gates, graph: CouplingGraph):
             # is the opposite sign of a physically deposited one.
             g = g.with_phase_added(gate.level, -gate.phi)
             continue
-        norm = gate.normalized()
-        if norm.level_high >= g.num_levels:
+        if gate.level_high >= g.num_levels:
             raise ValueError(f"gate levels out of range: {gate}")
-        if norm.routing:
-            out.append(norm)
-            g = g.apply_pulse(norm)
+        if gate.routing:
+            out.append(gate)
+            g = g.apply_pulse(gate)
         else:
             out.append(conjugated(gate, g.node_phase))
     return out, g

@@ -312,6 +312,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             adaptive_compile(np.eye(5, dtype=complex), path3)
 
+    @pytest.mark.parametrize("fields", [
+        {"cost_limit_factor": math.nan}, {"cost_limit": math.nan},
+        {"cost_limit": 1.0, "cost_limit_factor": math.nan}, {"cost_limit_factor": 0.5},
+        {"max_nodes": -1}, {"max_depth": 0}, {"max_depth": -2},
+    ])
+    def test_invalid_config_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SearchConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"cost_limit_factor": math.inf}, {"cost_limit": math.inf},
+        {"max_nodes": 0}, {"max_depth": 1},
+    ])
+    def test_limits_at_the_boundary_accepted(self, fields):
+        SearchConfig(**fields)
+
 
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
@@ -587,3 +603,7 @@ class TestWorkCounts:
         assert tracer.calls(top, "compile.assemble") == 1
         assert steps > 0
         assert tracer.calls(top, "compile.annihilation_angles") == steps
+        # emission and assembly conjugate through the quditc._compile binding
+        # the benchmark traces: once per rotation at emission, once per gate
+        # at assembly
+        assert tracer.calls(top, "phases.conjugated") >= len(result.sequence) > 0

@@ -96,7 +96,37 @@ class TestCompile:
         assert exc.value.code == 2
         assert "--threshold" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [{"cost": None}, [1], {"cost": {"base_factor": None}}])
+    @pytest.mark.parametrize("mode", ["adaptive", "qr"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--cost-base-factor", "nan"), ("--cost-base-factor", "inf"),
+        ("--cost-calibrated-angle", "nan"), ("--cost-calibrated-angle", "inf"),
+        ("--cost-limit-factor", "nan"), ("--cost-limit", "nan"), ("--max-depth", "-2"),
+    ])
+    def test_out_of_range_parameters_are_invalid_input(self, workdir, capsys, mode, flag, value):
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                    "--mode", mode, flag, value]) == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_infinite_limit_factor_means_no_limit(self, workdir, capsys):
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                    "--cost-limit-factor", "inf", "--max-nodes", 200]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["cost_limit"] == float("inf")
+
+    @pytest.mark.parametrize("command", ["compile", "bench"])
+    def test_cost_model_flag_removed(self, workdir, capsys, command):
+        args = ["--unitary", workdir / "u.json", "--graph", workdir / "g.json"] \
+            if command == "compile" else ["--dims", "3", "--counts", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--cost-model", "calibrated-linear"])
+        assert exc.value.code == 2
+        assert "--cost-model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"cost": None}, [1], {"cost": {"base_factor": None}},
+        {"cost": {"base_factor": float("nan")}},
+        {"cost": {"base_facter": 3e-4}},            # a typo is not silently ignored
+        {"cost": {"model": "calibrated-linear"}},   # nor is the removed key
+    ])
     def test_malformed_config_is_invalid_input(self, workdir, tmp_path, capsys, config):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",

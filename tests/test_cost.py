@@ -61,6 +61,15 @@ def test_params_must_be_positive():
         CostParams(base_factor=0.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("base_factor", math.nan), ("base_factor", math.inf),
+    ("calibrated_angle", math.nan), ("calibrated_angle", math.inf),
+])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValueError):
+        CostParams(**{field: value})
+
+
 class TestModelRegistry:
     def test_custom_model_selected_by_name(self, flat_cost_model):
         params = flat_cost_model

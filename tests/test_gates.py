@@ -1,12 +1,17 @@
 """Rotation and virtual-Z gate matrices, checked against a matrix
-exponential oracle."""
+exponential oracle, and the rotation phase rule checked against direct
+matrix products."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from quditc.gates import (
     RotationGate,
     VirtualZGate,
+    conjugated,
     reorder_pulse,
     rotation_matrix,
     sequence_from_dict,
@@ -17,16 +22,19 @@ from quditc.gates import (
 from quditc.linalg import is_unitary, max_norm
 
 
-def exponential_oracle(gate: RotationGate, dim: int) -> np.ndarray:
-    """Rotation as the exponential of the two-level generator pair."""
-    g = gate.normalized()
-    i, j = g.level_low, g.level_high
+def exponential_oracle(i: int, j: int, theta: float, phi: float, dim: int) -> np.ndarray:
+    """Rotation from level i to level j, as written, as the exponential of
+    the two-level generator pair."""
     sx = np.zeros((dim, dim), dtype=complex)
     sy = np.zeros((dim, dim), dtype=complex)
     sx[i, j] = sx[j, i] = 1.0
     sy[i, j] = -1j
     sy[j, i] = 1j
-    return expm(-1j * g.theta / 2 * (np.cos(g.phi) * sx + np.sin(g.phi) * sy))
+    return expm(-1j * theta / 2 * (np.cos(phi) * sx + np.sin(phi) * sy))
+
+
+def diag_matrix(phases) -> np.ndarray:
+    return np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
 
 
 class TestRotationMatrix:
@@ -55,7 +63,8 @@ class TestRotationMatrix:
     ])
     def test_matches_exponential_oracle(self, theta, phi, lo, hi, dim):
         gate = RotationGate(lo, hi, theta, phi)
-        assert max_norm(rotation_matrix(gate, dim) - exponential_oracle(gate, dim)) < 1e-12
+        oracle = exponential_oracle(lo, hi, theta, phi, dim)
+        assert max_norm(rotation_matrix(gate, dim) - oracle) < 1e-12
 
     def test_unitary(self):
         gate = RotationGate(1, 2, 1.9, -0.3)
@@ -84,6 +93,47 @@ class TestRotationMatrix:
     def test_special_unitary(self):
         det = np.linalg.det(rotation_matrix(RotationGate(1, 3, 0.77, 1.9), 4))
         assert abs(det - 1.0) <= 1e-12
+
+
+angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 7), b=st.integers(0, 7), theta=angles, phi=angles)
+def test_construction_stores_low_to_high(a, b, theta, phi):
+    # Rule 1: a gate written high->low is the same gate low->high with phi
+    # negated, and construction stores it that way.
+    assume(a != b)
+    gate = RotationGate(a, b, theta, phi)
+    assert gate == RotationGate(b, a, theta, -phi)
+    assert gate.level_low < gate.level_high
+    assert max_norm(rotation_matrix(gate, 8) - exponential_oracle(a, b, theta, phi, 8)) < 1e-12
+
+
+class TestConjugated:
+    def test_identity_phases_leave_gate_unchanged(self):
+        gate = RotationGate(0, 1, 0.8, 0.2)
+        assert conjugated(gate, np.zeros(3)) == gate
+
+    def test_three_level_example(self):
+        # diag(phi, gamma, delta) . R01(theta, a) = R01(theta, a - phi + gamma) . diag
+        phi, gamma, delta = 0.3, -0.9, 1.7
+        gate = RotationGate(0, 1, 1.1, 0.4)
+        rot = conjugated(gate, [phi, gamma, delta])
+        assert rot.phi == pytest.approx(0.4 - phi + gamma, abs=1e-14)
+        assert rot.theta == gate.theta
+
+    def test_matrix_oracle_random(self):
+        rng = np.random.default_rng(3)
+        for trial in range(100):
+            dim = int(rng.integers(3, 6))
+            lo, hi = (int(x) for x in rng.choice(dim, size=2, replace=False))
+            gate = RotationGate(lo, hi, float(rng.uniform(0, np.pi)),
+                                float(rng.uniform(-np.pi, np.pi)))
+            phases = rng.uniform(-np.pi, np.pi, size=dim)
+            lhs = diag_matrix(phases) @ rotation_matrix(gate, dim)
+            rhs = rotation_matrix(conjugated(gate, phases), dim) @ diag_matrix(phases)
+            assert max_norm(lhs - rhs) <= 1e-12
 
 
 class TestVirtualZMatrix:

@@ -145,7 +145,7 @@ def intended_operation(raw_gates, graph: CouplingGraph) -> np.ndarray:
             diag[index_of[state]] = np.exp(1j * gate.phi)
             logical = np.diag(diag) @ logical
         elif gate.routing:
-            g = g.apply_pulse(gate.normalized())
+            g = g.apply_pulse(gate)
         else:
             ra = index_of[g.state_at(gate.level_low)]
             rb = index_of[g.state_at(gate.level_high)]

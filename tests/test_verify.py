@@ -1,4 +1,5 @@
 """Reconstruction checks, including placement-aware sequence documents."""
+import copy
 import math
 
 import numpy as np
@@ -44,6 +45,25 @@ def test_routed_sequence_document_round_trip():
     )
     assert verify_sequence_document(u, doc, 1e-8)
     assert not verify_sequence_document(haar_unitary(3, 56), doc, 1e-8)
+
+
+def test_high_to_low_records_verify_like_low_to_high():
+    # A record written i > j is the rotation written j -> i with phi negated.
+    g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "2": 2})
+    u = haar_unitary(3, 91)
+    result = qr_decompose(u, g)
+    doc = sequence_to_dict(result.sequence, 3, result.residual_phases)
+    flipped = copy.deepcopy(doc)
+    for rec in flipped["gates"]:
+        rec["i"], rec["j"], rec["phi"] = rec["j"], rec["i"], -rec["phi"]
+    assert all(rec["i"] > rec["j"] for rec in flipped["gates"])
+    unflipped_phi = copy.deepcopy(flipped)
+    for rec, orig in zip(unflipped_phi["gates"], doc["gates"]):
+        rec["phi"] = orig["phi"]
+    for target, expected in ((u, True), (haar_unitary(3, 92), False)):
+        assert verify_sequence_document(target, doc, 1e-8) == expected
+        assert verify_sequence_document(target, flipped, 1e-8) == expected
+    assert not verify_sequence_document(u, unflipped_phi, 1e-8)
 
 
 def test_document_with_tampered_phase_fails():
