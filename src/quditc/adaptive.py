@@ -38,9 +38,10 @@ children use:
     it is zero, so it is neither rotated nor keeps a node from being
     terminal.  At the depth cap only a terminal child is kept, so a child
     that leaves a third row dirty is dropped before it is routed or rotated.
-  * A node records its path as parent-linked (r, r2, theta, phi) steps and
-    routes only when its two states are not adjacent.  Gates are emitted
-    once, for the final incumbent, by replaying its path.
+  * A node's placement is a list of its states' levels, moved by
+    ``graph.routed_levels`` when a child's two states are not adjacent.  A
+    node records its path as parent-linked (r, r2, theta, phi) steps; gates
+    (pulses, deposited phases) are emitted once, for the final incumbent.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from ._compile import (
     emit_rotation,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .graph import CouplingGraph, _topology, plan_routing
+from .graph import CouplingGraph, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .qr import _validated, emit_fixed, ladder, ladder_cost
@@ -160,7 +161,8 @@ class _Search:
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
         self.costs = {}      # theta -> rotation_cost(theta, 1, params)
-        self.dist = None     # level distances; routing never changes the edges
+        self.graph = None    # the edges routing follows; routing never changes them
+        self.dist = None     # level distances on those edges
         self.columns = None  # (c, [(r, r2), ...]): entry (r2, c) rotates into (r, c)
 
     def current_limit(self) -> float:
@@ -168,9 +170,10 @@ class _Search:
 
     def prepare(self, m, graph):
         """(moduli rows, phase rows, state levels) of a node given as a
-        full matrix and graph; also fixes the search's distance table and
-        its candidate (r, r2) pairs per column, in triple order."""
-        self.dist = _topology(graph.num_levels, graph.edges)[1].tolist()
+        full matrix and graph; also fixes the search's graph, distance table
+        and candidate (r, r2) pairs per column, in triple order."""
+        self.graph = graph
+        self.dist = _topology(graph.num_levels, graph.edges)[1]
         dim = len(self.states)
         self.columns = [(c, [(r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)])
                         for c in range(dim)]
@@ -214,14 +217,14 @@ class _Search:
                 yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
 
     def enter(self, stack, node) -> bool:
-        """Expand a node (rows, mag, ang, dirty, levels, graph, path, cost,
-        depth) onto the stack; False once the node budget is spent."""
+        """Expand a node (rows, mag, ang, dirty, levels, path, cost, depth)
+        onto the stack; False once the node budget is spent."""
         if self.stats.nodes_expanded >= self.config.max_nodes:
             self.stats.stop_reason = "node_budget"
             return False
         self.stats.nodes_expanded += 1
         self.stats.max_depth = max(self.stats.max_depth, node[-1])
-        _, mag, ang, _, levels, _, _, cost, _ = node
+        _, mag, ang, _, levels, _, cost, _ = node
         stack.append((self.children(mag, ang, levels, cost),) + node)
         return True
 
@@ -229,26 +232,21 @@ class _Search:
         """Depth-first search from the root.  Each stack frame holds a node
         and the iterator over its children, so a child's subtree is searched
         in full before its next sibling, as a recursive search would."""
-        states, pulse, costs = self.states, self.pulse_cost, self.costs
+        pulse, costs = self.pulse_cost, self.costs
         mag0, ang0, levels0 = self.prepare(m0, graph0)
-        dist = self.dist
+        graph, dist = self.graph, self.dist
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
         stack = []
-        if not self.enter(stack, (list(m0), mag0, ang0, dirty0, levels0, graph0, None, 0.0, 0)):
+        if not self.enter(stack, (list(m0), mag0, ang0, dirty0, levels0, None, 0.0, 0)):
             return
         while stack:
-            children, rows, mag, ang, dirty, levels, graph, path, cost, depth = stack[-1]
+            children, rows, mag, ang, dirty, levels, path, cost, depth = stack[-1]
             for step, c, r, r2, theta, phi in children:
                 if depth + 1 >= self.depth_cap and dirty & ~(1 << r | 1 << r2):
                     continue  # at the cap, only a terminal child is kept
-                if dist[levels[r]][levels[r2]] == 1:
-                    graph2, levels2, routing = graph, levels, 0.0
-                else:
-                    plan = plan_routing(graph, states[r], states[r2])
-                    graph2 = plan.resulting_graph
-                    levels2 = [graph2.logical_map[s] for s in states]
-                    routing = len(plan.pulses) * pulse
-                cost2 = cost + costs[theta] + routing
+                hops = dist[levels[r]][levels[r2]] - 1
+                levels2 = routed_levels(graph, levels, r, r2) if hops else levels
+                cost2 = cost + costs[theta] + hops * pulse
                 path2 = (path, r, r2, theta, phi)
                 x, y = apply_rotation_rows(rows[r], rows[r2], theta, phi)
                 rows2 = rows.copy()
@@ -269,7 +267,7 @@ class _Search:
                     mag2[r], mag2[r2] = mag_r, mag_r2
                     ang2[r] = np.arctan2(x.imag, x.real).tolist()
                     ang2[r2] = np.arctan2(y.imag, y.real).tolist()
-                    node = (rows2, mag2, ang2, dirty2, levels2, graph2, path2, cost2, depth + 1)
+                    node = (rows2, mag2, ang2, dirty2, levels2, path2, cost2, depth + 1)
                     if not self.enter(stack, node):
                         return
                     break

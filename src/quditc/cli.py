@@ -7,12 +7,14 @@ Subcommands:
   arch      dump the shipped example architectures as graph files
 
 Exit codes: 0 success, 1 verification failure / unexpected error,
-2 invalid input, 3 no solution within the search budget.
+2 invalid input (including an output path that cannot be written),
+3 no solution within the search budget.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -86,24 +88,16 @@ def _bool(text: str) -> bool:
 
 
 def cmd_compile(args) -> int:
-    try:
-        u = load_unitary(args.unitary)
-        graph = load_graph(args.graph)
-        params = _cost_params(args)
-        config = _search_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    u = load_unitary(args.unitary)
+    graph = load_graph(args.graph)
+    params = _cost_params(args)
+    config = _search_config(args)
     try:
         result = qr_decompose(u, graph, params) if args.mode == "qr" \
             else adaptive_compile(u, graph, config, params)
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
     if args.out:
         save_sequence(
@@ -125,26 +119,22 @@ def cmd_compile(args) -> int:
     }
     if result.stats is not None:
         summary.update(asdict(result.stats))
-    print(json.dumps(summary, sort_keys=True))
+        if not math.isfinite(summary["cost_limit"]):
+            summary["cost_limit"] = None  # no limit
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        params = _cost_params(args)
-        dims = [int(x) for x in args.dims.split(",") if x]
-        counts = [int(x) for x in args.counts.split(",") if x]
-        if args.graphs:
-            graphs = [(Path(path).stem, load_graph(path)) for path in args.graphs.split(",")]
-        else:
-            graphs = [arch for dim in sorted(set(dims)) for arch in architectures_for_dim(dim)]
-        records = run_suite(dims, counts, graphs, _search_config(args), params,
-                            seed=args.seed, workers=args.workers,
-                            word_length=args.word_length)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    params = _cost_params(args)
+    dims = [int(x) for x in args.dims.split(",") if x]
+    counts = [int(x) for x in args.counts.split(",") if x]
+    if args.graphs:
+        graphs = [(Path(path).stem, load_graph(path)) for path in args.graphs.split(",")]
+    else:
+        graphs = [arch for dim in sorted(set(dims)) for arch in architectures_for_dim(dim)]
+    records = run_suite(dims, counts, graphs, _search_config(args), params,
+                        seed=args.seed, workers=args.workers, word_length=args.word_length)
     rows = summarize(records)
     if args.records:
         write_records(records, args.records, include_timings=args.include_timings)
@@ -159,24 +149,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        u = load_unitary(args.unitary)
-        with open(args.sequence) as fh:
-            doc = json.load(fh)
-        ok = verify_sequence_document(u, doc, tol=args.tol)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    u = load_unitary(args.unitary)
+    with open(args.sequence) as fh:
+        doc = json.load(fh)
+    ok = verify_sequence_document(u, doc, tol=args.tol)
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_arch(args) -> int:
-    try:
-        archs = architectures_for_dim(args.dim)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    archs = architectures_for_dim(args.dim)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for arch_id, graph in archs:
@@ -242,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

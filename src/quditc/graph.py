@@ -8,7 +8,7 @@ entry of :meth:`CouplingGraph.state_order` (computational states in
 numeric order, then ancillas).
 
 Graphs are copy-on-write values: every mutating operation returns a new
-graph, so search trees can hold one snapshot per node.
+graph.  A search holds no graphs; :func:`routed_levels` moves its level list.
 
 The physics of reordering pulses is what makes routing non-trivial: a
 pulse is not a permutation but a swap followed by a phase deposit, so
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -77,25 +76,25 @@ def _checked_placement(mapping, num_levels: int) -> dict:
 
 @lru_cache(maxsize=512)
 def _topology(num_levels: int, edges: frozenset):
-    """Shared per-edge-set tables: adjacency lists (sorted) and all-pairs
-    BFS distances (-1 for unreachable)."""
+    """Per-edge-set tables, immutable as the cache shares them: adjacency
+    tuples (sorted) and all-pairs BFS distances dist[a][b] (-1: unreachable)."""
     adj: list[list[int]] = [[] for _ in range(num_levels)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     for nbrs in adj:
         nbrs.sort()
-    dist = np.full((num_levels, num_levels), -1, dtype=np.int64)
+    dist = []
     for src in range(num_levels):
-        dist[src, src] = 0
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
+        row, queue = [-1] * num_levels, [src]
+        row[src] = 0
+        for cur in queue:  # a list appended to while it is read: BFS order
             for nxt in adj[cur]:
-                if dist[src, nxt] < 0:
-                    dist[src, nxt] = dist[src, cur] + 1
+                if row[nxt] < 0:
+                    row[nxt] = row[cur] + 1
                     queue.append(nxt)
-    return tuple(tuple(n) for n in adj), dist
+        dist.append(tuple(row))
+    return tuple(tuple(n) for n in adj), tuple(dist)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class CouplingGraph:
         # Compilation needs every pair of mapped levels reachable; paths may
         # run through unmapped levels.
         _, dist = _topology(self.num_levels, self.edges)
-        if any(dist[levels[0], lv] < 0 for lv in levels[1:]):
+        if any(dist[levels[0]][lv] < 0 for lv in levels[1:]):
             raise ValueError("mapped levels are not mutually reachable")
 
     # -- queries ---------------------------------------------------------
@@ -181,12 +180,12 @@ class CouplingGraph:
     def shortest_level_path(self, src: int, dst: int) -> list[int]:
         """Lexicographically smallest shortest level path from src to dst."""
         adj, dist = _topology(self.num_levels, self.edges)
-        if dist[src, dst] < 0:
+        if dist[src][dst] < 0:
             raise ValueError(f"levels {src} and {dst} are disconnected")
         path = [src]
         cur = src
         while cur != dst:
-            cur = next(n for n in adj[cur] if dist[n, dst] == dist[cur, dst] - 1)
+            cur = next(n for n in adj[cur] if dist[n][dst] == dist[cur][dst] - 1)
             path.append(cur)
         return path
 
@@ -257,6 +256,20 @@ def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
         pulses.append(pulse)
         g = g.apply_pulse(pulse)
     return RoutingPlan(tuple(pulses), g)
+
+
+def routed_levels(graph: CouplingGraph, levels: list, i: int, j: int) -> list:
+    """The tracked states' levels (levels[k] is state k's) after plan_routing
+    brings state j next to state i: each level between them hands its content
+    back one hop, and j lands next to i.  Builds no pulse and no graph."""
+    path = graph.shortest_level_path(levels[j], levels[i])
+    state = {lv: k for k, lv in enumerate(levels)}
+    moved = list(levels)
+    for back, lv in zip(path, path[1:-1]):
+        if lv in state:
+            moved[state[lv]] = back
+    moved[j] = path[-2]
+    return moved
 
 
 def apply_graph_rules(gates, graph: CouplingGraph):

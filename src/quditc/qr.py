@@ -57,7 +57,7 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams) -> floa
     pulse = pulse_cost(params)
     total = 0.0
     for r, r2, theta, _ in steps:
-        n = int(dist[levels[r], levels[r2]]) - 1
+        n = dist[levels[r]][levels[r2]] - 1
         total += rotation_cost(theta, 1, params) + n * pulse
         for _ in range(n):
             total += pulse

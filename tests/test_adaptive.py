@@ -302,6 +302,22 @@ class TestRoutedSearch:
         result = adaptive_compile(u, bridged_graph, SearchConfig(max_nodes=10_000))
         assert verify_result(u, result)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(4, 7), arch=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           perm=st.randoms(use_true_random=False), max_nodes=st.integers(50, 300))
+    def test_priced_cost_is_emitted_cost(self, dim, arch, seed, perm, max_nodes):
+        # The search prices routing from its level list; the gates come from
+        # replaying plan_routing.  Any drift between the two shows here.
+        g = architectures_for_dim(dim)[arch][1]
+        levels = list(range(g.num_levels))
+        perm.shuffle(levels)
+        g = CouplingGraph(g.num_levels, g.edges,
+                          {s: levels[lv] for s, lv in g.logical_map.items()}, g.ancillas)
+        u = haar_unitary(dim, seed)
+        result = adaptive_compile(u, g, SearchConfig(max_nodes=max_nodes))
+        assert result.total_cost == pytest.approx(sequence_cost(result.sequence), rel=1e-12)
+        assert verify_result(u, result)
+
 
 class TestErrors:
     def test_non_unitary_rejected(self, path3):
@@ -397,7 +413,7 @@ def reference_children(search, m, graph, cost):
                 if abs(m[r2, c]) <= DEFAULT_TOL:
                     continue
                 theta, phi = annihilation_angles(m, r, r2, c)
-                hops = int(dist[graph.level_of(states[r]), graph.level_of(states[r2])]) - 1
+                hops = dist[graph.level_of(states[r])][graph.level_of(states[r2])] - 1
                 step = hops * pulse_cost(search.params) \
                     + rotation_cost(theta, 1, search.params)
                 if cost + step >= limit:

@@ -26,6 +26,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestCompile:
     def test_adaptive_writes_sequence(self, workdir, capsys):
         code = run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
@@ -108,9 +112,19 @@ class TestCompile:
         assert "invalid input" in capsys.readouterr().err
 
     def test_infinite_limit_factor_means_no_limit(self, workdir, capsys):
+        # the summary is strict JSON: no limit is null, not Infinity
+        for limit in (["--cost-limit-factor", "inf"],
+                      ["--cost-limit", "inf", "--warm-start", "false"]):
+            assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                        *limit, "--max-nodes", 200]) == EXIT_OK
+            summary = json.loads(capsys.readouterr().out, parse_constant=strict_json)
+            assert summary["cost_limit"] is None
+
+    def test_unwritable_output_is_invalid_input(self, workdir, capsys):
         assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
-                    "--cost-limit-factor", "inf", "--max-nodes", 200]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["cost_limit"] == float("inf")
+                    "--mode", "qr", "--out", workdir / "missing" / "seq.json"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["compile", "bench"])
     def test_cost_model_flag_removed(self, workdir, capsys, command):

@@ -3,16 +3,19 @@ master simulation property that pins their semantics."""
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditc.gates import RotationGate, VirtualZGate, reorder_pulse, rotation_matrix, sequence_matrix
 from quditc.graph import (
     CouplingGraph,
+    _topology,
     apply_graph_rules,
     embedding_matrix,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     plan_routing,
+    routed_levels,
     save_graph,
 )
 from quditc.linalg import max_norm
@@ -62,6 +65,15 @@ class TestDistance:
                     assert path[0] == i and path[-1] == j
                     assert len(path) - 1 == oracle[i][j]
                     assert all(g.is_adjacent(a, b) for a, b in zip(path, path[1:]))
+
+    def test_cached_table_is_immutable(self, path3):
+        # _topology's cache hands one table to every graph with these edges
+        _, dist = _topology(path3.num_levels, path3.edges)
+        with pytest.raises(TypeError):
+            dist[0][1] = 5
+        with pytest.raises(TypeError):
+            dist[0] = (0, 5, 5)
+        assert path3.shortest_level_path(0, 2) == [0, 1, 2]
 
     def test_unmapped_state_rejected(self, path3):
         with pytest.raises(ValueError):
@@ -123,6 +135,40 @@ class TestPlanRouting:
         plan = plan_routing(g, 0, 3)
         assert len(plan.pulses) == 1
         assert (plan.pulses[0].level_low, plan.pulses[0].level_high) == (1, 3)
+
+
+@st.composite
+def routing_cases(draw):
+    """A random connected graph of 2-11 levels, some of them unmapped and one
+    possibly holding an ancilla; the tracked states (the computational ones
+    or every mapped one) and two distinct indices i, j into them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 11))
+    mapped = draw(st.integers(2, n))
+    ancilla = mapped > 2 and draw(st.booleans())
+    labels = [str(k) for k in range(mapped - ancilla)] + ["a0"] * ancilla
+    levels = draw(st.permutations(range(n)))[:mapped]
+    g = CouplingGraph(n, random_connected_graph(n, rng), dict(zip(labels, levels)),
+                      frozenset(labels[mapped - ancilla:]))
+    states = g.state_order()
+    if draw(st.booleans()):
+        states = states[:g.num_computational]
+    i, j = draw(st.permutations(range(len(states))))[:2]
+    return g, states, i, j
+
+
+class TestRoutedLevels:
+    @settings(max_examples=400, deadline=None)
+    @given(case=routing_cases())
+    def test_matches_plan_routing(self, case):
+        # Content outside the tracked states (an untracked ancilla, an
+        # unmapped level) moves with the pulses but is not in the list.
+        g, states, i, j = case
+        levels = [g.logical_map[s] for s in states]
+        plan = plan_routing(g, states[i], states[j])
+        assert routed_levels(g, levels, i, j) == \
+            [plan.resulting_graph.logical_map[s] for s in states]
+        assert levels == [g.logical_map[s] for s in states]  # the input is not moved
 
 
 def logical_rotation_matrix(role_low: int, role_high: int, theta, phi, dim) -> np.ndarray:
