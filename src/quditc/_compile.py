@@ -21,7 +21,8 @@ import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .gates import RotationGate, conjugated
-from .graph import CouplingGraph, plan_routing
+from .graph import CouplingGraph, PlacementWalk
+from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 
 @dataclass
@@ -91,14 +92,13 @@ def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float):
     return c * x + a * y, b * x + c * y
 
 
-def emit_rotation(graph: CouplingGraph, state_i, state_j, theta: float, phi: float):
-    """Route state_j adjacent to state_i, then emit the phase-adjusted
-    rotation.  Returns (gates, new_graph): the routing pulses, then the
-    rotation."""
-    plan = plan_routing(graph, state_i, state_j)
-    g = plan.resulting_graph
-    rot = RotationGate(g.level_of(state_i), g.level_of(state_j), theta, phi)
-    return list(plan.pulses) + [conjugated(rot, g.node_phase)], g
+def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float) -> list:
+    """Route state j adjacent to state i on the walk, then emit the rotation
+    with the walk's phases.  Returns the routing pulses, then the rotation."""
+    gates = walk.route(i, j)
+    rot = RotationGate(walk.levels[i], walk.levels[j], theta, phi)
+    gates.append(conjugated(rot, walk.phases))
+    return gates
 
 
 def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,

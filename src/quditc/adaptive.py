@@ -9,6 +9,7 @@ placements the fixed sequence cannot.  By default the incumbent is seeded
 with the fixed elimination ladder (its steps replayed with one-way routing,
 or the fixed sequence itself where that replay does not fit the limit), so
 the search spends its node budget on improving a complete decomposition.
+The warm start is priced, not emitted: it is an incumbent like any other.
 
 The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
 not bounded by the recursion limit.  A node does only the work its taken
@@ -58,13 +59,13 @@ from ._compile import (
     apply_rotation_rows,
     assemble,
     compile_states,
-    emit_rotation,
+    emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .qr import _validated, emit_fixed, ladder, ladder_cost
+from .qr import _validated, emit_steps, ladder, ladder_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -98,20 +99,6 @@ class NoSolutionError(RuntimeError):
         self.stats = stats
 
 
-def _emit_path(graph, states, params, steps):
-    """Route and emit each (r, r2, theta, phi) step in order, starting from
-    graph; routing is never undone.  Returns (cost, gates, final graph)."""
-    g = graph
-    gates = []
-    cost = 0.0
-    pulse = pulse_cost(params)
-    for r, r2, theta, phi in steps:
-        step_gates, g = emit_rotation(g, states[r], states[r2], theta, phi)
-        gates.extend(step_gates)
-        cost += rotation_cost(theta, 1, params) + (len(step_gates) - 1) * pulse
-    return cost, gates, g
-
-
 def _path_steps(path) -> list:
     """The (r, r2, theta, phi) steps of a parent-linked path, root first."""
     steps = []
@@ -125,22 +112,26 @@ def _path_steps(path) -> list:
 def _ladder_replay(m0, graph, states, params, config):
     """Run the fixed elimination ladder at most once, for both of its uses:
     the cost limit (config's absolute one, else its factor times the fixed
-    sequence's cost) and, with warm start, an incumbent (cost, gates, final
-    graph, final matrix): the steps replayed with one-way routing, or the
-    fixed sequence where that replay costs at least the limit."""
+    sequence's cost) and, with warm start, an incumbent (cost, path, final
+    matrix), None if it does not fit the limit, and whether its routing is
+    undone: the steps replayed with one-way routing, or the fixed sequence
+    where that replay costs at least the limit."""
     limit = config.cost_limit
     if limit is not None and not config.warm_start:
-        return limit, None
+        return limit, None, False
     steps, m = ladder(m0)
     fixed = ladder_cost(steps, graph, states, params)
     if limit is None:
         limit = config.cost_limit_factor * fixed
     if not config.warm_start:
-        return limit, None
-    cost, gates, g = _emit_path(graph, states, params, steps)
-    if cost >= limit:
-        cost, (gates, g) = fixed, emit_fixed(graph, states, steps)
-    return limit, (cost, gates, g, m)
+        return limit, None, False
+    cost = ladder_cost(steps, graph, states, params, undo=False)
+    undo = cost >= limit
+    path = None
+    for step in steps:
+        path = (path, *step)
+    warm = (fixed if undo else cost, path, m)
+    return limit, warm if warm[0] < limit and is_diagonal(m) else None, undo
 
 
 def _dirty(row: list, k: int) -> bool:
@@ -155,7 +146,7 @@ class _Search:
         self.params = params
         self.limit = limit
         self.pulse_cost = pulse_cost(params)
-        self.best = None  # (cost, path, matrix); path None marks the ladder
+        self.best = None  # (cost, path, matrix)
         self.stats = SearchStats(cost_limit=limit)
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
@@ -288,20 +279,16 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
 
-    limit, replay = _ladder_replay(m0, graph, states, params, config)
+    limit, warm, undo = _ladder_replay(m0, graph, states, params, config)
     search = _Search(states, config, params, limit)
-    ladder_out = None
-    if replay is not None:
-        wcost, wgates, wgraph, wm = replay
-        if wcost < limit and is_diagonal(wm):
-            ladder_out = (wgates, wgraph)
-            search.best = (wcost, None, wm)
-            search.stats.solutions_found = 1
+    if warm is not None:
+        search.best = warm
+        search.stats.solutions_found = 1
     if config.return_first and search.best is not None:
         search.stats.stop_reason = "first_solution"
     else:
         search.run(m0, graph)
-    search.stats.beat_warm_start = ladder_out is not None and search.best[1] is not None
+    search.stats.beat_warm_start = warm is not None and search.best is not warm
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
     if search.best is None:
@@ -311,9 +298,9 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             search.stats,
         )
     cost, path, m_final = search.best
-    # The ladder's gates are already emitted; a search incumbent's are
-    # built here, once, by replaying its path from the initial graph.
-    gates, g_final_raw = ladder_out if path is None \
-        else _emit_path(graph, states, params, _path_steps(path))[1:]
+    # Gates are built here, once, by replaying the final incumbent's path
+    # from the initial graph; only the fixed-sequence warm start undoes
+    # its routing.
+    gates, g_final_raw = emit_steps(graph, _path_steps(path), undo and search.best is warm)
     sequence, theta, g_final = assemble(graph, g_final_raw, gates, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -123,10 +124,13 @@ def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
     whose computational state count matches, under both back-ends.
 
     `graphs` is a list of (architecture_id, CouplingGraph); records come
-    back ordered by (dim, architecture, index) regardless of workers.
+    back ordered by (dim, architecture, index) regardless of workers, which
+    is capped by the CPU and task counts (a forked pool starts them all).
     """
     if len(dims) != len(counts):
         raise ValueError("dims and counts must align")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     for dim, count in zip(dims, counts):
         matching = [(aid, g) for aid, g in graphs if g.num_computational == dim]
@@ -136,12 +140,11 @@ def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
         for aid, g in matching:
             for idx, u in enumerate(unitaries):
                 tasks.append((dim, aid, g, u, idx, config, params))
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_instance, tasks, chunksize=4))
-    else:
-        records = [_run_instance(t) for t in tasks]
-    return records
+            return list(pool.map(_run_instance, tasks, chunksize=4))
+    return [_run_instance(t) for t in tasks]
 
 
 def summarize(records) -> list[dict]:

@@ -7,7 +7,8 @@ Logical states are labelled "0".."d-1" for computational states and
 entry of :meth:`CouplingGraph.state_order` (computational states in
 numeric order, then ancillas).
 
-Graphs are copy-on-write values: every mutating operation returns a new
+Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
+moves a graph's placement in place, pulse by pulse, then builds one new
 graph.  A search holds no graphs; :func:`routed_levels` moves its level list.
 
 The physics of reordering pulses is what makes routing non-trivial: a
@@ -17,7 +18,8 @@ per level in ``node_phase`` and consumed by later gates:
 
   * pulse R(low,high)(pi, -pi/2) acts as (swap phases of low/high, then
     add pi at the high level); the inverted pulse deposits at the low
-    level; pulses with other phi values deposit phi-dependent phases,
+    level; pulses with other phi values deposit phi-dependent phases
+    (:meth:`PlacementWalk.pulse` is the one implementation),
   * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
     stored phases psi; :func:`gates.conjugated` is the one implementation
     (a gate written high->low is already stored low->high, phi negated).
@@ -168,12 +170,6 @@ class CouplingGraph:
         except KeyError:
             raise ValueError(f"logical state {key!r} is not mapped") from None
 
-    def state_at(self, level: int) -> str | None:
-        for s, lv in self.logical_map.items():
-            if lv == level:
-                return s
-        return None
-
     def is_adjacent(self, level_a: int, level_b: int) -> bool:
         return (min(level_a, level_b), max(level_a, level_b)) in self.edges
 
@@ -199,36 +195,6 @@ class CouplingGraph:
         g.__dict__.update(self.__dict__, **fields)
         return g
 
-    def with_phase_added(self, level: int, phi: float) -> "CouplingGraph":
-        phases = list(self.node_phase)
-        phases[level] = (phases[level] + phi) % _TWO_PI
-        return self._clone(node_phase=tuple(phases))
-
-    def apply_pulse(self, pulse: RotationGate) -> "CouplingGraph":
-        """Graph state after a reordering pulse: swap the two levels'
-        logical content and stored phases, then add the pulse's deposits."""
-        a, b = pulse.level_low, pulse.level_high
-        if not self.is_adjacent(a, b):
-            raise ValueError(f"pulse on non-coupled levels ({a},{b})")
-        if not math.isclose(abs(pulse.theta), math.pi, rel_tol=0, abs_tol=1e-12):
-            raise ValueError("reordering pulses must have |theta| == pi")
-        sign = 1.0 if pulse.theta > 0 else -1.0
-        dep_a = -pulse.phi - sign * math.pi / 2
-        dep_b = pulse.phi - sign * math.pi / 2
-
-        mapping = dict(self.logical_map)
-        sa, sb = self.state_at(a), self.state_at(b)
-        if sa is not None:
-            mapping[sa] = b
-        if sb is not None:
-            mapping[sb] = a
-
-        phases = list(self.node_phase)
-        phases[a], phases[b] = phases[b], phases[a]
-        phases[a] = (phases[a] + dep_a) % _TWO_PI
-        phases[b] = (phases[b] + dep_b) % _TWO_PI
-        return self._clone(logical_map=mapping, node_phase=tuple(phases))
-
 
 @dataclass(frozen=True)
 class RoutingPlan:
@@ -239,6 +205,51 @@ class RoutingPlan:
     resulting_graph: CouplingGraph
 
 
+class PlacementWalk:
+    """A graph's placement, moved in place by pulses: ``levels[k]`` is the
+    level of state k of ``state_order()``, ``state[lv]`` the state index at
+    level lv (None if unmapped), and ``phases[lv]`` its stored phase."""
+
+    def __init__(self, graph: CouplingGraph):
+        self.start = graph
+        self.levels = [graph.logical_map[s] for s in graph.state_order()]
+        self.state = [None] * graph.num_levels
+        for k, lv in enumerate(self.levels):
+            self.state[lv] = k
+        self.phases = list(graph.node_phase)
+
+    def pulse(self, pulse: RotationGate) -> None:
+        """The pulse rule: swap the two levels' logical content and stored
+        phases, then add the pulse's deposits."""
+        a, b = pulse.level_low, pulse.level_high
+        sign = 1.0 if pulse.theta > 0 else -1.0
+        dep_a = -pulse.phi - sign * math.pi / 2
+        dep_b = pulse.phi - sign * math.pi / 2
+        state, levels, phases = self.state, self.levels, self.phases
+        sa, sb = state[a], state[b]
+        state[a], state[b] = sb, sa
+        if sa is not None:
+            levels[sa] = b
+        if sb is not None:
+            levels[sb] = a
+        phases[a], phases[b] = (phases[b] + dep_a) % _TWO_PI, (phases[a] + dep_b) % _TWO_PI
+
+    def route(self, i: int, j: int) -> list:
+        """Pulse state j node by node along a shortest level path until it is
+        adjacent to state i (which stays put); returns the pulses."""
+        path = self.start.shortest_level_path(self.levels[j], self.levels[i])
+        pulses = [reorder_pulse(prev, nxt) for prev, nxt in zip(path, path[1:-1])]
+        for pulse in pulses:
+            self.pulse(pulse)
+        return pulses
+
+    def graph(self) -> CouplingGraph:
+        """The starting graph with the walk's placement and phases."""
+        mapping = dict(self.start.logical_map)
+        mapping.update(zip(self.start.state_order(), self.levels))
+        return self.start._clone(logical_map=mapping, node_phase=tuple(self.phases))
+
+
 def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
     """Move state_j node-by-node along a shortest path until it is adjacent
     to state_i (which stays put)."""
@@ -246,16 +257,9 @@ def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
     lb = graph.level_of(state_j)
     if la == lb:
         raise ValueError("cannot route a state to itself")
-    if graph.is_adjacent(la, lb):
-        return RoutingPlan((), graph)
-    path = graph.shortest_level_path(lb, la)
-    pulses = []
-    g = graph
-    for prev, nxt in zip(path[:-2], path[1:-1]):
-        pulse = reorder_pulse(prev, nxt)
-        pulses.append(pulse)
-        g = g.apply_pulse(pulse)
-    return RoutingPlan(tuple(pulses), g)
+    walk = PlacementWalk(graph)
+    pulses = walk.route(walk.state[la], walk.state[lb])
+    return RoutingPlan(tuple(pulses), walk.graph())
 
 
 def routed_levels(graph: CouplingGraph, levels: list, i: int, j: int) -> list:
@@ -263,11 +267,10 @@ def routed_levels(graph: CouplingGraph, levels: list, i: int, j: int) -> list:
     brings state j next to state i: each level between them hands its content
     back one hop, and j lands next to i.  Builds no pulse and no graph."""
     path = graph.shortest_level_path(levels[j], levels[i])
-    state = {lv: k for k, lv in enumerate(levels)}
     moved = list(levels)
     for back, lv in zip(path, path[1:-1]):
-        if lv in state:
-            moved[state[lv]] = back
+        if lv in levels:
+            moved[levels.index(lv)] = back
     moved[j] = path[-2]
     return moved
 
@@ -283,23 +286,27 @@ def apply_graph_rules(gates, graph: CouplingGraph):
     Returns (adjusted sequence, resulting graph).
     """
     out: list[Gate] = []
-    g = graph
+    walk = PlacementWalk(graph)
     for gate in gates:
         if isinstance(gate, VirtualZGate):
-            if gate.level >= g.num_levels:
+            if gate.level >= graph.num_levels:
                 raise ValueError(f"gate level {gate.level} out of range")
             # Recorded, not executed: the level now owes this phase, which
             # is the opposite sign of a physically deposited one.
-            g = g.with_phase_added(gate.level, -gate.phi)
+            walk.phases[gate.level] = (walk.phases[gate.level] - gate.phi) % _TWO_PI
             continue
-        if gate.level_high >= g.num_levels:
+        if gate.level_high >= graph.num_levels:
             raise ValueError(f"gate levels out of range: {gate}")
         if gate.routing:
+            if not graph.is_adjacent(gate.level_low, gate.level_high):
+                raise ValueError(f"pulse on non-coupled levels ({gate.level_low},{gate.level_high})")
+            if not math.isclose(abs(gate.theta), math.pi, rel_tol=0, abs_tol=1e-12):
+                raise ValueError("reordering pulses must have |theta| == pi")
             out.append(gate)
-            g = g.apply_pulse(gate)
+            walk.pulse(gate)
         else:
-            out.append(conjugated(gate, g.node_phase))
-    return out, g
+            out.append(conjugated(gate, walk.phases))
+    return out, walk.graph()
 
 
 def placement_embedding(mapping, num_levels: int, dim: int) -> np.ndarray:

@@ -25,6 +25,7 @@ checked before allocating: twice the documented scope of ``d <= 64``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,12 @@ def check_size(n: int, what: str) -> None:
     """Raise ValueError if a document names a size above MAX_LEVELS."""
     if n > MAX_LEVELS:
         raise ValueError(f"{what} {n} exceeds the cap of {MAX_LEVELS}")
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < inf (inf passes anything, NaN nothing)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def as_matrix(data, min_dim: int = 2) -> np.ndarray:
@@ -59,16 +66,14 @@ def max_norm(m: np.ndarray) -> float:
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff max-norm of (m† m − I) <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     d = m.shape[0]
     return max_norm(m.conj().T @ m - np.eye(d)) <= tol
 
 
 def is_diagonal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-diagonal modulus <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     off = m - np.diag(np.diag(m))
     return max_norm(off) <= tol
 
@@ -79,6 +84,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_
     The phase is aligned on the largest-modulus entry of b, which avoids
     division by near-zero entries.
     """
+    check_tol(tol)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)

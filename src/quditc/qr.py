@@ -1,5 +1,5 @@
-"""Fixed-sequence baseline decomposition, and the elimination ladder that
-both back-ends run.
+"""Fixed-sequence baseline decomposition, and the elimination ladder, its
+pricing and the one gate emitter that both back-ends run.
 
 Works like a Givens QR elimination with a sequence that is fixed a
 priori: columns left to right, sub-diagonal entries bottom to top, each
@@ -7,8 +7,9 @@ eliminated with a rotation on the adjacent index pair (r-1, r).  Where
 the coupling graph lacks the needed edge, reordering pulses are inserted
 and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
-the initial graph, and :func:`ladder_cost` prices the steps without
-emitting a gate.
+the initial graph, and :func:`ladder_cost` prices the steps (or, without
+the undo, the adaptive one-way replay) without emitting a gate.
+:func:`emit_steps` builds either form's gates on one placement walk.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from ._compile import (
     emit_rotation,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .graph import CouplingGraph, _topology
+from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
 # The ladder's skip: entries below this are treated as already annihilated
@@ -49,9 +50,11 @@ def ladder(m0: np.ndarray):
     return steps, m
 
 
-def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams) -> float:
-    """Cost of the steps with routing undone: each rotation plus its n
-    pulses, then the n inverse pulses one at a time, as emitted."""
+def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams,
+                undo: bool = True) -> float:
+    """Cost of the steps as emit_steps emits them: each rotation plus its n
+    pulses, then with undo the n inverse pulses one at a time; without it
+    the placement moves on, as routed_levels moves it."""
     dist = _topology(graph.num_levels, graph.edges)[1]
     levels = [graph.logical_map[s] for s in states]
     pulse = pulse_cost(params)
@@ -59,24 +62,30 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams) -> floa
     for r, r2, theta, _ in steps:
         n = dist[levels[r]][levels[r2]] - 1
         total += rotation_cost(theta, 1, params) + n * pulse
-        for _ in range(n):
-            total += pulse
+        if undo:
+            for _ in range(n):
+                total += pulse
+        elif n:
+            levels = routed_levels(graph, levels, r, r2)
     return total
 
 
-def emit_fixed(graph: CouplingGraph, states, steps):
-    """(gates, final graph) of the steps as the fixed sequence: each
-    rotation's routing is undone right after it, as ladder_cost prices."""
-    g = graph
+def emit_steps(graph: CouplingGraph, steps, undo: bool):
+    """(gates, final graph) of the (r, r2, theta, phi) steps on the states
+    of graph.state_order(), routed on one placement walk from graph.  With
+    undo each rotation's routing is inverted right after it (the fixed
+    sequence); without it the placement moves on."""
+    walk = PlacementWalk(graph)
     gates = []
     for r, r2, theta, phi in steps:
-        step_gates, g = emit_rotation(g, states[r], states[r2], theta, phi)
+        step_gates = emit_rotation(walk, r, r2, theta, phi)
         gates.extend(step_gates)
-        for pulse in reversed(step_gates[:-1]):
-            inv = pulse.inverse()
-            gates.append(inv)
-            g = g.apply_pulse(inv)
-    return gates, g
+        if undo:
+            for pulse in reversed(step_gates[:-1]):
+                inv = pulse.inverse()
+                gates.append(inv)
+                walk.pulse(inv)
+    return gates, walk.graph()
 
 
 def _validated(u) -> np.ndarray:
@@ -96,7 +105,7 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     if not is_diagonal(m):
         raise ValueError("elimination did not terminate in a diagonal")
 
-    gates, g = emit_fixed(graph, states, steps)
+    gates, g = emit_steps(graph, steps, undo=True)
     sequence, theta_res, g_final = assemble(graph, g, gates, m, dim)
     total = ladder_cost(steps, graph, states, params)
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)

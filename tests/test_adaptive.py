@@ -623,3 +623,16 @@ class TestWorkCounts:
         # the benchmark traces: once per rotation at emission, once per gate
         # at assembly
         assert tracer.calls(top, "phases.conjugated") >= len(result.sequence) > 0
+
+    def test_emission_runs_only_for_the_final_answer(self):
+        # The search beats its warm start here, so the warm start's gates
+        # are never built: one emitted rotation per rotation of the result.
+        tracing = _benchmark_tracing()
+        u = random_cliffords(7, 3, 2022)[0]
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            result = adaptive_module.adaptive_compile(u, path_architecture(7),
+                                                      SearchConfig(max_nodes=1000))
+        assert result.stats.beat_warm_start
+        top = "adaptive.adaptive_compile"
+        assert tracer.calls(top, "compile.emit_rotation") == result.rotation_count

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quditc import bench as bench_module
 from quditc.adaptive import SearchConfig
 from quditc.bench import (
     BenchRecord,
@@ -88,6 +89,39 @@ class TestRunSuite:
         assert [r.unitary_index for r in serial] == [r.unitary_index for r in parallel]
         assert [r.qr_cost for r in serial] == [r.qr_cost for r in parallel]
         assert [r.adaptive_cost for r in serial] == [r.adaptive_cost for r in parallel]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_suite([3], [1], architectures_for_dim(3), CFG, workers=workers)
+
+    @pytest.mark.parametrize("workers,tasks,size", [
+        (3, 9, 3), (10**6, 9, 4), (10**6, 2, 2), (2, 1, None),
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, workers, tasks, size):
+        # A fake pool records the size it is asked for and runs the tasks
+        # here; a real pool would fork every one of its processes.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench_module, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(bench_module.os, "cpu_count", lambda: 4)
+        graphs = [("path-3", path_architecture(3))]
+        records = run_suite([3], [tasks], graphs, CFG, seed=3, workers=workers)
+        assert len(records) == tasks
+        assert sizes == ([] if size is None else [size])
 
     def test_workers_reproduce_serial_records(self):
         graphs = architectures_for_dim(3)

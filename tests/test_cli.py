@@ -217,6 +217,17 @@ class TestVerify:
                     "--sequence", workdir / "seq.json"]) == EXIT_INVALID
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_out_of_range_tolerance_is_invalid_input(self, tmp_path, capsys, tol):
+        # an empty sequence is not a swap: an infinite tolerance passed it
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        save_unitary(swap, tmp_path / "u.json")
+        (tmp_path / "seq.json").write_text(json.dumps({"dim": 2, "gates": []}))
+        assert run(["verify", "--unitary", tmp_path / "u.json",
+                    "--sequence", tmp_path / "seq.json", "--tol", tol]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input" in captured.err
+
     def test_invalid_sequence_file(self, workdir, tmp_path):
         (tmp_path / "seq.json").write_text(json.dumps({"dim": 3, "gates": [{"type": "Q"}]}))
         assert run(["verify", "--unitary", workdir / "u.json",
@@ -248,6 +259,12 @@ class TestBench:
             run(["bench", "--dims", "3", "--counts", "3", "--seed", "9",
                  "--max-nodes", "2000", "--records", tmp_path / f"{name}.ndjson"])
         assert (tmp_path / "a.ndjson").read_bytes() == (tmp_path / "b.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_invalid_input(self, capsys, workers):
+        assert run(["bench", "--dims", "3", "--counts", "1",
+                    "--workers", workers]) == EXIT_INVALID
+        assert "workers" in capsys.readouterr().err
 
     def test_custom_graph_files(self, tmp_path, capsys):
         save_graph(path_architecture(3), tmp_path / "mygraph.json")

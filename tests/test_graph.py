@@ -1,11 +1,21 @@
-"""Coupling graph: distances, routing plans, the sign-flip rules, and the
-master simulation property that pins their semantics."""
+"""Coupling graph: distances, routing plans, the placement walk, the
+sign-flip rules, and the master simulation property that pins their
+semantics."""
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditc.gates import RotationGate, VirtualZGate, reorder_pulse, rotation_matrix, sequence_matrix
+from quditc.gates import (
+    RotationGate,
+    VirtualZGate,
+    conjugated,
+    reorder_pulse,
+    rotation_matrix,
+    sequence_matrix,
+)
 from quditc.graph import (
     CouplingGraph,
     _topology,
@@ -19,6 +29,7 @@ from quditc.graph import (
     save_graph,
 )
 from quditc.linalg import max_norm
+from quditc.qr import emit_steps
 
 
 def nx_graph(g: CouplingGraph) -> nx.Graph:
@@ -171,6 +182,79 @@ class TestRoutedLevels:
         assert levels == [g.logical_map[s] for s in states]  # the input is not moved
 
 
+def per_pulse_emission(graph: CouplingGraph, steps, undo: bool):
+    """Emission with the pulse rule applied one pulse at a time, as a graph
+    method once did it: a scan for the states at the two levels, a swap of
+    their stored phases, then each level's deposit.  Returns (gates,
+    state->level map, node phases)."""
+    order = graph.state_order()
+    mapping = dict(graph.logical_map)
+    phases = list(graph.node_phase)
+    gates = []
+
+    def pulse(gate):
+        a, b = gate.level_low, gate.level_high
+        sign = 1.0 if gate.theta > 0 else -1.0
+        dep_a = -gate.phi - sign * math.pi / 2
+        dep_b = gate.phi - sign * math.pi / 2
+        sa = next((s for s, lv in mapping.items() if lv == a), None)
+        sb = next((s for s, lv in mapping.items() if lv == b), None)
+        if sa is not None:
+            mapping[sa] = b
+        if sb is not None:
+            mapping[sb] = a
+        phases[a], phases[b] = phases[b], phases[a]
+        phases[a] = (phases[a] + dep_a) % (2 * math.pi)
+        phases[b] = (phases[b] + dep_b) % (2 * math.pi)
+        gates.append(gate)
+
+    for r, r2, theta, phi in steps:
+        path = graph.shortest_level_path(mapping[order[r2]], mapping[order[r]])
+        pulses = [reorder_pulse(prev, nxt) for prev, nxt in zip(path, path[1:-1])]
+        for p in pulses:
+            pulse(p)
+        rot = RotationGate(mapping[order[r]], mapping[order[r2]], theta, phi)
+        gates.append(conjugated(rot, phases))
+        if undo:
+            for p in reversed(pulses):
+                pulse(p.inverse())
+    return gates, mapping, phases
+
+
+@st.composite
+def walk_cases(draw):
+    """A routing_cases graph with stored phases in [-10, 10] (most of them
+    outside [0, 2 pi)) and a list of steps on its mapped states."""
+    g = draw(routing_cases())[0]
+    phases = draw(st.lists(st.floats(-10, 10), min_size=g.num_levels, max_size=g.num_levels))
+    g = CouplingGraph(g.num_levels, g.edges, g.logical_map, g.ancillas, tuple(phases))
+    pair = st.permutations(range(g.num_states)).map(lambda p: tuple(p[:2]))
+    steps = draw(st.lists(st.tuples(pair, st.floats(-7, 7), st.floats(-10, 10)), max_size=8))
+    return g, [(r, r2, theta, phi) for (r, r2), theta, phi in steps]
+
+
+def gate_bits(gate: RotationGate):
+    return gate.level_low, gate.level_high, gate.theta.hex(), gate.phi.hex(), gate.routing
+
+
+class TestPlacementWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases(), undo=st.booleans())
+    def test_matches_per_pulse_rule_bit_for_bit(self, case, undo):
+        g, steps = case
+        gates, g_final = emit_steps(g, steps, undo)
+        ref_gates, ref_map, ref_phases = per_pulse_emission(g, steps, undo)
+        assert [gate_bits(x) for x in gates] == [gate_bits(x) for x in ref_gates]
+        assert g_final.logical_map == ref_map
+        assert [p.hex() for p in g_final.node_phase] == [p.hex() for p in ref_phases]
+        if undo:
+            assert g_final.logical_map == g.logical_map
+
+    def test_unmapped_state_message(self, path3):
+        with pytest.raises(ValueError, match="'5' is not mapped"):
+            plan_routing(path3, 0, 5)
+
+
 def logical_rotation_matrix(role_low: int, role_high: int, theta, phi, dim) -> np.ndarray:
     return rotation_matrix(RotationGate(role_low, role_high, theta, phi), dim)
 
@@ -180,21 +264,23 @@ def intended_operation(raw_gates, graph: CouplingGraph) -> np.ndarray:
     pulses only move content; rotations act on whatever states currently
     sit at their levels; virtual Zs phase the state at their level."""
     order = graph.state_order()
-    index_of = {s: k for k, s in enumerate(order)}
     dim = len(order)
-    g = graph
+    at = {graph.level_of(s): k for k, s in enumerate(order)}  # level -> state index
     logical = np.eye(dim, dtype=complex)
     for gate in raw_gates:
         if isinstance(gate, VirtualZGate):
-            state = g.state_at(gate.level)
             diag = np.ones(dim, dtype=complex)
-            diag[index_of[state]] = np.exp(1j * gate.phi)
+            diag[at[gate.level]] = np.exp(1j * gate.phi)
             logical = np.diag(diag) @ logical
         elif gate.routing:
-            g = g.apply_pulse(gate)
+            a, b = gate.level_low, gate.level_high
+            sa, sb = at.pop(a, None), at.pop(b, None)
+            if sa is not None:
+                at[b] = sa
+            if sb is not None:
+                at[a] = sb
         else:
-            ra = index_of[g.state_at(gate.level_low)]
-            rb = index_of[g.state_at(gate.level_high)]
+            ra, rb = at[gate.level_low], at[gate.level_high]
             logical = logical_rotation_matrix(ra, rb, gate.theta, gate.phi, dim) @ logical
     return logical
 

@@ -60,6 +60,28 @@ class TestIsDiagonal:
         assert is_diagonal(m, tol)
 
 
+BAD_TOLS = [math.inf, math.nan, -1.0, 0.0]
+
+
+class TestToleranceIsChecked:
+    # An infinite tolerance passed any input; NaN, negative and zero ones
+    # failed every input.  All four are invalid.
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_is_unitary(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            is_unitary(H3, tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_is_diagonal(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            is_diagonal(np.eye(3, dtype=complex), tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_equal_up_to_global_phase(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            equal_up_to_global_phase(H3, H3, tol)
+
+
 class TestEqualUpToGlobalPhase:
     def test_explicit_global_phase(self):
         assert equal_up_to_global_phase(np.exp(1j * np.pi / 7) * H3, H3, 1e-12)

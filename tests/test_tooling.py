@@ -1,0 +1,41 @@
+"""The benchmark tracer's bindings: every quditc import kept only for
+benchmark/tracing.py names one of its bindings, and every binding resolves,
+so that the list of tracer-only imports stays exact."""
+import ast
+import importlib
+from pathlib import Path
+
+from test_adaptive import _benchmark_tracing
+
+MARK = "a binding benchmark/tracing.py wraps"
+SRC = Path(__file__).resolve().parents[1] / "src" / "quditc"
+
+
+def marked_imports():
+    """(module, name, line) of every imported name on a marked line, and
+    the (module, line) of every marked line."""
+    names, lines = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = f"quditc.{path.stem}"
+        text = path.read_text()
+        lines += [(module, n) for n, line in enumerate(text.splitlines(), 1) if MARK in line]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [(module, alias.asname or alias.name, alias.lineno)
+                          for alias in node.names]
+    marked = set(lines)
+    return [(m, name, n) for m, name, n in names if (m, n) in marked], lines
+
+
+def test_every_marked_import_is_a_binding():
+    bindings = {(module, attr) for module, attr, _, _ in _benchmark_tracing().BINDINGS}
+    imports, lines = marked_imports()
+    assert sorted({(m, n) for m, _, n in imports}) == sorted(lines)  # each mark is an import
+    assert imports
+    for module, name, line in imports:
+        assert (module, name) in bindings, f"{module}:{line} imports {name}, not a binding"
+
+
+def test_every_binding_resolves():
+    for module, attr, _, _ in _benchmark_tracing().BINDINGS:
+        assert callable(getattr(importlib.import_module(module), attr))
