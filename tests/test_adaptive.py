@@ -591,6 +591,15 @@ class TestGoldenGates:
         assert result_digest(results) == \
             "834c37a6e40c7f6002938c130662976eee74d3d6cd8d4bd18bca26ecbca0f493"
 
+    def test_haar31_warm_start_replay_unchanged(self):
+        # return_first accepts the warm start: the ladder's steps replayed
+        # with one-way routing, emitted and assembled without a search node.
+        results = [adaptive_compile(haar_unitary(31, seed), g, SearchConfig(return_first=True))
+                   for _, g in architectures_for_dim(31) for seed in (3101, 3102)]
+        assert all(r.stats.nodes_expanded == 0 for r in results)
+        assert result_digest(results) == \
+            "0ae44372f576df1aaeb00aee165a8489989c7913daca1bd0a6a3c3da786bb902"
+
 
 def _benchmark_tracing():
     """benchmark/tracing.py, loaded by path: it is not a package module."""
