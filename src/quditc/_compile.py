@@ -73,10 +73,12 @@ def compile_states(graph: CouplingGraph, dim: int) -> list[str]:
     )
 
 
-def annihilation_angles(m: np.ndarray, r: int, r2: int, c: int) -> tuple[float, float]:
-    """Rotation parameters that zero entry (r2, c) into entry (r, c)."""
-    theta = 2.0 * math.atan2(abs(m[r2, c]), abs(m[r, c]))
-    phi = -(math.pi / 2 + np.angle(m[r, c]) - np.angle(m[r2, c]))
+def annihilation_angles(m, r: int, r2: int, c: int) -> tuple[float, float]:
+    """Rotation parameters that zero entry (r2, c) into entry (r, c) of m (a
+    matrix or its rows); phases by np.arctan2, bit for bit as np.angle."""
+    low, high = m[r2][c], m[r][c]
+    theta = 2.0 * math.atan2(abs(low), abs(high))
+    phi = -(math.pi / 2 + np.arctan2(high.imag, high.real) - np.arctan2(low.imag, low.real))
     return theta, float(phi)
 
 
@@ -113,7 +115,8 @@ def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,
     dphase = np.array(final_graph.node_phase, dtype=np.float64)
     for k, state in enumerate(states):
         dphase[final_graph.level_of(state)] += delta[k]
-    sequence = tuple(conjugated(g, -dphase) for g in gates)
+    shifts = (-dphase).tolist()
+    sequence = tuple(conjugated(g, shifts) for g in gates)
     theta = np.empty(dim, dtype=np.float64)
     for k, state in enumerate(states):
         lv = initial_graph.level_of(state)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -28,7 +29,7 @@ import numpy as np
 from .linalg import check_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationGate:
     """Two-level rotation. ``routing=True`` marks a reordering pulse used
     to move logical content rather than act on it."""
@@ -59,11 +60,19 @@ class RotationGate:
 def conjugated(gate: RotationGate, phases) -> RotationGate:
     """D . R . D^dagger for D = diag(e^{i phases}): phi gains
     phases[high] - phases[low], so that D . R(theta, phi) = R(theta, phi +
-    phases[high] - phases[low]) . D.  The one implementation of the
-    rotation phase rule, at emission and at assembly alike."""
-    lo, hi = gate.level_low, gate.level_high
-    shift = float(phases[hi]) - float(phases[lo])
-    return RotationGate(lo, hi, gate.theta, gate.phi + shift, routing=gate.routing)
+    phases[high] - phases[low]) . D.  The one implementation of the rotation
+    phase rule, at emission and at assembly alike: a copy of the checked
+    gate, bypassing the constructor, whose new phi must be finite (else ValueError)."""
+    phi = gate.phi + (float(phases[gate.level_high]) - float(phases[gate.level_low]))
+    if not math.isfinite(phi):
+        raise ValueError("theta and phi must be finite")
+    new, set_field = object.__new__(RotationGate), object.__setattr__
+    set_field(new, "level_low", gate.level_low)
+    set_field(new, "level_high", gate.level_high)
+    set_field(new, "theta", gate.theta)
+    set_field(new, "phi", phi)
+    set_field(new, "routing", gate.routing)
+    return new
 
 
 @dataclass(frozen=True)
@@ -83,10 +92,11 @@ class VirtualZGate:
 Gate = Union[RotationGate, VirtualZGate]
 
 
+@lru_cache(maxsize=4096)
 def reorder_pulse(level_a: int, level_b: int) -> RotationGate:
-    """Reordering pulse with default values theta=pi, phi=-pi/2.  The pulse
-    swaps the levels' content either way, so it is always written in
-    canonical low->high orientation."""
+    """Reordering pulse with default values theta=pi, phi=-pi/2, written
+    low->high as it swaps the levels' content either way.  Gates are
+    immutable, so one per level pair is built and shared (a bounded cache)."""
     lo, hi = min(level_a, level_b), max(level_a, level_b)
     return RotationGate(lo, hi, math.pi, -math.pi / 2, routing=True)
 

@@ -9,7 +9,8 @@ numeric order, then ancillas).
 
 Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
 moves a graph's placement in place, pulse by pulse, then builds one new
-graph.  A search holds no graphs; :func:`routed_levels` moves its level list.
+graph; a search holds no graphs, and :func:`routed_levels` moves its level
+list.  Both route on a next-hop table built once per edge set (:func:`_topology`).
 
 The physics of reordering pulses is what makes routing non-trivial: a
 pulse is not a permutation but a swap followed by a phase deposit, so
@@ -78,25 +79,28 @@ def _checked_placement(mapping, num_levels: int) -> dict:
 
 @lru_cache(maxsize=512)
 def _topology(num_levels: int, edges: frozenset):
-    """Per-edge-set tables, immutable as the cache shares them: adjacency
-    tuples (sorted) and all-pairs BFS distances dist[a][b] (-1: unreachable)."""
+    """Per-edge-set tables, built once, immutable as the cache shares them:
+    next hops nxt[a][b], the smallest neighbour of a one hop closer to b (b
+    at b), and BFS distances dist[a][b]; both -1 where b is unreachable."""
     adj: list[list[int]] = [[] for _ in range(num_levels)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    for nbrs in adj:
-        nbrs.sort()
-    dist = []
+    nxt, dist = [], []
     for src in range(num_levels):
-        row, queue = [-1] * num_levels, [src]
-        row[src] = 0
-        for cur in queue:  # a list appended to while it is read: BFS order
-            for nxt in adj[cur]:
-                if row[nxt] < 0:
-                    row[nxt] = row[cur] + 1
-                    queue.append(nxt)
+        row, hop, queue = [-1] * num_levels, [-1] * num_levels, [src]
+        row[src], hop[src] = 0, src
+        for cur in queue:  # BFS order: hop[cur], the least first step to cur, is final
+            d, first = row[cur] + 1, hop[cur]
+            for n in adj[cur]:
+                if row[n] < 0:
+                    row[n], hop[n] = d, first if cur != src else n
+                    queue.append(n)
+                elif row[n] == d and first < hop[n]:
+                    hop[n] = first
+        nxt.append(tuple(hop))
         dist.append(tuple(row))
-    return tuple(tuple(n) for n in adj), tuple(dist)
+    return tuple(nxt), tuple(dist)
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,8 @@ class CouplingGraph:
         phases = tuple(float(p) for p in self.node_phase) or (0.0,) * self.num_levels
         if len(phases) != self.num_levels:
             raise ValueError("node_phase length must equal num_levels")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("node_phase entries must be finite")
         object.__setattr__(self, "node_phase", phases)
 
         # Compilation needs every pair of mapped levels reachable; paths may
@@ -175,14 +181,13 @@ class CouplingGraph:
 
     def shortest_level_path(self, src: int, dst: int) -> list[int]:
         """Lexicographically smallest shortest level path from src to dst."""
-        adj, dist = _topology(self.num_levels, self.edges)
+        nxt, dist = _topology(self.num_levels, self.edges)
         if dist[src][dst] < 0:
             raise ValueError(f"levels {src} and {dst} are disconnected")
         path = [src]
-        cur = src
-        while cur != dst:
-            cur = next(n for n in adj[cur] if dist[n][dst] == dist[cur][dst] - 1)
-            path.append(cur)
+        while src != dst:
+            src = nxt[src][dst]
+            path.append(src)
         return path
 
     # -- copy-on-write updates -------------------------------------------
@@ -237,7 +242,10 @@ class PlacementWalk:
     def route(self, i: int, j: int) -> list:
         """Pulse state j node by node along a shortest level path until it is
         adjacent to state i (which stays put); returns the pulses."""
-        path = self.start.shortest_level_path(self.levels[j], self.levels[i])
+        src, dst = self.levels[j], self.levels[i]
+        if self.start.is_adjacent(src, dst):
+            return []
+        path = self.start.shortest_level_path(src, dst)
         pulses = [reorder_pulse(prev, nxt) for prev, nxt in zip(path, path[1:-1])]
         for pulse in pulses:
             self.pulse(pulse)

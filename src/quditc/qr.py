@@ -33,21 +33,20 @@ NEGLIGIBLE = 1e-12
 
 
 def ladder(m0: np.ndarray):
-    """Run the fixed elimination on a copy of m0, the conjugate transpose
-    of the target.  Returns the (r, r2, theta, phi) steps in order and the
-    final matrix."""
-    m = m0.copy()
-    steps = []
-    dim = m.shape[0]
+    """Run the fixed elimination on m0, the conjugate transpose of the
+    target, as a list of rows (m0 is not modified).  Returns the (r, r2,
+    theta, phi) steps in order and the final matrix."""
+    rows, steps = list(m0), []
+    dim = len(rows)
     for c in range(dim):
         for r2 in range(dim - 1, c, -1):
-            if abs(m[r2, c]) < NEGLIGIBLE:
+            if abs(rows[r2][c]) < NEGLIGIBLE:
                 continue
             r = r2 - 1
-            theta, phi = annihilation_angles(m, r, r2, c)
+            theta, phi = annihilation_angles(rows, r, r2, c)
             steps.append((r, r2, theta, phi))
-            m[r], m[r2] = apply_rotation_rows(m[r], m[r2], theta, phi)
-    return steps, m
+            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi)
+    return steps, np.array(rows)
 
 
 def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams,

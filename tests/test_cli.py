@@ -156,6 +156,15 @@ class TestCompile:
                     "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phase", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_node_phase_is_invalid_input(self, workdir, tmp_path, capsys, phase):
+        # Python's json module reads these constants as floats
+        doc = json.dumps(graph_to_dict(path_architecture(3)))
+        (tmp_path / "bad.json").write_text(doc[:-1] + f', "node_phase": [{phase}, 0, 0]}}')
+        assert run(["compile", "--unitary", workdir / "u.json",
+                    "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
+        assert "node_phase" in capsys.readouterr().err
+
     def test_config_file(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cost": {"base_factor": 3e-4}}))

@@ -1,7 +1,10 @@
 """Rotation and virtual-Z gate matrices, checked against a matrix
 exponential oracle, and the rotation phase rule checked against direct
 matrix products."""
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -134,6 +137,54 @@ class TestConjugated:
             lhs = diag_matrix(phases) @ rotation_matrix(gate, dim)
             rhs = rotation_matrix(conjugated(gate, phases), dim) @ diag_matrix(phases)
             assert max_norm(lhs - rhs) <= 1e-12
+
+
+finite_angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+class TestGateCopy:
+    """conjugated and inverse copy an already checked gate instead of
+    running the constructor; the copy must be indistinguishable from a
+    constructed gate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
+           theta=finite_angles, phi=finite_angles, routing=st.booleans(),
+           phases=st.lists(finite_angles, min_size=8, max_size=8))
+    def test_conjugated_equals_constructed_gate(self, levels, theta, phi, routing, phases):
+        gate = RotationGate(*levels, theta, phi, routing=routing)
+        lo, hi = gate.level_low, gate.level_high
+        built = RotationGate(lo, hi, theta, gate.phi + (phases[hi] - phases[lo]), routing=routing)
+        for shifts in (phases, np.array(phases)):
+            copied = conjugated(gate, shifts)
+            assert copied == built
+            assert hash(copied) == hash(built)
+            assert repr(copied) == repr(built)
+        assert gate.inverse() == RotationGate(lo, hi, -theta, gate.phi, routing=routing)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_rejected(self, bad):
+        gate = RotationGate(0, 2, 0.8, 0.2)
+        for phases in ([bad, 0.0, 0.0], [0.0, 0.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                conjugated(gate, phases)
+        with pytest.raises(ValueError, match="finite"):  # a finite shift that overflows phi
+            conjugated(RotationGate(0, 1, 0.8, 1.5e308), [-1.5e308, 0.0])
+
+    def test_slotted_frozen_value(self):
+        gate = conjugated(RotationGate(3, 1, 0.8, 0.2, routing=True), [0.1, 0.2, 0.3, 0.4])
+        assert not hasattr(gate, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.phi = 0.0
+        for twin in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate), copy.copy(gate)):
+            assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)
+
+    def test_reorder_pulse_either_order(self):
+        for a, b in ((0, 1), (4, 2), (7, 3)):
+            assert reorder_pulse(a, b) == reorder_pulse(b, a)
+            assert reorder_pulse(a, b).level_low == min(a, b)
+        with pytest.raises(ValueError):
+            reorder_pulse(2, 2)
 
 
 class TestVirtualZMatrix:

@@ -18,6 +18,7 @@ from quditc.gates import (
 )
 from quditc.graph import (
     CouplingGraph,
+    PlacementWalk,
     _topology,
     apply_graph_rules,
     embedding_matrix,
@@ -48,6 +49,18 @@ def random_connected_graph(num_levels: int, rng) -> frozenset:
         a, b = rng.choice(num_levels, size=2, replace=False)
         edges.add((min(int(a), int(b)), max(int(a), int(b))))
     return frozenset(edges)
+
+
+@st.composite
+def connected_edges(draw, max_levels=12):
+    """A random connected edge set on 2..max_levels levels, all in use: a
+    random tree on shuffled labels plus random extra edges."""
+    n = draw(st.integers(2, max_levels))
+    label = draw(st.permutations(range(n)))
+    edges = {(label[draw(st.integers(0, k - 1))], label[k]) for k in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return frozenset((min(a, b), max(a, b)) for a, b in edges)
 
 
 def hops(g: CouplingGraph, state_i, state_j) -> int:
@@ -85,6 +98,17 @@ class TestDistance:
         with pytest.raises(TypeError):
             dist[0] = (0, 5, 5)
         assert path3.shortest_level_path(0, 2) == [0, 1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=connected_edges())
+    def test_next_hops_give_smallest_shortest_path(self, edges):
+        n = 1 + max(b for _, b in edges)
+        g = CouplingGraph(n, edges, {str(k): k for k in range(n)})
+        h = nx_graph(g)
+        for i in range(n):
+            for j in range(n):
+                # brute force: every shortest path, the smallest as a list
+                assert g.shortest_level_path(i, j) == min(nx.all_shortest_paths(h, i, j))
 
     def test_unmapped_state_rejected(self, path3):
         with pytest.raises(ValueError):
@@ -250,6 +274,21 @@ class TestPlacementWalk:
         if undo:
             assert g_final.logical_map == g.logical_map
 
+    @settings(max_examples=200, deadline=None)
+    @given(edges=connected_edges(), data=st.data())
+    def test_route_between_adjacent_states_is_empty(self, edges, data):
+        n = 1 + max(b for _, b in edges)
+        placement = data.draw(st.permutations(range(n)))
+        phases = data.draw(st.lists(st.floats(-7.0, 7.0), min_size=n, max_size=n))
+        g = CouplingGraph(n, edges, {str(k): lv for k, lv in enumerate(placement)},
+                          node_phase=tuple(phases))
+        walk = PlacementWalk(g)
+        before = (list(walk.levels), list(walk.state), list(walk.phases))
+        a, b = data.draw(st.sampled_from(sorted(edges)))
+        i, j = data.draw(st.permutations([walk.state[a], walk.state[b]]))
+        assert walk.route(i, j) == []
+        assert (walk.levels, walk.state, walk.phases) == before
+
     def test_unmapped_state_message(self, path3):
         with pytest.raises(ValueError, match="'5' is not mapped"):
             plan_routing(path3, 0, 5)
@@ -404,6 +443,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "2": 1})
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_node_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="node_phase"):
+            CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "2": 2},
+                          node_phase=(bad, 0.0, 0.0))
+
     def test_routing_may_cross_unmapped_levels(self):
         # levels 0 and 2 mapped, middle level unmapped but usable
         g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 2})
@@ -423,6 +468,12 @@ class TestFileFormat:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             graph_from_dict({"levels": 3, "edges": [[0, 1]]})
+
+    def test_rejects_nan_node_phase(self, path3):
+        doc = graph_to_dict(path3)
+        doc["node_phase"] = [0.0, float("nan"), 0.0]
+        with pytest.raises(ValueError, match="node_phase"):
+            graph_from_dict(doc)
 
     def test_dict_shape(self, path3):
         doc = graph_to_dict(path3)
