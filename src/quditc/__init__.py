@@ -4,13 +4,7 @@ energy-coupling-graph constraints."""
 from ._compile import CompilationResult, SearchStats
 from .adaptive import NoSolutionError, SearchConfig, adaptive_compile
 from .clifford import CliffordSpec, generator_set, random_clifford, random_cliffords
-from .cost import (
-    CostParams,
-    pulse_cost,
-    register_cost_model,
-    rotation_cost,
-    sequence_cost,
-)
+from .cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from .gates import (
     Gate,
     RotationGate,
@@ -78,7 +72,6 @@ __all__ = [
     "random_clifford",
     "random_cliffords",
     "reconstruction_error",
-    "register_cost_model",
     "reorder_pulse",
     "rotation_cost",
     "rotation_matrix",

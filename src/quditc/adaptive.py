@@ -2,14 +2,15 @@
 choices with routing-aware costs and a hard cost limit.
 
 Children annihilate one entry of one column; a child is kept only while
-the path stays under the cost limit (by default a factor of the fixed
-sequence's cost).  Routing pulses are not uncomputed, so the logical
+the path stays under the cost limit, ``cost_limit_factor`` times the fixed
+sequence's cost.  Routing pulses are not uncomputed, so the logical
 placement drifts with the search; this is what lets the search exploit
 placements the fixed sequence cannot.  By default the incumbent is seeded
 with the fixed elimination ladder (its steps replayed with one-way routing,
 or the fixed sequence itself where that replay does not fit the limit), so
 the search spends its node budget on improving a complete decomposition.
-The warm start is priced, not emitted: it is an incumbent like any other.
+The warm start is priced, not emitted: it is an incumbent (cost, path,
+matrix, undo) like any other, and only its undo flag can be True.
 
 The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
 not bounded by the recursion limit.  A node does only the work its taken
@@ -73,18 +74,15 @@ _HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class SearchConfig:
-    cost_limit_factor: float = 1.1
-    cost_limit: float | None = None     # absolute override of the factor
+    cost_limit_factor: float = 1.1      # the limit: this times the fixed sequence's cost
     max_nodes: int = 1_000_000
     return_first: bool = False
     max_depth: int | None = None        # default: d(d-1)/2 + d
     warm_start: bool = True             # seed the incumbent with the fixed ladder
 
     def __post_init__(self):
-        if math.isnan(self.cost_limit_factor) or math.isnan(self.cost_limit or 0.0):
-            raise ValueError("cost limits must not be NaN (inf means no limit)")
-        if self.cost_limit is None and self.cost_limit_factor < 1.0:
-            raise ValueError("cost_limit_factor must be >= 1 unless an absolute limit is given")
+        if not self.cost_limit_factor > 0:
+            raise ValueError("cost_limit_factor must be > 0 (inf means no limit)")
         if self.max_nodes < 0:
             raise ValueError("max_nodes must be >= 0")
         if self.max_depth is not None and self.max_depth < 1:
@@ -110,28 +108,25 @@ def _path_steps(path) -> list:
 
 
 def _ladder_replay(m0, graph, states, params, config):
-    """Run the fixed elimination ladder at most once, for both of its uses:
-    the cost limit (config's absolute one, else its factor times the fixed
-    sequence's cost) and, with warm start, an incumbent (cost, path, final
-    matrix), None if it does not fit the limit, and whether its routing is
-    undone: the steps replayed with one-way routing, or the fixed sequence
-    where that replay costs at least the limit."""
-    limit = config.cost_limit
-    if limit is not None and not config.warm_start:
-        return limit, None, False
+    """Run and price the fixed elimination ladder once, for both of its
+    uses: the cost limit (config's factor times the fixed sequence's cost)
+    and, with warm start, an incumbent (cost, path, final matrix, undo), None
+    if it does not fit the limit.  The incumbent is the steps replayed with
+    one-way routing, or the fixed sequence (undo True) where that replay
+    costs at least the limit."""
     steps, m = ladder(m0)
-    fixed = ladder_cost(steps, graph, states, params)
-    if limit is None:
-        limit = config.cost_limit_factor * fixed
+    fixed, one_way = ladder_cost(steps, graph, states, params)
+    limit = config.cost_limit_factor * fixed
     if not config.warm_start:
-        return limit, None, False
-    cost = ladder_cost(steps, graph, states, params, undo=False)
-    undo = cost >= limit
+        return limit, None
+    undo = one_way >= limit
+    cost = fixed if undo else one_way
+    if cost >= limit or not is_diagonal(m):
+        return limit, None
     path = None
     for step in steps:
         path = (path, *step)
-    warm = (fixed if undo else cost, path, m)
-    return limit, warm if warm[0] < limit and is_diagonal(m) else None, undo
+    return limit, (cost, path, m, undo)
 
 
 def _dirty(row: list, k: int) -> bool:
@@ -140,14 +135,14 @@ def _dirty(row: list, k: int) -> bool:
 
 
 class _Search:
-    def __init__(self, states, config, params, limit):
+    def __init__(self, states, config, params, limit, warm):
         self.states = states
         self.config = config
         self.params = params
         self.limit = limit
         self.pulse_cost = pulse_cost(params)
-        self.best = None  # (cost, path, matrix)
-        self.stats = SearchStats(cost_limit=limit)
+        self.best = warm  # (cost, path, matrix, undo), or None
+        self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
@@ -222,7 +217,11 @@ class _Search:
     def run(self, m0, graph0) -> None:
         """Depth-first search from the root.  Each stack frame holds a node
         and the iterator over its children, so a child's subtree is searched
-        in full before its next sibling, as a recursive search would."""
+        in full before its next sibling, as a recursive search would.  A
+        first-solution search that already holds an incumbent builds nothing."""
+        if self.config.return_first and self.best is not None:
+            self.stats.stop_reason = "first_solution"
+            return
         pulse, costs = self.pulse_cost, self.costs
         mag0, ang0, levels0 = self.prepare(m0, graph0)
         graph, dist = self.graph, self.dist
@@ -249,7 +248,7 @@ class _Search:
                 if not dirty2:
                     self.stats.solutions_found += 1
                     if self.best is None or cost2 < self.best[0]:
-                        self.best = (cost2, path2, np.array(rows2))
+                        self.best = (cost2, path2, np.array(rows2), False)
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
@@ -279,15 +278,9 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
 
-    limit, warm, undo = _ladder_replay(m0, graph, states, params, config)
-    search = _Search(states, config, params, limit)
-    if warm is not None:
-        search.best = warm
-        search.stats.solutions_found = 1
-    if config.return_first and search.best is not None:
-        search.stats.stop_reason = "first_solution"
-    else:
-        search.run(m0, graph)
+    limit, warm = _ladder_replay(m0, graph, states, params, config)
+    search = _Search(states, config, params, limit, warm)
+    search.run(m0, graph)
     search.stats.beat_warm_start = warm is not None and search.best is not warm
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -297,10 +290,9 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             f"after {search.stats.nodes_expanded} nodes",
             search.stats,
         )
-    cost, path, m_final = search.best
+    cost, path, m_final, undo = search.best
     # Gates are built here, once, by replaying the final incumbent's path
-    # from the initial graph; only the fixed-sequence warm start undoes
-    # its routing.
-    gates, g_final_raw = emit_steps(graph, _path_steps(path), undo and search.best is warm)
+    # from the initial graph.
+    gates, g_final_raw = emit_steps(graph, _path_steps(path), undo)
     sequence, theta, g_final = assemble(graph, g_final_raw, gates, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

@@ -131,6 +131,8 @@ def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
         raise ValueError("dims and counts must align")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if any(count < 1 for count in counts):
+        raise ValueError(f"every count must be >= 1, got {list(counts)}")
     tasks = []
     for dim, count in zip(dims, counts):
         matching = [(aid, g) for aid, g in graphs if g.num_computational == dim]

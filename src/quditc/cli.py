@@ -173,15 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="single-qudit unitary compiler")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="decompose one unitary")
+    p = sub.add_parser("compile", help="decompose one unitary", allow_abbrev=False)
     p.add_argument("--unitary", required=True, type=Path)
     p.add_argument("--graph", required=True, type=Path)
     p.add_argument("--mode", choices=("adaptive", "qr"), default="adaptive")
     # search flags left out set no attribute: _search_config keeps the defaults
     search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
     search.add_argument("--cost-limit-factor", type=float)
-    search.add_argument("--cost-limit", type=float,
-                        help="absolute cost limit (overrides the factor)")
     search.add_argument("--max-nodes", type=int)
     search.add_argument("--max-depth", type=int)
     search.add_argument("--return-first", type=_bool)
@@ -190,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_args(p)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("bench", help="run the benchmark suite")
+    p = sub.add_parser("bench", help="run the benchmark suite", allow_abbrev=False)
     p.add_argument("--dims", default="3,5,7")
     p.add_argument("--counts", default="100,100,50")
     p.add_argument("--graphs", default=None,

@@ -9,12 +9,10 @@ with the graph distance of the two states:
 where t = |theta|/pi and c is the calibrated angle in units of pi.
 Virtual Z gates cost nothing.
 
-Models are swappable: alternatives register under a name and are selected
-via ``CostParams.model``, so every consumer that
-carries a CostParams automatically uses the chosen hardware model.  A
-registered model must be a pure function of (theta, dist, params): the
-adaptive search prices each distinct angle once per search and reuses
-the value.
+Models are swappable: ``CostParams.model`` holds the model function, so
+every consumer that carries a CostParams uses the chosen hardware model.
+A model must be a pure function of (theta, dist, params): the adaptive
+search prices each distinct angle once per search and reuses the value.
 """
 from __future__ import annotations
 
@@ -24,27 +22,6 @@ from typing import Callable
 
 from .gates import RotationGate
 
-DEFAULT_MODEL = "calibrated-linear"
-
-
-@dataclass(frozen=True)
-class CostParams:
-    base_factor: float = 1e-4
-    calibrated_angle: float = 0.5   # units of pi
-    model: str = DEFAULT_MODEL
-
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.base_factor, self.calibrated_angle)):
-            raise ValueError("cost parameters must be finite and positive")
-
-
-CostModel = Callable[[float, int, CostParams], float]
-_MODELS: dict[str, CostModel] = {}
-
-
-def register_cost_model(name: str, fn: CostModel) -> None:
-    _MODELS[name] = fn
-
 
 def _calibrated_linear(theta: float, dist: int, params: CostParams) -> float:
     t = (abs(theta) % (2.0 * math.pi)) / math.pi
@@ -53,19 +30,25 @@ def _calibrated_linear(theta: float, dist: int, params: CostParams) -> float:
     return params.base_factor * dist * (4.0 * t + penalty)
 
 
-register_cost_model(DEFAULT_MODEL, _calibrated_linear)
+@dataclass(frozen=True)
+class CostParams:
+    base_factor: float = 1e-4
+    calibrated_angle: float = 0.5   # units of pi
+    model: Callable[[float, int, CostParams], float] = _calibrated_linear
+
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in (self.base_factor, self.calibrated_angle)):
+            raise ValueError("cost parameters must be finite and positive")
+        if not callable(self.model):
+            raise ValueError(f"cost model {self.model!r} is not callable")
 
 
 def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) -> float:
     """Cost of one two-level rotation by theta (radians) at graph distance
-    dist, under the model params selects."""
+    dist, under params' model."""
     if dist < 1:
         raise ValueError("distance must be >= 1")
-    try:
-        model = _MODELS[params.model]
-    except KeyError:
-        raise ValueError(f"unknown cost model {params.model!r}") from None
-    return model(theta, dist, params)
+    return params.model(theta, dist, params)
 
 
 def pulse_cost(params: CostParams = CostParams()) -> float:

@@ -77,7 +77,10 @@ def _checked_placement(mapping, num_levels: int) -> dict:
     return placement
 
 
-@lru_cache(maxsize=512)
+# One entry at 128 levels holds about 280 KB (tracemalloc), so 32 entries
+# cap the cache near 9 MB.  Placements on one edge set share an entry; a
+# benchmark workload uses 3 edge sets.
+@lru_cache(maxsize=32)
 def _topology(num_levels: int, edges: frozenset):
     """Per-edge-set tables, built once, immutable as the cache shares them:
     next hops nxt[a][b], the smallest neighbour of a one hop closer to b (b

@@ -7,8 +7,8 @@ eliminated with a rotation on the adjacent index pair (r-1, r).  Where
 the coupling graph lacks the needed edge, reordering pulses are inserted
 and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
-the initial graph, and :func:`ladder_cost` prices the steps (or, without
-the undo, the adaptive one-way replay) without emitting a gate.
+the initial graph, and :func:`ladder_cost` prices the steps, and in the
+same pass the adaptive one-way replay, without emitting a gate.
 :func:`emit_steps` builds either form's gates on one placement walk.
 """
 from __future__ import annotations
@@ -49,24 +49,27 @@ def ladder(m0: np.ndarray):
     return steps, np.array(rows)
 
 
-def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams,
-                undo: bool = True) -> float:
-    """Cost of the steps as emit_steps emits them: each rotation plus its n
-    pulses, then with undo the n inverse pulses one at a time; without it
-    the placement moves on, as routed_levels moves it."""
+def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams):
+    """(fixed, one_way): the cost of the steps as emit_steps emits them with
+    and without undo.  Fixed is each rotation plus its n pulses, then the n
+    inverse pulses one at a time, from the initial placement; one-way moves
+    the placement on, as routed_levels moves it.  Each rotation is priced
+    once, for both sums."""
     dist = _topology(graph.num_levels, graph.edges)[1]
-    levels = [graph.logical_map[s] for s in states]
+    start = levels = [graph.logical_map[s] for s in states]
     pulse = pulse_cost(params)
-    total = 0.0
+    fixed = one_way = 0.0
     for r, r2, theta, _ in steps:
+        rot = rotation_cost(theta, 1, params)
+        n = dist[start[r]][start[r2]] - 1
+        fixed += rot + n * pulse
+        for _ in range(n):
+            fixed += pulse
         n = dist[levels[r]][levels[r2]] - 1
-        total += rotation_cost(theta, 1, params) + n * pulse
-        if undo:
-            for _ in range(n):
-                total += pulse
-        elif n:
+        one_way += rot + n * pulse
+        if n:
             levels = routed_levels(graph, levels, r, r2)
-    return total
+    return fixed, one_way
 
 
 def emit_steps(graph: CouplingGraph, steps, undo: bool):
@@ -106,7 +109,7 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
 
     gates, g = emit_steps(graph, steps, undo=True)
     sequence, theta_res, g_final = assemble(graph, g, gates, m, dim)
-    total = ladder_cost(steps, graph, states, params)
+    total = ladder_cost(steps, graph, states, params)[0]
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)
 
 
@@ -115,4 +118,4 @@ def qr_cost_bound(u, graph: CouplingGraph, params: CostParams = CostParams()) ->
     steps without emitting a gate."""
     u = _validated(u)
     states = compile_states(graph, u.shape[0])
-    return ladder_cost(ladder(u.conj().T)[0], graph, states, params)
+    return ladder_cost(ladder(u.conj().T)[0], graph, states, params)[0]

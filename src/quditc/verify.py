@@ -11,13 +11,19 @@ the plain  matrix(sequence) . diag(e^{i theta}) == U.
 
 :func:`reconstruction_sides` builds both sides from plain state->level
 placements, so a result (placements from its graphs) and a sequence
-document (placements from its maps) are checked by the same code.
+document (placements from its maps) are checked by the same code.  The
+left side starts from E_initial . diag(e^{i theta}) and applies each gate
+to the rows it touches; ``gates.sequence_matrix`` is the full-matrix
+reference it agrees with.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .gates import sequence_from_dict, sequence_matrix
+from ._compile import apply_rotation_rows
+from .gates import VirtualZGate, sequence_from_dict
 from .graph import CouplingGraph, placement_embedding
 from .linalg import VERIFY_TOL, equal_up_to_global_phase, max_norm
 
@@ -25,11 +31,20 @@ from .linalg import VERIFY_TOL, equal_up_to_global_phase, max_norm
 def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phases,
                          initial_map, final_map) -> tuple[np.ndarray, np.ndarray]:
     """(left side, right side) of the reconstruction identity.  Raises
-    ValueError for a placement that is not one-to-one onto the levels."""
+    ValueError for a placement that is not one-to-one onto the levels, or a
+    gate level outside them."""
     dim = u.shape[0]
-    phys = sequence_matrix(sequence, num_levels)
-    lhs = phys @ placement_embedding(initial_map, num_levels, dim) \
+    lhs = placement_embedding(initial_map, num_levels, dim) \
         @ np.diag(np.exp(1j * np.asarray(residual_phases)))
+    try:
+        for gate in sequence:
+            if isinstance(gate, VirtualZGate):
+                lhs[gate.level] *= cmath.exp(1j * gate.phi)
+            else:
+                i, j = gate.level_low, gate.level_high
+                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], gate.theta, gate.phi)
+    except IndexError:  # gate levels are non-negative, so none wraps around
+        raise ValueError(f"a gate level is out of range for {num_levels} levels") from None
     rhs = placement_embedding(final_map, num_levels, dim) @ u
     return lhs, rhs
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from quditc import cost as cost_module
-from quditc.cost import CostParams, register_cost_model
+from quditc.cost import CostParams
 from quditc.graph import CouplingGraph
 
 
@@ -37,32 +36,7 @@ def bridged_graph() -> CouplingGraph:
     return CouplingGraph(8, edges, mapping, frozenset({"a0"}))
 
 
-@pytest.fixture(autouse=True)
-def _cost_registry_unchanged():
-    """Fail any test that leaves a cost model registered behind it."""
-    before = dict(cost_module._MODELS)
-    yield
-    assert cost_module._MODELS == before, "a test leaked a cost-model registration"
-
-
 @pytest.fixture
-def temp_cost_model():
-    """register(name, fn) puts a cost model in the registry for one test and
-    returns the CostParams that select it; teardown unregisters it."""
-    names = []
-
-    def register(name, fn):
-        register_cost_model(name, fn)
-        names.append(name)
-        return CostParams(model=name)
-
-    yield register
-    for name in names:
-        cost_module._MODELS.pop(name)
-
-
-@pytest.fixture
-def flat_cost_model(temp_cost_model):
+def flat_cost_model():
     """A flat per-gate cost, a hundred times below the default model's."""
-    return temp_cost_model("flat-per-gate-test",
-                           lambda theta, dist, p: 0.01 * p.base_factor * dist)
+    return CostParams(model=lambda theta, dist, p: 0.01 * p.base_factor * dist)

@@ -22,7 +22,7 @@ from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
-from quditc.qr import qr_cost_bound, qr_decompose
+from quditc.qr import ladder, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
@@ -97,18 +97,21 @@ class TestCostLimit:
             assert verify_result(u, result)
 
     def test_absolute_limit_respected(self, path3):
+        # an absolute limit L is the factor L / qr_cost_bound
         u = haar_unitary(3, 41)
         generous = adaptive_compile(u, path3, SearchConfig(max_nodes=20_000))
         limit = generous.total_cost * 1.001
+        factor = limit / qr_cost_bound(u, path3)
+        assert factor < 1.0
         result = adaptive_compile(
-            u, path3, SearchConfig(cost_limit=limit, max_nodes=20_000)
+            u, path3, SearchConfig(cost_limit_factor=factor, max_nodes=20_000)
         )
         assert result.total_cost < limit
 
     def test_unreachable_limit_raises(self, path3):
         u = haar_unitary(3, 42)
         with pytest.raises(NoSolutionError) as info:
-            adaptive_compile(u, path3, SearchConfig(cost_limit=1e-9, max_nodes=1000))
+            adaptive_compile(u, path3, SearchConfig(cost_limit_factor=1e-9, max_nodes=1000))
         assert info.value.stats.nodes_expanded >= 1
         assert info.value.stats.solutions_found == 0
 
@@ -216,9 +219,26 @@ class TestStopReason:
         assert cold.stats.stop_reason == "first_solution"
         assert cold.stats.nodes_expanded > 0 and not cold.stats.beat_warm_start
 
+    def test_first_solution_with_incumbent_builds_no_table(self):
+        # An accepted warm start answers a first-solution search before
+        # any per-search table (distances, candidate pairs) is built.
+        g = path_architecture(7)
+        u = haar_unitary(7, 77)
+        m0 = u.conj().T.copy()
+        states = compile_states(g, 7)
+        cfg = SearchConfig(return_first=True)
+        limit, warm = adaptive_module._ladder_replay(m0, g, states, CostParams(), cfg)
+        assert warm is not None and warm[3] is False  # the one-way replay
+        search = _Search(states, cfg, CostParams(), limit, warm)
+        search.run(m0, g)
+        assert search.best is warm and search.stats.solutions_found == 1
+        assert search.stats.stop_reason == "first_solution"
+        assert search.stats.nodes_expanded == 0
+        assert search.dist is None and search.columns is None
+
     def test_no_solution_error_carries_reason(self, path3):
         with pytest.raises(NoSolutionError) as info:
-            adaptive_compile(haar_unitary(3, 42), path3, SearchConfig(cost_limit=1e-9))
+            adaptive_compile(haar_unitary(3, 42), path3, SearchConfig(cost_limit_factor=1e-9))
         assert info.value.stats.stop_reason == "exhausted"
         with pytest.raises(NoSolutionError) as info:
             adaptive_compile(haar_unitary(5, 83), path_architecture(5),
@@ -329,8 +349,8 @@ class TestErrors:
             adaptive_compile(np.eye(5, dtype=complex), path3)
 
     @pytest.mark.parametrize("fields", [
-        {"cost_limit_factor": math.nan}, {"cost_limit": math.nan},
-        {"cost_limit": 1.0, "cost_limit_factor": math.nan}, {"cost_limit_factor": 0.5},
+        {"cost_limit_factor": math.nan}, {"cost_limit_factor": 0.0},
+        {"cost_limit_factor": -1.0}, {"cost_limit_factor": -math.inf},
         {"max_nodes": -1}, {"max_depth": 0}, {"max_depth": -2},
     ])
     def test_invalid_config_rejected(self, fields):
@@ -338,7 +358,7 @@ class TestErrors:
             SearchConfig(**fields)
 
     @pytest.mark.parametrize("fields", [
-        {"cost_limit_factor": math.inf}, {"cost_limit": math.inf},
+        {"cost_limit_factor": math.inf}, {"cost_limit_factor": 0.5},
         {"max_nodes": 0}, {"max_depth": 1},
     ])
     def test_limits_at_the_boundary_accepted(self, fields):
@@ -457,7 +477,7 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit)
+        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
         if incumbent:
             search.best = (limit, None, None)
         children = list(search.children(*search.prepare(m, g), spent))
@@ -476,7 +496,7 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit)
+        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
         search.best = (limit, None, None)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
@@ -489,7 +509,7 @@ class TestNodeScoring:
         assert yielded == expected
 
 
-    def test_cold_root_prices_lazily(self, temp_cost_model):
+    def test_cold_root_prices_lazily(self):
         # Before the first incumbent a node prices its candidates in (r, r2)
         # order and stops at the first one it yields.
         priced = []
@@ -498,7 +518,7 @@ class TestNodeScoring:
             priced.append(theta)
             return cost_module._calibrated_linear(theta, dist, p)
 
-        params = temp_cost_model("lazy-pricing-test", counting)
+        params = CostParams(model=counting)
         g = path_architecture(5)
         g = CouplingGraph(5, g.edges, {str(k): (2 * k + 1) % 5 for k in range(5)})
         rejected = 0
@@ -507,7 +527,7 @@ class TestNodeScoring:
             m = u.conj().T.copy()
             limit = 1.1 * qr_cost_bound(u, g)
             states = compile_states(g, 5)
-            reference = _Search(states, SearchConfig(), CostParams(), limit)
+            reference = _Search(states, SearchConfig(), CostParams(), limit, None)
             # Past limit - pulse, a candidate that needs routing is rejected.
             for spent in (0.0, limit - pulse_cost(params)):
                 listed = reference_children(reference, m, g, spent)
@@ -515,7 +535,7 @@ class TestNodeScoring:
                           for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
                           if abs(m[r2, c]) > DEFAULT_TOL]
                 expected = thetas[:thetas.index(listed[0][4]) + 1]
-                search = _Search(states, SearchConfig(), params, limit)
+                search = _Search(states, SearchConfig(), params, limit, None)
                 priced.clear()
                 children = search.children(*search.prepare(m, g), spent)
                 assert next(children) == listed[0]
@@ -542,20 +562,38 @@ class TestCustomCostModel:
             assert result.total_cost < result.stats.cost_limit
             assert verify_result(u, result)
 
-    def test_each_angle_priced_once_per_search(self, temp_cost_model):
+    def test_warm_start_prices_each_ladder_step_once(self):
+        # The ladder is priced in one pass for the limit and the warm start:
+        # apart from the pulse angle, the model sees each step's angle once.
+        calls = []
+
+        def counting(theta, dist, p):
+            calls.append(theta)
+            return cost_module._calibrated_linear(theta, dist, p)
+
+        params = CostParams(model=counting)
+        for _, g in architectures_for_dim(5):
+            u = haar_unitary(5, 1400)
+            steps = ladder(u.conj().T)[0]
+            calls.clear()
+            result = adaptive_compile(u, g, SearchConfig(return_first=True), params)
+            assert result.stats.nodes_expanded == 0 and result.stats.solutions_found == 1
+            assert [t for t in calls if t != math.pi] == [t for _, _, t, _ in steps]
+
+    def test_each_angle_priced_once_per_search(self):
         calls = Counter()
 
         def counting(theta, dist, p):
             calls[theta] += 1
             return cost_module._calibrated_linear(theta, dist, p)
 
-        params = temp_cost_model("counting-test", counting)
+        params = CostParams(model=counting)
         g = CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 2, "2": 1})
         cfg = SearchConfig(max_nodes=10_000_000, max_depth=4)
         for seed in range(4):
             u = haar_unitary(3, 1200 + seed)
             m0 = u.conj().T.copy()
-            search = _Search(compile_states(g, 3), cfg, params, 1.1 * qr_cost_bound(u, g))
+            search = _Search(compile_states(g, 3), cfg, params, 1.1 * qr_cost_bound(u, g), None)
             calls.clear()
             search.run(m0, g)
             assert calls and max(calls.values()) == 1

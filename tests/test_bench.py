@@ -95,6 +95,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="workers"):
             run_suite([3], [1], architectures_for_dim(3), CFG, workers=workers)
 
+    @pytest.mark.parametrize("counts", [[-2], [0, 0], [1, 0]])
+    def test_count_below_one_rejected(self, counts):
+        with pytest.raises(ValueError, match="count"):
+            run_suite([3] * len(counts), counts, architectures_for_dim(3), CFG)
+
     @pytest.mark.parametrize("workers,tasks,size", [
         (3, 9, 3), (10**6, 9, 4), (10**6, 2, 2), (2, 1, None),
     ])

@@ -1,11 +1,12 @@
 """Command-line surface: file round-trips, modes, and exit codes."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from quditc.adaptive import adaptive_compile
-from quditc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK, main
+from quditc.adaptive import SearchConfig, adaptive_compile
+from quditc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK, build_parser, main
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import graph_to_dict, save_graph
 from quditc.bench import path_architecture
@@ -56,7 +57,7 @@ class TestCompile:
 
     def test_no_solution_exit_code(self, workdir, tmp_path):
         code = run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
-                    "--cost-limit", "1e-12", "--max-nodes", 100,
+                    "--cost-limit-factor", "1e-9", "--max-nodes", 100,
                     "--out", tmp_path / "x.json"])
         assert code == EXIT_NO_SOLUTION
 
@@ -100,11 +101,32 @@ class TestCompile:
         assert exc.value.code == 2
         assert "--threshold" in capsys.readouterr().err
 
+    def test_cost_limit_flag_removed(self, workdir, capsys):
+        # an absolute limit L is --cost-limit-factor L / qr_cost_bound
+        with pytest.raises(SystemExit) as exc:
+            run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                 "--cost-limit", "1e-3"])
+        assert exc.value.code == 2
+        assert "--cost-limit" in capsys.readouterr().err
+
+    def test_search_flags_are_search_config_fields(self):
+        # _search_config reads fields by name, so a flag whose field is gone
+        # would be ignored without an error
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        fields_ = {f.name for f in fields(SearchConfig)}
+
+        def search_dests(command):
+            group, = [g for g in subparsers[command]._action_groups if g.title == "search"]
+            return {action.dest for action in group._group_actions}
+
+        assert search_dests("compile") == fields_
+        assert search_dests("bench") <= fields_
+
     @pytest.mark.parametrize("mode", ["adaptive", "qr"])
     @pytest.mark.parametrize("flag,value", [
         ("--cost-base-factor", "nan"), ("--cost-base-factor", "inf"),
         ("--cost-calibrated-angle", "nan"), ("--cost-calibrated-angle", "inf"),
-        ("--cost-limit-factor", "nan"), ("--cost-limit", "nan"), ("--max-depth", "-2"),
+        ("--cost-limit-factor", "nan"), ("--cost-limit-factor", "0"), ("--max-depth", "-2"),
     ])
     def test_out_of_range_parameters_are_invalid_input(self, workdir, capsys, mode, flag, value):
         assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
@@ -114,7 +136,7 @@ class TestCompile:
     def test_infinite_limit_factor_means_no_limit(self, workdir, capsys):
         # the summary is strict JSON: no limit is null, not Infinity
         for limit in (["--cost-limit-factor", "inf"],
-                      ["--cost-limit", "inf", "--warm-start", "false"]):
+                      ["--cost-limit-factor", "inf", "--warm-start", "false"]):
             assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
                         *limit, "--max-nodes", 200]) == EXIT_OK
             summary = json.loads(capsys.readouterr().out, parse_constant=strict_json)
@@ -274,6 +296,12 @@ class TestBench:
         assert run(["bench", "--dims", "3", "--counts", "1",
                     "--workers", workers]) == EXIT_INVALID
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", ["-2", "0,0", "1,0"])
+    def test_count_below_one_is_invalid_input(self, capsys, counts):
+        dims = ",".join(["3"] * len(counts.split(",")))
+        assert run(["bench", "--dims", dims, "--counts", counts]) == EXIT_INVALID
+        assert "count" in capsys.readouterr().err
 
     def test_custom_graph_files(self, tmp_path, capsys):
         save_graph(path_architecture(3), tmp_path / "mygraph.json")

@@ -83,8 +83,11 @@ class TestModelRegistry:
         assert result.total_cost == pytest.approx(1e-6 * len(result.sequence), rel=1e-12)
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            rotation_cost(1.0, 1, CostParams(model="no-such-model"))
+        # a model is a function; a name (models were once registered by
+        # name) or None is not one
+        for model in ("calibrated-linear", None):
+            with pytest.raises(ValueError, match="not callable"):
+                CostParams(model=model)
 
 
 def test_sequence_cost_counts_rotations_only():

@@ -9,15 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from quditc._compile import apply_rotation_rows
 from quditc.bench import architectures_for_dim
 from quditc.clifford import random_cliffords
-from quditc.cost import rotation_cost
+from quditc.cost import CostParams, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph
-from quditc.qr import qr_cost_bound, qr_decompose
+from quditc.qr import emit_steps, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary
 from test_adaptive import result_digest
-from test_graph import random_connected_graph
+from test_graph import random_connected_graph, walk_cases
 
 
 class TestReconstruction:
@@ -133,6 +133,18 @@ class TestCostBound:
         assert result.total_cost == pytest.approx(rotation_cost(1.0, 1)
                                                   + 4 * rotation_cost(np.pi, 1), rel=1e-12)
         assert qr_cost_bound(u, g) == result.total_cost
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_cases())
+    def test_prices_both_emitted_forms(self, case):
+        # one pass prices the fixed form (routing undone) and the one-way
+        # replay; each is the cost of the gates emit_steps builds for it
+        g, steps = case
+        fixed, one_way = ladder_cost(steps, g, g.state_order(), CostParams())
+        assert fixed == pytest.approx(sequence_cost(emit_steps(g, steps, True)[0]),
+                                      rel=1e-12, abs=1e-15)
+        assert one_way == pytest.approx(sequence_cost(emit_steps(g, steps, False)[0]),
+                                        rel=1e-12, abs=1e-15)
 
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))

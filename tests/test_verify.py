@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditc.adaptive import SearchConfig, adaptive_compile
-from quditc.gates import sequence_to_dict
-from quditc.graph import CouplingGraph
+from quditc.gates import RotationGate, VirtualZGate, sequence_matrix, sequence_to_dict
+from quditc.graph import CouplingGraph, placement_embedding
 from quditc.qr import qr_decompose
-from quditc.verify import reconstruction_error, verify_result, verify_sequence_document
+from quditc.verify import (
+    reconstruction_error,
+    reconstruction_sides,
+    verify_result,
+    verify_sequence_document,
+)
 
 from conftest import haar_unitary
+from test_graph import random_raw_sequence
 
 
 def test_reconstruction_error_is_small_for_valid_results(path3):
@@ -122,3 +128,30 @@ def test_phased_graphs_reconstruct_under_both_back_ends(graph, seed, with_ancill
     assert verify_result(u, qr_decompose(u, graph))
     config = SearchConfig(max_nodes=50)
     assert verify_result(u, adaptive_compile(u, graph, config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=phased_graphs(), seed=st.integers(0, 2**16), with_ancilla=st.booleans(),
+       length=st.integers(0, 8))
+def test_row_sides_match_sequence_matrix(graph, seed, with_ancilla, length):
+    # The sides applied row by row equal the sides built from the full
+    # sequence matrix, on raw routed sequences with virtual Z gates.
+    rng = np.random.default_rng(seed)
+    dim = graph.num_states if with_ancilla else graph.num_computational
+    u = haar_unitary(dim, seed)
+    raw = random_raw_sequence(graph, rng, length)
+    phases = rng.uniform(-math.pi, math.pi, dim)
+    placement = graph.logical_map
+    lhs, rhs = reconstruction_sides(u, raw, graph.num_levels, phases, placement, placement)
+    n = graph.num_levels
+    ref = sequence_matrix(raw, n) @ placement_embedding(placement, n, dim) \
+        @ np.diag(np.exp(1j * phases))
+    assert np.max(np.abs(lhs - ref)) <= 1e-12
+    assert np.array_equal(rhs, placement_embedding(placement, n, dim) @ u)
+
+
+@pytest.mark.parametrize("gate", [RotationGate(1, 2, 0.5, 0.0), VirtualZGate(2, 0.5)])
+def test_out_of_range_gate_level_rejected(gate):
+    placement = {"0": 0, "1": 1}
+    with pytest.raises(ValueError, match="out of range"):
+        reconstruction_sides(np.eye(2), [gate], 2, [0.0, 0.0], placement, placement)
