@@ -3,7 +3,7 @@ energy-coupling-graph constraints."""
 
 from ._compile import CompilationResult, SearchStats
 from .adaptive import NoSolutionError, SearchConfig, adaptive_compile
-from .clifford import CliffordSpec, generator_set, random_clifford, random_cliffords
+from .clifford import generator_set, random_clifford, random_cliffords
 from .cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from .gates import (
     Gate,
@@ -41,7 +41,6 @@ from .verify import reconstruction_error, verify_result, verify_sequence_documen
 __version__ = "0.1.0"
 
 __all__ = [
-    "CliffordSpec",
     "CompilationResult",
     "CostParams",
     "CouplingGraph",

@@ -111,13 +111,13 @@ def _ladder_replay(m0, graph, states, params, config):
     """Run and price the fixed elimination ladder once, for both of its
     uses: the cost limit (config's factor times the fixed sequence's cost)
     and, with warm start, an incumbent (cost, path, final matrix, undo), None
-    if it does not fit the limit.  The incumbent is the steps replayed with
-    one-way routing, or the fixed sequence (undo True) where that replay
-    costs at least the limit."""
+    if it does not fit the limit or has more steps than config.max_depth.
+    The incumbent is the steps replayed with one-way routing, or the fixed
+    sequence (undo True) where that replay costs at least the limit."""
     steps, m = ladder(m0)
     fixed, one_way = ladder_cost(steps, graph, states, params)
     limit = config.cost_limit_factor * fixed
-    if not config.warm_start:
+    if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
         return limit, None
     undo = one_way >= limit
     cost = fixed if undo else one_way

@@ -1,5 +1,6 @@
 """Benchmark harness: compile seeded random Clifford sets under both
-back-ends across target architectures and aggregate min/avg/max costs.
+back-ends across target architectures, serially in this process, and
+aggregate min/avg/max costs.
 
 Machine output is line-delimited JSON records plus a CSV summary; the
 human table reports costs scaled by 1e4.  Wall times are measured but
@@ -10,10 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -87,8 +86,7 @@ def architectures_for_dim(dim: int) -> list[tuple[str, CouplingGraph]]:
 
 # -- suite execution --------------------------------------------------------
 
-def _run_instance(args) -> BenchRecord:
-    dim, arch_id, graph, u, idx, config, params = args
+def _run_instance(dim, arch_id, graph, u, idx, config, params) -> BenchRecord:
     t0 = time.perf_counter()
     qr = qr_decompose(u, graph, params)
     qr_ok = verify_result(u, qr)
@@ -118,35 +116,30 @@ def _run_instance(args) -> BenchRecord:
 
 
 def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
-              params: CostParams = CostParams(), seed: int = 0,
-              workers: int = 1, word_length: int = 12) -> list[BenchRecord]:
+              params: CostParams = CostParams(), seed: int = 0) -> list[BenchRecord]:
     """Compile `counts[i]` seeded Cliffords of each dims[i] on every graph
-    whose computational state count matches, under both back-ends.
+    whose computational state count matches, under both back-ends, one
+    instance at a time.
 
     `graphs` is a list of (architecture_id, CouplingGraph); records come
-    back ordered by (dim, architecture, index) regardless of workers, which
-    is capped by the CPU and task counts (a forked pool starts them all).
+    back ordered by (dim, architecture, index).
     """
     if len(dims) != len(counts):
         raise ValueError("dims and counts must align")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if any(count < 1 for count in counts):
         raise ValueError(f"every count must be >= 1, got {list(counts)}")
-    tasks = []
+    suites = []  # every input is checked and drawn before the first compile
     for dim, count in zip(dims, counts):
         matching = [(aid, g) for aid, g in graphs if g.num_computational == dim]
         if not matching:
             raise ValueError(f"no architecture with {dim} computational states")
-        unitaries = random_cliffords(dim, count, seed, word_length)
+        suites.append((dim, matching, random_cliffords(dim, count, seed)))
+    records = []
+    for dim, matching, unitaries in suites:
         for aid, g in matching:
             for idx, u in enumerate(unitaries):
-                tasks.append((dim, aid, g, u, idx, config, params))
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_instance, tasks, chunksize=4))
-    return [_run_instance(t) for t in tasks]
+                records.append(_run_instance(dim, aid, g, u, idx, config, params))
+    return records
 
 
 def summarize(records) -> list[dict]:

@@ -133,8 +133,7 @@ def cmd_bench(args) -> int:
         graphs = [(Path(path).stem, load_graph(path)) for path in args.graphs.split(",")]
     else:
         graphs = [arch for dim in sorted(set(dims)) for arch in architectures_for_dim(dim)]
-    records = run_suite(dims, counts, graphs, _search_config(args), params,
-                        seed=args.seed, workers=args.workers, word_length=args.word_length)
+    records = run_suite(dims, counts, graphs, _search_config(args), params, seed=args.seed)
     rows = summarize(records)
     if args.records:
         write_records(records, args.records, include_timings=args.include_timings)
@@ -194,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", default=None,
                    help="comma-separated graph files (default: shipped architectures)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--word-length", type=int, default=12)
     search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
     search.add_argument("--cost-limit-factor", type=float)
     search.add_argument("--max-nodes", type=int, default=5000)  # a bench-sized budget

@@ -185,6 +185,21 @@ class TestSearchControls:
         assert verify_result(u, cold)
         assert warm.total_cost <= cold.total_cost + 1e-15
 
+    def test_warm_start_respects_max_depth(self):
+        # The ladder takes three rotations here.  Under a depth cap of one it
+        # is no incumbent, so the capped search finds nothing, warm or cold;
+        # a cap of three keeps it.
+        u = haar_unitary(3, 1)
+        assert len(ladder(u.conj().T)[0]) == 3
+        for _, g in architectures_for_dim(3):
+            for warm_start in (True, False):
+                with pytest.raises(NoSolutionError) as info:
+                    adaptive_compile(u, g, SearchConfig(max_depth=1, warm_start=warm_start))
+                assert info.value.stats.solutions_found == 0
+            first = adaptive_compile(u, g, SearchConfig(max_depth=3, return_first=True))
+            assert first.stats.nodes_expanded == 0 and first.rotation_count == 3
+            assert verify_result(u, first)
+
     def test_stats_populated(self, path3):
         u = haar_unitary(3, 7)
         result = adaptive_compile(u, path3, SearchConfig(max_nodes=5000))

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,66 +77,24 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite([5], [1], architectures_for_dim(3), CFG)
 
+    def test_inputs_checked_before_any_compile(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(bench_module, "_run_instance", lambda *a: compiled.append(a))
+        with pytest.raises(ValueError, match="5 computational states"):
+            run_suite([3, 5], [1, 1], architectures_for_dim(3), CFG)
+        with pytest.raises(ValueError, match="prime"):
+            run_suite([3, 4], [1, 1],
+                      [*architectures_for_dim(3), *architectures_for_dim(4)], CFG)
+        assert compiled == []
+
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
             run_suite([3, 5], [1], architectures_for_dim(3), CFG)
-
-    def test_parallel_workers_same_order(self):
-        graphs = [("path-3", path_architecture(3))]
-        serial = run_suite([3], [4], graphs, CFG, seed=3, workers=1)
-        parallel = run_suite([3], [4], graphs, CFG, seed=3, workers=2)
-        assert [r.unitary_index for r in serial] == [r.unitary_index for r in parallel]
-        assert [r.qr_cost for r in serial] == [r.qr_cost for r in parallel]
-        assert [r.adaptive_cost for r in serial] == [r.adaptive_cost for r in parallel]
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            run_suite([3], [1], architectures_for_dim(3), CFG, workers=workers)
 
     @pytest.mark.parametrize("counts", [[-2], [0, 0], [1, 0]])
     def test_count_below_one_rejected(self, counts):
         with pytest.raises(ValueError, match="count"):
             run_suite([3] * len(counts), counts, architectures_for_dim(3), CFG)
-
-    @pytest.mark.parametrize("workers,tasks,size", [
-        (3, 9, 3), (10**6, 9, 4), (10**6, 2, 2), (2, 1, None),
-    ])
-    def test_pool_size_is_bounded(self, monkeypatch, workers, tasks, size):
-        # A fake pool records the size it is asked for and runs the tasks
-        # here; a real pool would fork every one of its processes.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(bench_module, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(bench_module.os, "cpu_count", lambda: 4)
-        graphs = [("path-3", path_architecture(3))]
-        records = run_suite([3], [tasks], graphs, CFG, seed=3, workers=workers)
-        assert len(records) == tasks
-        assert sizes == ([] if size is None else [size])
-
-    def test_workers_reproduce_serial_records(self):
-        graphs = architectures_for_dim(3)
-        serial = run_suite([3], [3], graphs, CFG, seed=5, workers=1)
-        parallel = run_suite([3], [3], graphs, CFG, seed=5, workers=2)
-
-        def untimed(records):
-            return [replace(r, wall_time_ms=None) for r in records]
-
-        assert len(serial) == 9
-        assert untimed(parallel) == untimed(serial)
 
 
 class TestSummarize:

@@ -291,11 +291,13 @@ class TestBench:
                  "--max-nodes", "2000", "--records", tmp_path / f"{name}.ndjson"])
         assert (tmp_path / "a.ndjson").read_bytes() == (tmp_path / "b.ndjson").read_bytes()
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_is_invalid_input(self, capsys, workers):
-        assert run(["bench", "--dims", "3", "--counts", "1",
-                    "--workers", workers]) == EXIT_INVALID
-        assert "workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,value", [("--workers", "2"), ("--word-length", "4")])
+    def test_pool_and_word_length_flags_removed(self, capsys, flag, value):
+        # the suite runs serially, on words of clifford.WORD_LENGTH generators
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--dims", "3", "--counts", "1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("counts", ["-2", "0,0", "1,0"])
     def test_count_below_one_is_invalid_input(self, capsys, counts):

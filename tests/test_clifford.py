@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from quditc.clifford import CliffordSpec, generator_set, random_clifford, random_cliffords
+from quditc import clifford as clifford_module
+from quditc.clifford import generator_set, random_clifford, random_cliffords
 from quditc.linalg import equal_up_to_global_phase, is_diagonal, is_unitary, max_norm
 
 
@@ -58,29 +61,39 @@ class TestGeneratorSet:
 
 class TestRandomClifford:
     def test_deterministic(self):
-        a = random_clifford(CliffordSpec(5, 123))
-        b = random_clifford(CliffordSpec(5, 123))
+        a = random_clifford(5, 123)
+        b = random_clifford(5, 123)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = random_clifford(CliffordSpec(3, 1))
-        b = random_clifford(CliffordSpec(3, 2))
+        a = random_clifford(3, 1)
+        b = random_clifford(3, 2)
         assert not np.allclose(a, b)
 
     def test_unitary(self):
         for dim in (3, 5, 7):
-            u = random_clifford(CliffordSpec(dim, 9))
+            u = random_clifford(dim, 9)
             assert is_unitary(u, 1e-10)
 
-    def test_never_diagonal(self):
+    def test_never_diagonal(self, monkeypatch):
+        # About one word in eleven of length WORD_LENGTH is diagonal at d=3,
+        # so a thousand seeds redraw many times; each draw is tested once.
+        tested = []
+
+        def counting(u, *args):
+            tested.append(u)
+            return is_diagonal(u, *args)
+
+        monkeypatch.setattr(clifford_module, "is_diagonal", counting)
         for k in range(1000):
-            u = random_clifford(CliffordSpec(3, k, word_length=4))
+            u = random_clifford(3, k)
             assert not is_diagonal(u, 1e-9)
+        assert len(tested) > 1050
 
     def test_normalizes_pauli_group(self):
         for dim in (3, 5):
             for seed in (0, 1, 2):
-                u = random_clifford(CliffordSpec(dim, seed))
+                u = random_clifford(dim, seed)
                 for p in (pauli_x(dim), pauli_z(dim)):
                     assert is_pauli_word_up_to_phase(u @ p @ u.conj().T)
 
@@ -92,6 +105,21 @@ class TestRandomClifford:
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            CliffordSpec(6, 0)
+            random_clifford(6, 0)
         with pytest.raises(ValueError):
-            CliffordSpec(3, 0, word_length=0)
+            random_cliffords(6, 1, 0)
+
+
+class TestGoldenDraws:
+    @pytest.mark.parametrize("dim,digest", [
+        (3, "838503b11d7117e397cc8364964598b2b643afd1069c2cefc6498b24526e6ba6"),
+        (5, "0433d50017bc27fba6606d5e6574afaa69072e40cd2d51ba0f4ac11bfb253905"),
+        (7, "b267f12839cb6a9f695456c84c9c7b51e0ea4c3a2350f0904c832251b73b1564"),
+    ])
+    def test_benchmark_draws_unchanged(self, dim, digest):
+        # The clifford7-budget inputs are random_cliffords(7, count, seed):
+        # the digest pins every byte of twelve draws per dimension.
+        h = hashlib.sha256()
+        for u in random_cliffords(dim, 12, 4242):
+            h.update(u.tobytes())
+        assert h.hexdigest() == digest

@@ -1,8 +1,12 @@
 """The benchmark tracer's bindings: every quditc import kept only for
 benchmark/tracing.py names one of its bindings, and every binding resolves,
-so that the list of tracer-only imports stays exact."""
+so that the list of tracer-only imports stays exact.  Importing the package
+starts no process pool."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from test_adaptive import _benchmark_tracing
@@ -39,3 +43,13 @@ def test_every_marked_import_is_a_binding():
 def test_every_binding_resolves():
     for module, attr, _, _ in _benchmark_tracing().BINDINGS:
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_package_imports_no_pool():
+    # The benchmark runner times its setup, quditc.bench's import included.
+    code = ("import sys, quditc, quditc.bench; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "[]"
