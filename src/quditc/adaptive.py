@@ -7,8 +7,8 @@ sequence's cost.  Routing pulses are not uncomputed, so the logical
 placement drifts with the search; this is what lets the search exploit
 placements the fixed sequence cannot.  By default the incumbent is seeded
 with the fixed elimination ladder (its steps replayed with one-way routing,
-or the fixed sequence itself where that replay does not fit the limit), so
-the search spends its node budget on improving a complete decomposition.
+or the fixed sequence itself where that costs less), so the search spends
+its node budget on improving a complete decomposition.
 The warm start is priced, not emitted: it is an incumbent (cost, path,
 matrix, undo) like any other, and only its undo flag can be True.
 
@@ -112,15 +112,15 @@ def _ladder_replay(m0, graph, states, params, config):
     uses: the cost limit (config's factor times the fixed sequence's cost)
     and, with warm start, an incumbent (cost, path, final matrix, undo), None
     if it does not fit the limit or has more steps than config.max_depth.
-    The incumbent is the steps replayed with one-way routing, or the fixed
-    sequence (undo True) where that replay costs at least the limit."""
+    The incumbent is the cheaper complete form: the steps replayed with
+    one-way routing, or the fixed sequence (undo True) where that costs
+    less than the replay."""
     steps, m = ladder(m0)
     fixed, one_way = ladder_cost(steps, graph, states, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
         return limit, None
-    undo = one_way >= limit
-    cost = fixed if undo else one_way
+    cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
     if cost >= limit or not is_diagonal(m):
         return limit, None
     path = None

@@ -122,12 +122,16 @@ def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
     instance at a time.
 
     `graphs` is a list of (architecture_id, CouplingGraph); records come
-    back ordered by (dim, architecture, index).
+    back ordered by (dim, architecture, index).  A repeated dim or
+    architecture id raises ValueError.
     """
     if len(dims) != len(counts):
         raise ValueError("dims and counts must align")
     if any(count < 1 for count in counts):
         raise ValueError(f"every count must be >= 1, got {list(counts)}")
+    for what, values in (("dim", dims), ("architecture id", [aid for aid, _ in graphs])):
+        if len(set(values)) != len(values):
+            raise ValueError(f"repeated {what} in {values}: it would be compiled twice")
     suites = []  # every input is checked and drawn before the first compile
     for dim, count in zip(dims, counts):
         matching = [(aid, g) for aid, g in graphs if g.num_computational == dim]

@@ -42,41 +42,18 @@ EXIT_NO_SOLUTION = 3
 
 
 def _add_cost_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file with cost.* keys")
-    parser.add_argument("--cost-base-factor", type=float, help="override cost.base_factor")
-    parser.add_argument("--cost-calibrated-angle", type=float,
-                        help="override cost.calibrated_angle (units of pi)")
+    # dests are CostParams fields (model has no flag); left out, no attribute
+    cost = parser.add_argument_group("cost", argument_default=argparse.SUPPRESS)
+    cost.add_argument("--cost-base-factor", dest="base_factor", type=float)
+    cost.add_argument("--cost-calibrated-angle", dest="calibrated_angle", type=float,
+                      help="units of pi")
 
 
-_COST_KEYS = ("base_factor", "calibrated_angle")
-
-
-def _cost_params(args) -> CostParams:
-    """CostParams from the defaults, then the config file's cost.* keys,
-    then the --cost-* flags."""
-    values = {}
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        section = doc.get("cost", {}) if isinstance(doc, dict) else None
-        if not isinstance(section, dict) or not set(section) <= set(_COST_KEYS):
-            raise ValueError(f"config file {args.config}: expected an object whose 'cost' "
-                             f"entry is an object with keys among {_COST_KEYS}")
-        values.update(section)
-    for key in _COST_KEYS:
-        if getattr(args, f"cost_{key}") is not None:
-            values[key] = getattr(args, f"cost_{key}")
-    try:
-        return CostParams(**{key: float(v) for key, v in values.items()})
-    except (TypeError, OverflowError):
-        raise ValueError(f"bad cost parameters {values}") from None
-
-
-def _search_config(args) -> SearchConfig:
-    """SearchConfig from the flags named after its fields; a field whose
-    flag is absent, or not offered by the subcommand, keeps its default."""
-    return SearchConfig(**{f.name: getattr(args, f.name)
-                           for f in fields(SearchConfig) if hasattr(args, f.name)})
+def _settings(cls, args):
+    """cls (SearchConfig or CostParams) from the flags named after its
+    fields; a field whose flag is absent, or not offered by the subcommand,
+    keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def _bool(text: str) -> bool:
@@ -90,8 +67,8 @@ def _bool(text: str) -> bool:
 def cmd_compile(args) -> int:
     u = load_unitary(args.unitary)
     graph = load_graph(args.graph)
-    params = _cost_params(args)
-    config = _search_config(args)
+    params = _settings(CostParams, args)
+    config = _settings(SearchConfig, args)  # checked in both modes
     try:
         result = qr_decompose(u, graph, params) if args.mode == "qr" \
             else adaptive_compile(u, graph, config, params)
@@ -126,14 +103,14 @@ def cmd_compile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = _cost_params(args)
     dims = [int(x) for x in args.dims.split(",") if x]
     counts = [int(x) for x in args.counts.split(",") if x]
     if args.graphs:
         graphs = [(Path(path).stem, load_graph(path)) for path in args.graphs.split(",")]
     else:
         graphs = [arch for dim in sorted(set(dims)) for arch in architectures_for_dim(dim)]
-    records = run_suite(dims, counts, graphs, _search_config(args), params, seed=args.seed)
+    records = run_suite(dims, counts, graphs, _settings(SearchConfig, args),
+                        _settings(CostParams, args), seed=args.seed)
     rows = summarize(records)
     if args.records:
         write_records(records, args.records, include_timings=args.include_timings)
@@ -176,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitary", required=True, type=Path)
     p.add_argument("--graph", required=True, type=Path)
     p.add_argument("--mode", choices=("adaptive", "qr"), default="adaptive")
-    # search flags left out set no attribute: _search_config keeps the defaults
+    # search flags left out set no attribute: _settings keeps the defaults
     search = p.add_argument_group("search", argument_default=argparse.SUPPRESS)
     search.add_argument("--cost-limit-factor", type=float)
     search.add_argument("--max-nodes", type=int)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, cost as cost_module
 from quditc._compile import annihilation_angles, compile_states
@@ -26,6 +26,7 @@ from quditc.qr import ladder, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
+from test_graph import connected_edges
 
 
 def exhaustive_min_cost(u, graph, params=CostParams(), tol=DEFAULT_TOL, max_depth=4):
@@ -126,6 +127,16 @@ class TestSmallInstanceOptimality:
             assert result.total_cost == pytest.approx(oracle, abs=1e-9)
 
 
+@st.composite
+def placed_graphs(draw):
+    """A random connected graph on 2 to 7 levels, with 2 or more
+    computational states placed on distinct levels."""
+    edges = draw(connected_edges(max_levels=7))
+    levels = 1 + max(b for _, b in edges)
+    placement = draw(st.permutations(range(levels)))[:draw(st.integers(2, levels))]
+    return CouplingGraph(levels, edges, {str(k): lv for k, lv in enumerate(placement)})
+
+
 class TestSearchControls:
     def test_return_first_stops_early(self, path3):
         u = haar_unitary(3, 71)
@@ -177,6 +188,19 @@ class TestSearchControls:
         result = adaptive_compile(u, g, SearchConfig(max_nodes=max_nodes))
         assert verify_result(u, result)
         assert result.total_cost <= fixed.total_cost
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=placed_graphs(), seed=st.integers(0, 2**32 - 1))
+    @example(graph=CouplingGraph(6, frozenset({(0, 4), (0, 5), (1, 2), (1, 3), (2, 5)}),
+                                 {"0": 4, "1": 3, "2": 1, "3": 2}), seed=0)
+    def test_warm_start_never_costs_more_than_fixed_sequence(self, graph, seed):
+        # The warm start is the cheaper of the one-way replay and the fixed
+        # sequence.  On the pinned graph the replay fits the limit but costs
+        # about 1.08x the fixed sequence, which the warm start once took.
+        u = haar_unitary(graph.num_computational, seed)
+        first = adaptive_compile(u, graph, SearchConfig(return_first=True))
+        assert first.total_cost <= qr_decompose(u, graph).total_cost
+        assert verify_result(u, first)
 
     def test_without_warm_start_still_searches(self, path3):
         u = haar_unitary(3, 99)

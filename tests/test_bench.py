@@ -87,6 +87,17 @@ class TestRunSuite:
                       [*architectures_for_dim(3), *architectures_for_dim(4)], CFG)
         assert compiled == []
 
+    @pytest.mark.parametrize("dims,graphs", [
+        ([3, 3], architectures_for_dim(3)),
+        ([3], [*architectures_for_dim(3), ("path-3", star_architecture(3))]),
+    ])
+    def test_repeated_input_rejected_before_any_compile(self, monkeypatch, dims, graphs):
+        compiled = []
+        monkeypatch.setattr(bench_module, "_run_instance", lambda *a: compiled.append(a))
+        with pytest.raises(ValueError, match="repeated"):
+            run_suite(dims, [1] * len(dims), graphs, CFG)
+        assert compiled == []
+
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
             run_suite([3, 5], [1], architectures_for_dim(3), CFG)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quditc.adaptive import SearchConfig, adaptive_compile
+from quditc.cost import CostParams
 from quditc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK, build_parser, main
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import graph_to_dict, save_graph
@@ -29,6 +30,13 @@ def run(args):
 
 def strict_json(constant):
     raise ValueError(f"{constant} is not JSON")
+
+
+def group_dests(command, title):
+    """The dests of a subcommand's argument group."""
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    group, = [g for g in parser._action_groups if g.title == title]
+    return {action.dest for action in group._group_actions}
 
 
 class TestCompile:
@@ -110,17 +118,26 @@ class TestCompile:
         assert "--cost-limit" in capsys.readouterr().err
 
     def test_search_flags_are_search_config_fields(self):
-        # _search_config reads fields by name, so a flag whose field is gone
+        # _settings reads fields by name, so a flag whose field is gone
         # would be ignored without an error
-        subparsers = build_parser()._subparsers._group_actions[0].choices
         fields_ = {f.name for f in fields(SearchConfig)}
+        assert group_dests("compile", "search") == fields_
+        assert group_dests("bench", "search") <= fields_
 
-        def search_dests(command):
-            group, = [g for g in subparsers[command]._action_groups if g.title == "search"]
-            return {action.dest for action in group._group_actions}
+    @pytest.mark.parametrize("command", ["compile", "bench"])
+    def test_cost_flags_are_cost_params_fields(self, command):
+        # a CLI process cannot pass a model function, so model has no flag
+        assert group_dests(command, "cost") == {f.name for f in fields(CostParams)} - {"model"}
 
-        assert search_dests("compile") == fields_
-        assert search_dests("bench") <= fields_
+    @pytest.mark.parametrize("command", ["compile", "bench"])
+    def test_config_flag_removed(self, workdir, capsys, command):
+        # the cost flags are the one way to set the cost parameters
+        args = ["--unitary", workdir / "u.json", "--graph", workdir / "g.json"] \
+            if command == "compile" else ["--dims", "3", "--counts", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--config", workdir / "cfg.json"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["adaptive", "qr"])
     @pytest.mark.parametrize("flag,value", [
@@ -157,18 +174,6 @@ class TestCompile:
         assert exc.value.code == 2
         assert "--cost-model" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [
-        {"cost": None}, [1], {"cost": {"base_factor": None}},
-        {"cost": {"base_factor": float("nan")}},
-        {"cost": {"base_facter": 3e-4}},            # a typo is not silently ignored
-        {"cost": {"model": "calibrated-linear"}},   # nor is the removed key
-    ])
-    def test_malformed_config_is_invalid_input(self, workdir, tmp_path, capsys, config):
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
-                    "--config", tmp_path / "cfg.json"]) == EXIT_INVALID
-        assert "invalid input" in capsys.readouterr().err
-
     @pytest.mark.parametrize("field", ["ancillas", "node_phase"])
     def test_malformed_graph_is_invalid_input(self, workdir, tmp_path, capsys, field):
         doc = graph_to_dict(path_architecture(3))
@@ -186,17 +191,6 @@ class TestCompile:
         assert run(["compile", "--unitary", workdir / "u.json",
                     "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
         assert "node_phase" in capsys.readouterr().err
-
-    def test_config_file(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cost": {"base_factor": 3e-4}}))
-        run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
-             "--mode", "qr", "--config", cfg])
-        run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
-             "--mode", "qr"])
-        out = capsys.readouterr().out.splitlines()
-        with_cfg, plain = (json.loads(line)["total_cost"] for line in out)
-        assert with_cfg == pytest.approx(3 * plain, rel=1e-12)
 
 
 class TestVerify:
@@ -304,6 +298,18 @@ class TestBench:
         dims = ",".join(["3"] * len(counts.split(",")))
         assert run(["bench", "--dims", dims, "--counts", counts]) == EXIT_INVALID
         assert "count" in capsys.readouterr().err
+
+    def test_repeated_input_is_invalid_input(self, tmp_path, capsys):
+        # two files named path-3.json would merge into one row
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            save_graph(path_architecture(3), tmp_path / name / "path-3.json")
+        graphs = f"{tmp_path / 'a' / 'path-3.json'},{tmp_path / 'b' / 'path-3.json'}"
+        for args in (["--dims", "3", "--counts", "1", "--graphs", graphs],
+                     ["--dims", "3,3", "--counts", "4,4"]):
+            assert run(["bench", *args, "--records", tmp_path / "r.ndjson"]) == EXIT_INVALID
+            assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "r.ndjson").exists()
 
     def test_custom_graph_files(self, tmp_path, capsys):
         save_graph(path_architecture(3), tmp_path / "mygraph.json")

@@ -390,6 +390,16 @@ class TestApplyGraphRules:
         assert adjusted == []
         assert g.node_phase[1] != 0.0
 
+    @pytest.mark.parametrize("gate,message", [
+        (VirtualZGate(3, 0.4), "out of range"),
+        (RotationGate(1, 3, 0.7, 0.2), "out of range"),
+        (RotationGate(0, 2, math.pi, -math.pi / 2, routing=True), "non-coupled"),
+        (RotationGate(0, 1, 0.5 * math.pi, -math.pi / 2, routing=True), "theta"),
+    ])
+    def test_invalid_gate_rejected(self, path3, gate, message):
+        with pytest.raises(ValueError, match=message):
+            apply_graph_rules([RotationGate(0, 1, 0.7, 0.3), gate], path3)
+
     def test_master_property_on_random_routed_sequences(self):
         rng = np.random.default_rng(21)
         for trial in range(60):

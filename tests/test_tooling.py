@@ -1,18 +1,23 @@
 """The benchmark tracer's bindings: every quditc import kept only for
 benchmark/tracing.py names one of its bindings, and every binding resolves,
 so that the list of tracer-only imports stays exact.  Importing the package
-starts no process pool."""
+starts no process pool.  The README names every compile and bench flag."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from quditc.cli import build_parser
 from test_adaptive import _benchmark_tracing
 
 MARK = "a binding benchmark/tracing.py wraps"
 SRC = Path(__file__).resolve().parents[1] / "src" / "quditc"
+README = SRC.parents[1] / "README.md"
 
 
 def marked_imports():
@@ -53,3 +58,17 @@ def test_package_imports_no_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["compile", "bench"])
+def test_readme_names_every_flag(command):
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start)]
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = [flag for action in parser._actions for flag in action.option_strings
+             if flag not in ("-h", "--help")]
+    assert flags
+    # a flag that is a prefix of another (--cost-limit) is not named by it
+    missing = [flag for flag in flags if not re.search(re.escape(flag) + r"(?![\w-])", section)]
+    assert missing == [], f"README's Command line section does not name {missing}"
