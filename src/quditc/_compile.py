@@ -3,9 +3,11 @@ the elimination primitives, routed emission and the final assembly.
 
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
-order multiply to (diagonal) . U.  A final conjugation pass folds every
-tracked phase (node deposits plus the terminal diagonal) into the gates'
-phi parameters, leaving the reconstruction identity
+order multiply to (diagonal) . U.  Emission keeps each gate as a record
+(low, high, theta, phi, routing), with the walk's stored phases already in
+phi.  The final assembly folds every remaining tracked phase (node deposits
+plus the terminal diagonal) into the records' phi and builds each gate
+once, leaving the reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .gates import RotationGate, conjugated
+from .gates import conjugated, shifted_phi, stored_order
 from .graph import CouplingGraph, PlacementWalk
 from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
@@ -75,37 +77,47 @@ def compile_states(graph: CouplingGraph, dim: int) -> list[str]:
 
 def annihilation_angles(m, r: int, r2: int, c: int) -> tuple[float, float]:
     """Rotation parameters that zero entry (r2, c) into entry (r, c) of m (a
-    matrix or its rows); phases by np.arctan2, bit for bit as np.angle."""
+    matrix or its rows); phases by np.arctan2, bit for bit as np.angle.  The
+    scalar form of the angles that the ladder and the search take from
+    column moduli and phases."""
     low, high = m[r2][c], m[r][c]
     theta = 2.0 * math.atan2(abs(low), abs(high))
     phi = -(math.pi / 2 + np.arctan2(high.imag, high.real) - np.arctan2(low.imag, low.real))
     return theta, float(phi)
 
 
-def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float):
-    """Rows (x, y) left-multiplied by the two-level rotation on them; the
-    inputs are not modified."""
+def rotation_coefficients(theta: float, phi: float) -> tuple:
+    """(c, a, b) of the two-level rotation's block [[c, a], [b, c]]."""
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
     # Two cmath.exp calls, not one and its conjugate: at phi = -0.0 both
     # exponentials are 1+0j, and at theta = 0 that zero's sign reaches the rows.
-    a = -1j * cmath.exp(-1j * phi) * s
-    b = -1j * cmath.exp(1j * phi) * s
+    return c, -1j * cmath.exp(-1j * phi) * s, -1j * cmath.exp(1j * phi) * s
+
+
+def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float):
+    """Rows (x, y) left-multiplied by the two-level rotation on them, as
+    (c x + a y, b x + c y); the inputs are not modified.  The one row kernel:
+    the ladder does the same arithmetic in place."""
+    c, a, b = rotation_coefficients(theta, phi)
     return c * x + a * y, b * x + c * y
 
 
 def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float) -> list:
     """Route state j adjacent to state i on the walk, then emit the rotation
-    with the walk's phases.  Returns the routing pulses, then the rotation."""
-    gates = walk.route(i, j)
-    rot = RotationGate(walk.levels[i], walk.levels[j], theta, phi)
-    gates.append(conjugated(rot, walk.phases))
-    return gates
+    with the walk's phases.  Returns the records (low, high, theta, phi,
+    routing) of the routing pulses, then of the rotation; assemble builds
+    their gates."""
+    records = [(p.level_low, p.level_high, p.theta, p.phi, True) for p in walk.route(i, j)]
+    low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
+    records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
+    return records
 
 
-def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,
+def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, records,
              remaining: np.ndarray, dim: int):
-    """Fold node phases and the terminal diagonal into the gate train.
+    """Fold node phases and the terminal diagonal into the emitted records
+    and build each gate once, with :func:`conjugated`.
 
     Returns (sequence, residual_phases, cleaned final graph) satisfying the
     reconstruction identity exactly.
@@ -116,7 +128,7 @@ def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, gates,
     for k, state in enumerate(states):
         dphase[final_graph.level_of(state)] += delta[k]
     shifts = (-dphase).tolist()
-    sequence = tuple(conjugated(g, shifts) for g in gates)
+    sequence = tuple(conjugated(record, shifts) for record in records)
     theta = np.empty(dim, dtype=np.float64)
     for k, state in enumerate(states):
         lv = initial_graph.level_of(state)

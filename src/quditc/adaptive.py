@@ -18,8 +18,8 @@ children use:
 
   * A node holds its matrix as a list of d row arrays.  A child copies the
     list and replaces the two rows returned by ``apply_rotation_rows``, the
-    one row kernel of both back-ends; a matrix is built only for a new
-    incumbent.  The moduli and phases are row lists kept the same way, from
+    one row kernel (the ladder does the same arithmetic in place); a matrix
+    is built only for a new incumbent.  The moduli and phases are row lists kept the same way, from
     ``np.hypot`` and ``np.arctan2`` (what ``np.angle`` computes) of the two
     new rows: ``np.abs`` on complex arrays can differ from them in the last
     ulp, which changes costs and tie-breaks.
@@ -43,7 +43,8 @@ children use:
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` when a child's two states are not adjacent.  A
     node records its path as parent-linked (r, r2, theta, phi) steps; gates
-    (pulses, deposited phases) are emitted once, for the final incumbent.
+    (pulses, deposited phases) are emitted once, for the final incumbent, as
+    records that assemble builds into gates.
 """
 from __future__ import annotations
 
@@ -292,7 +293,7 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
         )
     cost, path, m_final, undo = search.best
     # Gates are built here, once, by replaying the final incumbent's path
-    # from the initial graph.
-    gates, g_final_raw = emit_steps(graph, _path_steps(path), undo)
-    sequence, theta, g_final = assemble(graph, g_final_raw, gates, m_final, dim)
+    # from the initial graph: emission records them and assemble builds them.
+    records, g_final_raw = emit_steps(graph, _path_steps(path), undo)
+    sequence, theta, g_final = assemble(graph, g_final_raw, records, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

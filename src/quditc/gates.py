@@ -47,31 +47,55 @@ class RotationGate:
             raise ValueError("rotation levels must be non-negative")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
-        if self.level_low > self.level_high:  # stored low->high, phi negated
-            lo, hi = self.level_high, self.level_low
-            object.__setattr__(self, "level_low", lo)
-            object.__setattr__(self, "level_high", hi)
-            object.__setattr__(self, "phi", -self.phi)
+        if self.level_low > self.level_high:
+            low, high, phi = stored_order(self.level_low, self.level_high, self.phi)
+            object.__setattr__(self, "level_low", low)
+            object.__setattr__(self, "level_high", high)
+            object.__setattr__(self, "phi", phi)
 
     def inverse(self) -> "RotationGate":
         return replace(self, theta=-self.theta)
 
 
-def conjugated(gate: RotationGate, phases) -> RotationGate:
-    """D . R . D^dagger for D = diag(e^{i phases}): phi gains
-    phases[high] - phases[low], so that D . R(theta, phi) = R(theta, phi +
-    phases[high] - phases[low]) . D.  The one implementation of the rotation
-    phase rule, at emission and at assembly alike: a copy of the checked
-    gate, bypassing the constructor, whose new phi must be finite (else ValueError)."""
-    phi = gate.phi + (float(phases[gate.level_high]) - float(phases[gate.level_low]))
-    if not math.isfinite(phi):
+def stored_order(level_a: int, level_b: int, phi: float) -> tuple:
+    """(low, high, phi) of a rotation written on (level_a, level_b): one
+    written high->low is stored low->high with phi negated.  The one
+    implementation of that rule, for the constructor and for emission."""
+    return (level_a, level_b, phi) if level_a < level_b else (level_b, level_a, -phi)
+
+
+def shifted_phi(phi: float, phases, low: int, high: int) -> float:
+    """The rotation phase rule: under D = diag(e^{i phases}) a rotation on
+    (low, high) gains phases[high] - phases[low], so that D . R(theta, phi)
+    = R(theta, shifted_phi(phi, ...)) . D.  Its one definition, for
+    :func:`conjugated` and for emission, which applies it to a record."""
+    return phi + (float(phases[high]) - float(phases[low]))
+
+
+# The slot setters of a RotationGate, for building one without the constructor.
+_SET_LOW, _SET_HIGH, _SET_THETA, _SET_PHI, _SET_ROUTING = (
+    RotationGate.__dict__[name].__set__
+    for name in ("level_low", "level_high", "theta", "phi", "routing"))
+
+
+def conjugated(gate, phases) -> RotationGate:
+    """D . R . D^dagger for D = diag(e^{i phases}), by :func:`shifted_phi`.
+    ``gate`` is a RotationGate or an emitted record (low, high, theta, phi,
+    routing) with low < high; assembly builds each gate of a result once,
+    here.  The gate is built without the constructor: theta and the new phi
+    must be finite (else ValueError)."""
+    if type(gate) is not tuple:
+        gate = (gate.level_low, gate.level_high, gate.theta, gate.phi, gate.routing)
+    low, high, theta, phi, routing = gate
+    phi = shifted_phi(phi, phases, low, high)
+    if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("theta and phi must be finite")
-    new, set_field = object.__new__(RotationGate), object.__setattr__
-    set_field(new, "level_low", gate.level_low)
-    set_field(new, "level_high", gate.level_high)
-    set_field(new, "theta", gate.theta)
-    set_field(new, "phi", phi)
-    set_field(new, "routing", gate.routing)
+    new = object.__new__(RotationGate)
+    _SET_LOW(new, low)
+    _SET_HIGH(new, high)
+    _SET_THETA(new, theta)
+    _SET_PHI(new, phi)
+    _SET_ROUTING(new, routing)
     return new
 
 

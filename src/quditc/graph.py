@@ -22,8 +22,9 @@ per level in ``node_phase`` and consumed by later gates:
     level; pulses with other phi values deposit phi-dependent phases
     (:meth:`PlacementWalk.pulse` is the one implementation),
   * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
-    stored phases psi; :func:`gates.conjugated` is the one implementation
-    (a gate written high->low is already stored low->high, phi negated).
+    stored phases psi; :func:`gates.shifted_phi` is the one implementation
+    (a gate written high->low is already stored low->high, phi negated, by
+    :func:`gates.stored_order`).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import Gate, RotationGate, VirtualZGate, conjugated, reorder_pulse
+from .gates import Gate, VirtualZGate, conjugated, reorder_pulse
 from .linalg import check_size
 
 _TWO_PI = 2.0 * math.pi
@@ -226,13 +227,13 @@ class PlacementWalk:
             self.state[lv] = k
         self.phases = list(graph.node_phase)
 
-    def pulse(self, pulse: RotationGate) -> None:
-        """The pulse rule: swap the two levels' logical content and stored
-        phases, then add the pulse's deposits."""
-        a, b = pulse.level_low, pulse.level_high
-        sign = 1.0 if pulse.theta > 0 else -1.0
-        dep_a = -pulse.phi - sign * math.pi / 2
-        dep_b = pulse.phi - sign * math.pi / 2
+    def pulse(self, a: int, b: int, theta: float, phi: float) -> None:
+        """The pulse rule, for the pulse R(theta, phi) on levels a < b: swap
+        the two levels' logical content and stored phases, then add the
+        pulse's deposits."""
+        sign = 1.0 if theta > 0 else -1.0
+        dep_a = -phi - sign * math.pi / 2
+        dep_b = phi - sign * math.pi / 2
         state, levels, phases = self.state, self.levels, self.phases
         sa, sb = state[a], state[b]
         state[a], state[b] = sb, sa
@@ -251,7 +252,7 @@ class PlacementWalk:
         path = self.start.shortest_level_path(src, dst)
         pulses = [reorder_pulse(prev, nxt) for prev, nxt in zip(path, path[1:-1])]
         for pulse in pulses:
-            self.pulse(pulse)
+            self.pulse(pulse.level_low, pulse.level_high, pulse.theta, pulse.phi)
         return pulses
 
     def graph(self) -> CouplingGraph:
@@ -314,7 +315,7 @@ def apply_graph_rules(gates, graph: CouplingGraph):
             if not math.isclose(abs(gate.theta), math.pi, rel_tol=0, abs_tol=1e-12):
                 raise ValueError("reordering pulses must have |theta| == pi")
             out.append(gate)
-            walk.pulse(gate)
+            walk.pulse(gate.level_low, gate.level_high, gate.theta, gate.phi)
         else:
             out.append(conjugated(gate, walk.phases))
     return out, walk.graph()

@@ -9,19 +9,22 @@ and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps, and in the
 same pass the adaptive one-way replay, without emitting a gate.
-:func:`emit_steps` builds either form's gates on one placement walk.
+:func:`emit_steps` emits either form's gate records on one placement walk.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ._compile import (
     CompilationResult,
-    annihilation_angles,
-    apply_rotation_rows,
+    annihilation_angles,  # noqa: F401  (a binding benchmark/tracing.py wraps)
+    apply_rotation_rows,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     assemble,
     compile_states,
     emit_rotation,
+    rotation_coefficients,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
@@ -30,23 +33,65 @@ from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 # The ladder's skip: entries below this are treated as already annihilated
 # (its place in the tolerance contract is stated in linalg).
 NEGLIGIBLE = 1e-12
+_HALF_PI = math.pi / 2
 
 
 def ladder(m0: np.ndarray):
-    """Run the fixed elimination on m0, the conjugate transpose of the
-    target, as a list of rows (m0 is not modified).  Returns the (r, r2,
-    theta, phi) steps in order and the final matrix."""
-    rows, steps = list(m0), []
-    dim = len(rows)
-    for c in range(dim):
+    """Run the fixed elimination in place on a complex128 copy of m0, the
+    conjugate transpose of the target (m0 is not modified).  Returns the
+    (r, r2, theta, phi) steps in order and the final matrix.
+
+    The steps and the matrix are bit for bit those of annihilation_angles
+    and apply_rotation_rows on a list of rows:
+
+      * Column c's moduli (np.hypot) and phases (np.arctan2) are read once,
+        when the column starts.  A step on rows (r, r2) leaves row r2 done
+        with the column and carries the pivot in row r, the next step's
+        lower entry, so each step reads again only that pivot's modulus and
+        phase.  theta is 2 math.atan2 of the moduli, one step at a time:
+        np.arctan2 can differ from math.atan2 in the last ulp.
+      * A step updates the two adjacent rows (r, r + 1) in place, with the
+        kernel's arithmetic (c x + a y, b x + c y): one np.multiply of the
+        2x2 coefficients into a reused buffer, one np.add into the rows.
+    """
+    m = np.array(m0, dtype=np.complex128)
+    dim = len(m)
+    steps = []
+    coef = np.empty((2, 2, 1), dtype=np.complex128)  # coef[j, i]: row j's weight in row i
+    weights = coef.reshape(4)
+    products = np.empty((2, 2, dim), dtype=np.complex128)  # products[j, i] = coef[j, i] row j
+    from_x, from_y = products
+    pairs = [m[r:r + 2] for r in range(dim - 1)]  # rows (r, r + 1), written in place
+    spread = [pair[:, None] for pair in pairs]    # the same rows as (2, 1, dim)
+    arctan2, multiply, add, entry = np.arctan2, np.multiply, np.add, m.item
+    for c in range(dim - 1):
+        column = m[:, c]
+        mods = np.hypot(column.real, column.imag).tolist()
+        angs = arctan2(column.imag, column.real).tolist()
+        carried = False  # row r2 holds the last step's pivot
         for r2 in range(dim - 1, c, -1):
-            if abs(rows[r2][c]) < NEGLIGIBLE:
-                continue
+            if carried:
+                low = entry(r2, c)
+                mod_low = abs(low)
+                carried = mod_low >= NEGLIGIBLE
+                if not carried:
+                    continue
+                ang_low = float(arctan2(low.imag, low.real))
+            else:
+                mod_low = mods[r2]
+                if mod_low < NEGLIGIBLE:
+                    continue
+                ang_low = angs[r2]
             r = r2 - 1
-            theta, phi = annihilation_angles(rows, r, r2, c)
+            theta = 2.0 * math.atan2(mod_low, mods[r])
+            phi = -(_HALF_PI + angs[r] - ang_low)
             steps.append((r, r2, theta, phi))
-            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi)
-    return steps, np.array(rows)
+            cos, a, b = rotation_coefficients(theta, phi)
+            weights[0], weights[1], weights[2], weights[3] = cos, b, a, cos
+            multiply(coef, spread[r], out=products)
+            add(from_x, from_y, out=pairs[r])
+            carried = True
+    return steps, m
 
 
 def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams):
@@ -73,21 +118,22 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams):
 
 
 def emit_steps(graph: CouplingGraph, steps, undo: bool):
-    """(gates, final graph) of the (r, r2, theta, phi) steps on the states
+    """(records, final graph) of the (r, r2, theta, phi) steps on the states
     of graph.state_order(), routed on one placement walk from graph.  With
     undo each rotation's routing is inverted right after it (the fixed
-    sequence); without it the placement moves on."""
+    sequence); without it the placement moves on.  Each gate is an
+    emit_rotation record (low, high, theta, phi, routing); assemble builds
+    the gates."""
     walk = PlacementWalk(graph)
-    gates = []
+    records = []
     for r, r2, theta, phi in steps:
-        step_gates = emit_rotation(walk, r, r2, theta, phi)
-        gates.extend(step_gates)
+        step = emit_rotation(walk, r, r2, theta, phi)
+        records += step
         if undo:
-            for pulse in reversed(step_gates[:-1]):
-                inv = pulse.inverse()
-                gates.append(inv)
-                walk.pulse(inv)
-    return gates, walk.graph()
+            for low, high, p_theta, p_phi, _ in reversed(step[:-1]):
+                walk.pulse(low, high, -p_theta, p_phi)
+                records.append((low, high, -p_theta, p_phi, True))
+    return records, walk.graph()
 
 
 def _validated(u) -> np.ndarray:
@@ -107,8 +153,8 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     if not is_diagonal(m):
         raise ValueError("elimination did not terminate in a diagonal")
 
-    gates, g = emit_steps(graph, steps, undo=True)
-    sequence, theta_res, g_final = assemble(graph, g, gates, m, dim)
+    records, g = emit_steps(graph, steps, undo=True)
+    sequence, theta_res, g_final = assemble(graph, g, records, m, dim)
     total = ladder_cost(steps, graph, states, params)[0]
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)
 

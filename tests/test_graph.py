@@ -261,14 +261,20 @@ def gate_bits(gate: RotationGate):
     return gate.level_low, gate.level_high, gate.theta.hex(), gate.phi.hex(), gate.routing
 
 
+def record_bits(record):
+    """gate_bits of an emitted (low, high, theta, phi, routing) record."""
+    low, high, theta, phi, routing = record
+    return low, high, theta.hex(), phi.hex(), routing
+
+
 class TestPlacementWalk:
     @settings(max_examples=300, deadline=None)
     @given(case=walk_cases(), undo=st.booleans())
     def test_matches_per_pulse_rule_bit_for_bit(self, case, undo):
         g, steps = case
-        gates, g_final = emit_steps(g, steps, undo)
+        records, g_final = emit_steps(g, steps, undo)
         ref_gates, ref_map, ref_phases = per_pulse_emission(g, steps, undo)
-        assert [gate_bits(x) for x in gates] == [gate_bits(x) for x in ref_gates]
+        assert [record_bits(x) for x in records] == [gate_bits(x) for x in ref_gates]
         assert g_final.logical_map == ref_map
         assert [p.hex() for p in g_final.node_phase] == [p.hex() for p in ref_phases]
         if undo:

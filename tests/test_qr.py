@@ -1,18 +1,20 @@
 """Fixed-sequence baseline: reconstruction, the fixed elimination order,
-routing compute/uncompute pairing, and the gate-free cost bound."""
+routing compute/uncompute pairing, the gate-free cost bound, and the
+in-place ladder against its row-list form."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc._compile import apply_rotation_rows
+from quditc._compile import annihilation_angles, apply_rotation_rows
+from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.bench import architectures_for_dim
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, rotation_cost, sequence_cost
-from quditc.gates import RotationGate, rotation_matrix
+from quditc.gates import RotationGate, conjugated, rotation_matrix
 from quditc.graph import CouplingGraph
-from quditc.qr import emit_steps, ladder_cost, qr_cost_bound, qr_decompose
+from quditc.qr import NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary
@@ -138,13 +140,17 @@ class TestCostBound:
     @given(case=walk_cases())
     def test_prices_both_emitted_forms(self, case):
         # one pass prices the fixed form (routing undone) and the one-way
-        # replay; each is the cost of the gates emit_steps builds for it
+        # replay; each is the cost of the gates built from the records
+        # emit_steps emits for it
         g, steps = case
         fixed, one_way = ladder_cost(steps, g, g.state_order(), CostParams())
-        assert fixed == pytest.approx(sequence_cost(emit_steps(g, steps, True)[0]),
-                                      rel=1e-12, abs=1e-15)
-        assert one_way == pytest.approx(sequence_cost(emit_steps(g, steps, False)[0]),
-                                        rel=1e-12, abs=1e-15)
+
+        def emitted_cost(undo):
+            records = emit_steps(g, steps, undo)[0]
+            return sequence_cost([conjugated(rec, [0.0] * g.num_levels) for rec in records])
+
+        assert fixed == pytest.approx(emitted_cost(True), rel=1e-12, abs=1e-15)
+        assert one_way == pytest.approx(emitted_cost(False), rel=1e-12, abs=1e-15)
 
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))
@@ -190,6 +196,76 @@ class TestRotationKernel:
         assert new_y.tobytes() == m[1].tobytes()
 
 
+def reference_ladder(m0):
+    """The ladder's earlier row-list form: annihilation_angles and
+    apply_rotation_rows per step, on a list of m0's rows."""
+    rows, steps = list(m0), []
+    dim = len(rows)
+    for c in range(dim):
+        for r2 in range(dim - 1, c, -1):
+            if abs(rows[r2][c]) < NEGLIGIBLE:
+                continue
+            r = r2 - 1
+            theta, phi = annihilation_angles(rows, r, r2, c)
+            steps.append((r, r2, theta, phi))
+            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi)
+    return steps, np.array(rows)
+
+
+def step_bits(steps):
+    return [(r, r2, theta.hex(), phi.hex()) for r, r2, theta, phi in steps]
+
+
+def block_diagonal(dim: int, seed: int) -> np.ndarray:
+    """Haar blocks on a random split of the levels: whole columns of exact
+    zeros below each block."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    while start < dim:
+        size = int(rng.integers(1, dim - start + 1))
+        u[start:start + size, start:start + size] = \
+            haar_unitary(size, int(rng.integers(2**32))) if size > 1 else np.exp(1j * rng.uniform(-4, 4))
+        start += size
+    return u
+
+
+def phase_permutation(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.eye(dim)[rng.permutation(dim)] * np.exp(1j * rng.uniform(-4, 4, dim))
+
+
+class TestLadder:
+    def assert_matches_reference(self, u):
+        m0 = u.conj().T
+        before = m0.tobytes()
+        steps, m = ladder(m0)
+        ref_steps, ref_m = reference_ladder(m0)
+        assert m0.tobytes() == before  # the input is not modified
+        assert step_bits(steps) == step_bits(ref_steps)
+        assert m.dtype == ref_m.dtype and m.tobytes() == ref_m.tobytes()
+        return steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_haar_bit_identical_to_row_list_form(self, dim, seed):
+        self.assert_matches_reference(haar_unitary(dim, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           form=st.sampled_from([phase_permutation, block_diagonal]))
+    def test_exact_zeros_bit_identical_to_row_list_form(self, dim, seed, form):
+        # a zero entry is skipped, and a pivot carried past a skip is read again
+        self.assert_matches_reference(form(dim, seed))
+
+    def test_cliffords_bit_identical_to_row_list_form(self):
+        skipped = 0
+        for dim in (3, 5, 7):
+            for u in random_cliffords(dim, 12, 1600 + dim):
+                skipped += dim * (dim - 1) // 2 - len(self.assert_matches_reference(u))
+        assert skipped > 0  # some of them run the skip
+
+
 class TestGoldenGates:
     # Digests of the exact gates, residual phases, final graphs and costs,
     # pinned before the ladder was shared with the adaptive back-end.
@@ -205,6 +281,19 @@ class TestGoldenGates:
                    for _, g in architectures_for_dim(31) for seed in (3101, 3102)]
         assert result_digest(results) == \
             "30cf9f8d2135745b268ef4e01fa6a0566ca1a54fdacfbd1ea1b9c1d8d6caf77d"
+
+    def test_d64_scope_edge_unchanged(self):
+        # The documented scope's edge, through both back-ends: the fixed
+        # sequence and the accepted warm start, pinned before the ladder ran
+        # in place.
+        u = haar_unitary(64, 6401)
+        archs = architectures_for_dim(64)
+        assert result_digest([qr_decompose(u, g) for _, g in archs]) == \
+            "8862d0f079571195217518d3a59c8a94fe44fd2802d964bd700fd45104300860"
+        first = [adaptive_compile(u, g, SearchConfig(return_first=True)) for _, g in archs]
+        assert all(r.stats.nodes_expanded == 0 for r in first)
+        assert result_digest(first) == \
+            "77260041db37dfff8a16ee26bc79e1311e01e87153b543e385d1e0a0c1e16728"
 
 
 class TestErrors:

@@ -1,9 +1,12 @@
 """The benchmark tracer's bindings: every quditc import kept only for
 benchmark/tracing.py names one of its bindings, and every binding resolves,
 so that the list of tracer-only imports stays exact.  Importing the package
-starts no process pool.  The README names every compile and bench flag."""
+starts no process pool.  The README names every compile and bench flag.
+The A/B timing harness runs a tree against itself."""
 import ast
 import importlib
+import json
+import math
 import os
 import re
 import subprocess
@@ -72,3 +75,20 @@ def test_readme_names_every_flag(command):
     # a flag that is a prefix of another (--cost-limit) is not named by it
     missing = [flag for flag in flags if not re.search(re.escape(flag) + r"(?![\w-])", section)]
     assert missing == [], f"README's Command line section does not name {missing}"
+
+
+def test_ab_harness_runs_a_tree_against_itself():
+    # two copies of one tree, loaded under distinct names, give the same
+    # results on every instance
+    root = SRC.parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "ab.py"), "--a", str(root),
+                          "--b", str(root), "--workload", "haar3-exhaust", "--seed", "1",
+                          "--instances", "2", "--rounds", "2"],
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["records_identical"] is True
+    assert sorted(report["architectures"]) == ["bridge-3", "path-3", "star-3"]
+    for arch in report["architectures"].values():
+        low, high = arch["interval_95"]
+        assert 0 < low <= high and math.isfinite(high)
+        assert arch["ratio"] > 0 and arch["a_min_ms"] > 0 and arch["b_min_ms"] > 0
