@@ -2,15 +2,16 @@
 choices with routing-aware costs and a hard cost limit.
 
 Children annihilate one entry of one column; a child is kept only while
-the path stays under the cost limit, ``cost_limit_factor`` times the fixed
-sequence's cost.  Routing pulses are not uncomputed, so the logical
-placement drifts with the search; this is what lets the search exploit
-placements the fixed sequence cannot.  By default the incumbent is seeded
-with the fixed elimination ladder (its steps replayed with one-way routing,
-or the fixed sequence itself where that costs less), so the search spends
-its node budget on improving a complete decomposition.
-The warm start is priced, not emitted: it is an incumbent (cost, path,
-matrix, undo) like any other, and only its undo flag can be True.
+the path stays under the incumbent's cost.  Every incumbent has one form,
+(cost, steps, final matrix, undo), and the first is the cost limit,
+``cost_limit_factor`` times the fixed sequence's cost, with no steps.
+Routing pulses are not uncomputed, so the logical placement drifts with
+the search; this is what lets the search exploit placements the fixed
+sequence cannot.  By default the first incumbent is instead the fixed
+elimination ladder (its steps replayed with one-way routing, or the fixed
+sequence itself where that costs less), so the search spends its node
+budget on improving a complete decomposition.  The warm start is priced,
+not emitted, and only its undo flag can be True.
 
 The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
 not bounded by the recursion limit.  A node does only the work its taken
@@ -23,15 +24,15 @@ children use:
     ``np.hypot`` and ``np.arctan2`` (what ``np.angle`` computes) of the two
     new rows: ``np.abs`` on complex arrays can differ from them in the last
     ulp, which changes costs and tie-breaks.
-  * Children come column by column.  Before the first incumbent a column is
-    priced lazily in (row, row2) order, one candidate per yield; with an
-    incumbent its passing candidates are priced together and sorted by step
-    cost, so a node first tries the cheapest rotation of its lowest
-    uncleared column.  Sorted from the start, a cold first-solution search
+  * Children come column by column.  While the incumbent is the bare limit
+    a column is priced lazily in (row, row2) order, one candidate per yield;
+    once it has steps a column's passing candidates are priced together and
+    sorted by step cost, so a node first tries the cheapest rotation of its
+    lowest uncleared column.  Sorted from the start, a cold first-solution search
     of ``haar_unitary(16, 16)`` on star-16 dives by tiny rotations and
     finds no solution in 20000 nodes, where (row, row2) order finds one in
     120; priced eagerly, a cold star-48 search peaks at 5x the memory.  Each
-    child is checked against the limit current when it is yielded.
+    child is checked against the incumbent current when it is yielded.
   * Each distinct angle is priced once per search: the registered
     ``rotation_cost`` (a pure function of its arguments) is memoised.
   * A child is terminal when its two new rows are diagonal within
@@ -42,9 +43,10 @@ children use:
     that leaves a third row dirty is dropped before it is routed or rotated.
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` when a child's two states are not adjacent.  A
-    node records its path as parent-linked (r, r2, theta, phi) steps; gates
-    (pulses, deposited phases) are emitted once, for the final incumbent, as
-    records that assemble builds into gates.
+    node records its path as parent-linked (r, r2, theta, phi) steps, which
+    a new incumbent unrolls into a step list; gates (pulses, deposited
+    phases) are emitted once, for the final incumbent, as records that
+    assemble builds into gates.
 """
 from __future__ import annotations
 
@@ -111,11 +113,11 @@ def _path_steps(path) -> list:
 def _ladder_replay(m0, graph, states, params, config):
     """Run and price the fixed elimination ladder once, for both of its
     uses: the cost limit (config's factor times the fixed sequence's cost)
-    and, with warm start, an incumbent (cost, path, final matrix, undo), None
-    if it does not fit the limit or has more steps than config.max_depth.
-    The incumbent is the cheaper complete form: the steps replayed with
-    one-way routing, or the fixed sequence (undo True) where that costs
-    less than the replay."""
+    and, with warm start, an incumbent (cost, the ladder's steps, final
+    matrix, undo), None if it is not below the limit or has more steps than
+    config.max_depth.  The incumbent is the cheaper complete form: the steps
+    replayed with one-way routing, or the fixed sequence (undo True) where
+    that costs less than the replay."""
     steps, m = ladder(m0)
     fixed, one_way = ladder_cost(steps, graph, states, params)
     limit = config.cost_limit_factor * fixed
@@ -124,10 +126,7 @@ def _ladder_replay(m0, graph, states, params, config):
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
     if cost >= limit or not is_diagonal(m):
         return limit, None
-    path = None
-    for step in steps:
-        path = (path, *step)
-    return limit, (cost, path, m, undo)
+    return limit, (cost, steps, m, undo)
 
 
 def _dirty(row: list, k: int) -> bool:
@@ -140,9 +139,9 @@ class _Search:
         self.states = states
         self.config = config
         self.params = params
-        self.limit = limit
         self.pulse_cost = pulse_cost(params)
-        self.best = warm  # (cost, path, matrix, undo), or None
+        # (cost, steps, matrix, undo); the limit is an incumbent with no steps
+        self.best = warm or (limit, None, None, False)
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
@@ -151,9 +150,6 @@ class _Search:
         self.graph = None    # the edges routing follows; routing never changes them
         self.dist = None     # level distances on those edges
         self.columns = None  # (c, [(r, r2), ...]): entry (r2, c) rotates into (r, c)
-
-    def current_limit(self) -> float:
-        return self.best[0] if self.best is not None else self.limit
 
     def prepare(self, m, graph):
         """(moduli rows, phase rows, state levels) of a node given as a
@@ -170,17 +166,17 @@ class _Search:
     def children(self, mag, ang, levels, cost):
         """Children of a node as (step, c, r, r2, theta, phi): one per
         candidate entry above the zero tolerance whose step keeps the path
-        under the limit, column by column.  While the search holds an
-        incumbent, a column's passing candidates are priced when it is
+        under the incumbent's cost, column by column.  While the incumbent
+        has steps, a column's passing candidates are priced when it is
         reached and sorted by step cost; before that they are priced lazily
-        in (r, r2) order.  Each child is checked against the limit current
-        when it is yielded: the incumbent only improves while the caller
-        searches a yielded child's subtree."""
+        in (r, r2) order.  Each child is checked against the incumbent
+        current when it is yielded: the incumbent only improves while the
+        caller searches a yielded child's subtree."""
         dist, costs, params = self.dist, self.costs, self.params
         pulse, tol = self.pulse_cost, DEFAULT_TOL
         for c, pairs in self.columns:
-            lazy = self.best is None
-            limit = self.current_limit()
+            lazy = self.best[1] is None
+            limit = self.best[0]
             column = []
             for r, r2 in pairs:
                 low = mag[r2][c]
@@ -194,7 +190,7 @@ class _Search:
                 if cost + step < limit:
                     if lazy:
                         yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
-                        limit = self.current_limit()
+                        limit = self.best[0]
                     else:
                         column.append((step, r, r2, theta))
             column.sort()
@@ -219,8 +215,8 @@ class _Search:
         """Depth-first search from the root.  Each stack frame holds a node
         and the iterator over its children, so a child's subtree is searched
         in full before its next sibling, as a recursive search would.  A
-        first-solution search that already holds an incumbent builds nothing."""
-        if self.config.return_first and self.best is not None:
+        first-solution search that already holds a warm start builds nothing."""
+        if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
         pulse, costs = self.pulse_cost, self.costs
@@ -248,8 +244,8 @@ class _Search:
                     | _dirty(mag_r, r) << r | _dirty(mag_r2, r2) << r2
                 if not dirty2:
                     self.stats.solutions_found += 1
-                    if self.best is None or cost2 < self.best[0]:
-                        self.best = (cost2, path2, np.array(rows2), False)
+                    if cost2 < self.best[0]:
+                        self.best = (cost2, _path_steps(path2), np.array(rows2), False)
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
@@ -285,15 +281,15 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     search.stats.beat_warm_start = warm is not None and search.best is not warm
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
-    if search.best is None:
+    cost, steps, m_final, undo = search.best
+    if steps is None:
         raise NoSolutionError(
             f"no decomposition within cost limit {limit:.6g} "
             f"after {search.stats.nodes_expanded} nodes",
             search.stats,
         )
-    cost, path, m_final, undo = search.best
-    # Gates are built here, once, by replaying the final incumbent's path
+    # Gates are built here, once, by replaying the final incumbent's steps
     # from the initial graph: emission records them and assemble builds them.
-    records, g_final_raw = emit_steps(graph, _path_steps(path), undo)
+    records, g_final_raw = emit_steps(graph, steps, undo)
     sequence, theta, g_final = assemble(graph, g_final_raw, records, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

@@ -122,9 +122,11 @@ def run_suite(dims, counts, graphs, config: SearchConfig = SearchConfig(),
     instance at a time.
 
     `graphs` is a list of (architecture_id, CouplingGraph); records come
-    back ordered by (dim, architecture, index).  A repeated dim or
-    architecture id raises ValueError.
+    back ordered by (dim, architecture, index).  No dim, or a repeated dim
+    or architecture id, raises ValueError.
     """
+    if not dims:
+        raise ValueError("no dim to compile")
     if len(dims) != len(counts):
         raise ValueError("dims and counts must align")
     if any(count < 1 for count in counts):

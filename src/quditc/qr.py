@@ -45,11 +45,12 @@ def ladder(m0: np.ndarray):
     and apply_rotation_rows on a list of rows:
 
       * Column c's moduli (np.hypot) and phases (np.arctan2) are read once,
-        when the column starts.  A step on rows (r, r2) leaves row r2 done
-        with the column and carries the pivot in row r, the next step's
-        lower entry, so each step reads again only that pivot's modulus and
-        phase.  theta is 2 math.atan2 of the moduli, one step at a time:
-        np.arctan2 can differ from math.atan2 in the last ulp.
+        when the column starts, into one running column.  A step on rows
+        (r, r2) leaves row r2 done with the column and a new pivot in row r,
+        the next step's lower entry, so it writes only that pivot's abs and
+        scalar np.arctan2 back into the running column.  theta is 2
+        math.atan2 of the moduli, one step at a time: np.arctan2 can differ
+        from math.atan2 in the last ulp.
       * A step updates the two adjacent rows (r, r + 1) in place, with the
         kernel's arithmetic (c x + a y, b x + c y): one np.multiply of the
         2x2 coefficients into a reused buffer, one np.add into the rows.
@@ -68,29 +69,20 @@ def ladder(m0: np.ndarray):
         column = m[:, c]
         mods = np.hypot(column.real, column.imag).tolist()
         angs = arctan2(column.imag, column.real).tolist()
-        carried = False  # row r2 holds the last step's pivot
         for r2 in range(dim - 1, c, -1):
-            if carried:
-                low = entry(r2, c)
-                mod_low = abs(low)
-                carried = mod_low >= NEGLIGIBLE
-                if not carried:
-                    continue
-                ang_low = float(arctan2(low.imag, low.real))
-            else:
-                mod_low = mods[r2]
-                if mod_low < NEGLIGIBLE:
-                    continue
-                ang_low = angs[r2]
+            if mods[r2] < NEGLIGIBLE:
+                continue
             r = r2 - 1
-            theta = 2.0 * math.atan2(mod_low, mods[r])
-            phi = -(_HALF_PI + angs[r] - ang_low)
+            theta = 2.0 * math.atan2(mods[r2], mods[r])
+            phi = -(_HALF_PI + angs[r] - angs[r2])
             steps.append((r, r2, theta, phi))
             cos, a, b = rotation_coefficients(theta, phi)
             weights[0], weights[1], weights[2], weights[3] = cos, b, a, cos
             multiply(coef, spread[r], out=products)
             add(from_x, from_y, out=pairs[r])
-            carried = True
+            pivot = entry(r, c)
+            mods[r] = abs(pivot)
+            angs[r] = float(arctan2(pivot.imag, pivot.real))
     return steps, m
 
 

@@ -109,6 +109,18 @@ class TestCostLimit:
         )
         assert result.total_cost < limit
 
+    @pytest.mark.parametrize("graph", [g for _, g in architectures_for_dim(5)],
+                             ids=[aid for aid, _ in architectures_for_dim(5)])
+    def test_factor_above_one_is_moot_with_warm_start(self, graph):
+        # The limit is only the first incumbent.  A warm start never costs
+        # more than the fixed sequence, so under any factor above 1 it
+        # replaces the limit before the first node, and the searches agree.
+        for u in random_cliffords(5, 4, 99):
+            runs = [adaptive_compile(u, graph, SearchConfig(cost_limit_factor=f, max_nodes=300))
+                    for f in (1.1, 2.0, math.inf)]
+            assert len({result_digest([r]) for r in runs}) == 1
+            assert len({r.stats.nodes_expanded for r in runs}) == 1
+
     def test_unreachable_limit_raises(self, path3):
         u = haar_unitary(3, 42)
         with pytest.raises(NoSolutionError) as info:
@@ -257,6 +269,7 @@ class TestStopReason:
         cold = adaptive_compile(u, path3, SearchConfig(return_first=True, warm_start=False))
         assert cold.stats.stop_reason == "first_solution"
         assert cold.stats.nodes_expanded > 0 and not cold.stats.beat_warm_start
+        assert cold.total_cost < cold.stats.cost_limit  # accepted only under the limit
 
     def test_first_solution_with_incumbent_builds_no_table(self):
         # An accepted warm start answers a first-solution search before
@@ -458,11 +471,12 @@ class TestDeepSearch:
 def reference_children(search, m, graph, cost):
     """The node's children from the scalar per-candidate calls, column by
     column: zero-tolerance filter, annihilation angles, routed step cost,
-    limit filter.  Within a column they stay in (row, row2) order, or are
-    sorted by step cost while the search holds an incumbent."""
+    filter against the incumbent's cost.  Within a column they stay in
+    (row, row2) order, or are sorted by step cost once the incumbent has
+    steps."""
     states = search.states
     dim = len(states)
-    limit = search.current_limit()
+    limit = search.best[0]
     _, dist = _topology(graph.num_levels, graph.edges)
     children = []
     for c in range(dim):
@@ -478,7 +492,7 @@ def reference_children(search, m, graph, cost):
                 if cost + step >= limit:
                     continue
                 column.append((step, c, r, r2, theta, phi))
-        if search.best is not None:
+        if search.best[1] is not None:
             column.sort()
         children.extend(column)
     return children
@@ -510,15 +524,15 @@ class TestNodeScoring:
     @settings(max_examples=60, deadline=None)
     @given(case=scoring_cases())
     def test_matches_scalar_reference(self, incumbent, case):
-        # Without an incumbent (a cold search before its first solution)
-        # the children come in triple order; with one, each column is
-        # sorted by step cost.
+        # While the incumbent is the bare limit (a cold search before its
+        # first solution) the children come in triple order; once it has
+        # steps, each column is sorted by step cost.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
         search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
         if incumbent:
-            search.best = (limit, None, None)
+            search.best = (limit, [], None, False)
         children = list(search.children(*search.prepare(m, g), spent))
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
@@ -530,13 +544,13 @@ class TestNodeScoring:
         # The incumbent improves while the caller searches the subtree of
         # the `after`-th child; the children still to come must be exactly
         # the score-time list rechecked against the improved limit.  The
-        # search starts with an incumbent at the limit, so every column is
-        # sorted by step cost.
+        # search starts with an incumbent with steps at the limit, so every
+        # column is sorted by step cost.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
         search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
-        search.best = (limit, None, None)
+        search.best = (limit, [], None, False)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
         expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
@@ -544,7 +558,7 @@ class TestNodeScoring:
         for child in search.children(*search.prepare(m, g), spent):
             yielded.append(child)
             if len(yielded) == after:
-                search.best = (improved, None, None)
+                search.best = (improved, [], None, False)
         assert yielded == expected
 
 

@@ -46,7 +46,9 @@ class TestArchitectures:
 
 class TestRunSuite:
     def test_empty_dims(self):
-        assert run_suite([], [], architectures_for_dim(3), CFG) == []
+        # a suite that compiles nothing is invalid input, not an empty table
+        with pytest.raises(ValueError, match="no dim"):
+            run_suite([], [], architectures_for_dim(3), CFG)
 
     def test_records_complete_and_verified(self):
         graphs = architectures_for_dim(3)

@@ -299,6 +299,11 @@ class TestBench:
         assert run(["bench", "--dims", dims, "--counts", counts]) == EXIT_INVALID
         assert "count" in capsys.readouterr().err
 
+    def test_empty_suite_is_invalid_input(self, capsys):
+        assert run(["bench", "--dims", "", "--counts", ""]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "no dim" in captured.err and captured.out == ""
+
     def test_repeated_input_is_invalid_input(self, tmp_path, capsys):
         # two files named path-3.json would merge into one row
         for name in ("a", "b"):

@@ -255,7 +255,8 @@ class TestLadder:
     @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
            form=st.sampled_from([phase_permutation, block_diagonal]))
     def test_exact_zeros_bit_identical_to_row_list_form(self, dim, seed, form):
-        # a zero entry is skipped, and a pivot carried past a skip is read again
+        # a zero entry is skipped, and the step after a skip reads its
+        # lower entry from the column start
         self.assert_matches_reference(form(dim, seed))
 
     def test_cliffords_bit_identical_to_row_list_form(self):
