@@ -5,9 +5,10 @@ Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
 order multiply to (diagonal) . U.  Emission keeps each gate as a record
 (low, high, theta, phi, routing), with the walk's stored phases already in
-phi.  The final assembly folds every remaining tracked phase (node deposits
-plus the terminal diagonal) into the records' phi and builds each gate
-once, leaving the reconstruction identity
+phi.  The final assembly reads the emitter's walk: it folds every
+remaining tracked phase (node deposits plus the terminal diagonal) into
+the records' phi, builds each gate once and builds the final graph once
+from the walk's placement, leaving the reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -114,24 +115,21 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     return records
 
 
-def assemble(initial_graph: CouplingGraph, final_graph: CouplingGraph, records,
-             remaining: np.ndarray, dim: int):
-    """Fold node phases and the terminal diagonal into the emitted records
-    and build each gate once, with :func:`conjugated`.
+def assemble(walk: PlacementWalk, records, remaining: np.ndarray, dim: int):
+    """Fold the walk's stored phases and the terminal diagonal into the
+    emitted records and build each gate once, with :func:`conjugated`.
 
-    Returns (sequence, residual_phases, cleaned final graph) satisfying the
-    reconstruction identity exactly.
+    Returns (sequence, residual_phases, final graph) satisfying the
+    reconstruction identity exactly: the final graph is built once, with
+    the walk's placement and no stored phase.
     """
-    states = initial_graph.state_order()[:dim]
+    start = walk.start
     delta = np.angle(np.diag(remaining))
-    dphase = np.array(final_graph.node_phase, dtype=np.float64)
-    for k, state in enumerate(states):
-        dphase[final_graph.level_of(state)] += delta[k]
+    dphase = np.array(walk.phases, dtype=np.float64)
+    for k in range(dim):
+        dphase[walk.levels[k]] += delta[k]
     shifts = (-dphase).tolist()
     sequence = tuple(conjugated(record, shifts) for record in records)
-    theta = np.empty(dim, dtype=np.float64)
-    for k, state in enumerate(states):
-        lv = initial_graph.level_of(state)
-        theta[k] = initial_graph.node_phase[lv] - dphase[lv]
-    theta = np.angle(np.exp(1j * theta))
-    return sequence, theta, final_graph._clone(node_phase=(0.0,) * final_graph.num_levels)
+    initial = [start.logical_map[s] for s in start.state_order()[:dim]]
+    theta = np.angle(np.exp(1j * (np.array(start.node_phase)[initial] - dphase[initial])))
+    return sequence, theta, walk.graph((0.0,) * start.num_levels)

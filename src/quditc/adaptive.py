@@ -11,7 +11,10 @@ sequence cannot.  By default the first incumbent is instead the fixed
 elimination ladder (its steps replayed with one-way routing, or the fixed
 sequence itself where that costs less), so the search spends its node
 budget on improving a complete decomposition.  The warm start is priced,
-not emitted, and only its undo flag can be True.
+not emitted, only its undo flag can be True, and it is kept unless it
+costs more than the limit.  An input whose ladder does not end diagonal
+raises ValueError (``qr.ladder``) before any node.  A search is whole when
+built; ``run`` builds only the root's rows.
 
 The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
 not bounded by the recursion limit.  A node does only the work its taken
@@ -45,14 +48,16 @@ children use:
     ``graph.routed_levels`` when a child's two states are not adjacent.  A
     node records its path as parent-linked (r, r2, theta, phi) steps, which
     a new incumbent unrolls into a step list; gates (pulses, deposited
-    phases) are emitted once, for the final incumbent, as records that
-    assemble builds into gates.
+    phases) are emitted once, for the final incumbent, as records and a
+    placement walk, from which assemble builds the gates and the final
+    graph.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +71,7 @@ from ._compile import (
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .graph import CouplingGraph, _topology, routed_levels
+from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .qr import _validated, emit_steps, ladder, ladder_cost
@@ -114,17 +119,17 @@ def _ladder_replay(m0, graph, states, params, config):
     """Run and price the fixed elimination ladder once, for both of its
     uses: the cost limit (config's factor times the fixed sequence's cost)
     and, with warm start, an incumbent (cost, the ladder's steps, final
-    matrix, undo), None if it is not below the limit or has more steps than
-    config.max_depth.  The incumbent is the cheaper complete form: the steps
-    replayed with one-way routing, or the fixed sequence (undo True) where
-    that costs less than the replay."""
+    matrix, undo), None if it costs more than the limit or has more steps
+    than config.max_depth.  The incumbent is the cheaper complete form: the
+    steps replayed with one-way routing, or the fixed sequence (undo True)
+    where that costs less than the replay."""
     steps, m = ladder(m0)
     fixed, one_way = ladder_cost(steps, graph, states, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
         return limit, None
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
-    if cost >= limit or not is_diagonal(m):
+    if cost > limit:
         return limit, None
     return limit, (cost, steps, m, undo)
 
@@ -134,8 +139,16 @@ def _dirty(row: list, k: int) -> bool:
     return max(row[:k] + row[k + 1:]) > DEFAULT_TOL
 
 
+@lru_cache(maxsize=8)
+def _columns(dim: int) -> tuple:
+    """(c, ((r, r2), ...)) per column: entry (r2, c) rotates into (r, c)."""
+    return tuple((c, tuple((r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)))
+                 for c in range(dim))
+
+
 class _Search:
-    def __init__(self, states, config, params, limit, warm):
+    def __init__(self, graph, states, config, params, limit, warm):
+        self.graph = graph  # the edges routing follows; routing never changes them
         self.states = states
         self.config = config
         self.params = params
@@ -146,22 +159,9 @@ class _Search:
         dim = len(states)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
-        self.costs = {}      # theta -> rotation_cost(theta, 1, params)
-        self.graph = None    # the edges routing follows; routing never changes them
-        self.dist = None     # level distances on those edges
-        self.columns = None  # (c, [(r, r2), ...]): entry (r2, c) rotates into (r, c)
-
-    def prepare(self, m, graph):
-        """(moduli rows, phase rows, state levels) of a node given as a
-        full matrix and graph; also fixes the search's graph, distance table
-        and candidate (r, r2) pairs per column, in triple order."""
-        self.graph = graph
-        self.dist = _topology(graph.num_levels, graph.edges)[1]
-        dim = len(self.states)
-        self.columns = [(c, [(r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)])
-                        for c in range(dim)]
-        levels = [graph.logical_map[s] for s in self.states]
-        return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), levels
+        self.costs = {}  # theta -> rotation_cost(theta, 1, params)
+        self.dist = _topology(graph.num_levels, graph.edges)[1]  # level distances
+        self.columns = _columns(dim)
 
     def children(self, mag, ang, levels, cost):
         """Children of a node as (step, c, r, r2, theta, phi): one per
@@ -211,17 +211,18 @@ class _Search:
         stack.append((self.children(mag, ang, levels, cost),) + node)
         return True
 
-    def run(self, m0, graph0) -> None:
-        """Depth-first search from the root.  Each stack frame holds a node
-        and the iterator over its children, so a child's subtree is searched
-        in full before its next sibling, as a recursive search would.  A
-        first-solution search that already holds a warm start builds nothing."""
+    def run(self, m0) -> None:
+        """Depth-first search from the root matrix.  Each stack frame holds a
+        node and the iterator over its children, so a child's subtree is
+        searched in full before its next sibling, as a recursive search
+        would.  A first-solution search holding a warm start expands none."""
         if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
-        pulse, costs = self.pulse_cost, self.costs
-        mag0, ang0, levels0 = self.prepare(m0, graph0)
-        graph, dist = self.graph, self.dist
+        pulse, costs, graph, dist = self.pulse_cost, self.costs, self.graph, self.dist
+        mag0 = np.hypot(m0.real, m0.imag).tolist()
+        ang0 = np.arctan2(m0.imag, m0.real).tolist()
+        levels0 = [graph.logical_map[s] for s in self.states]
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
         stack = []
         if not self.enter(stack, (list(m0), mag0, ang0, dirty0, levels0, None, 0.0, 0)):
@@ -271,13 +272,13 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
 
     m0 = u.conj().T.copy()
     if is_diagonal(m0):
-        sequence, theta, g_final = assemble(graph, graph, [], m0, dim)
+        sequence, theta, g_final = assemble(PlacementWalk(graph), [], m0, dim)
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
 
     limit, warm = _ladder_replay(m0, graph, states, params, config)
-    search = _Search(states, config, params, limit, warm)
-    search.run(m0, graph)
+    search = _Search(graph, states, config, params, limit, warm)
+    search.run(m0)
     search.stats.beat_warm_start = warm is not None and search.best is not warm
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -290,6 +291,6 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
         )
     # Gates are built here, once, by replaying the final incumbent's steps
     # from the initial graph: emission records them and assemble builds them.
-    records, g_final_raw = emit_steps(graph, steps, undo)
-    sequence, theta, g_final = assemble(graph, g_final_raw, records, m_final, dim)
+    records, walk = emit_steps(graph, steps, undo)
+    sequence, theta, g_final = assemble(walk, records, m_final, dim)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import check_size
+from .linalg import as_int, check_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +192,7 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
     """Parse a sequence document; returns (gates, dim, virtual_phases).
     Any malformed part raises ValueError."""
     try:
-        dim = int(doc["dim"])
+        dim = as_int(doc["dim"])
         check_size(dim, "sequence dim")
         gates = [_gate_from_record(rec) for rec in doc["gates"]]
         phases = doc.get("virtual_phases")
@@ -214,10 +214,10 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
 def _gate_from_record(rec: dict) -> Gate:
     kind = rec.get("type")
     if kind == "R":
-        return RotationGate(int(rec["i"]), int(rec["j"]), float(rec["theta"]),
+        return RotationGate(as_int(rec["i"]), as_int(rec["j"]), float(rec["theta"]),
                             float(rec["phi"]), routing=bool(rec.get("routing", False)))
     if kind == "Z":
-        return VirtualZGate(int(rec["i"]), float(rec["phi"]))
+        return VirtualZGate(as_int(rec["i"]), float(rec["phi"]))
     raise ValueError(f"unknown gate type {kind!r}")
 
 

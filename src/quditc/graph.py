@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import Gate, VirtualZGate, conjugated, reorder_pulse
-from .linalg import check_size
+from .linalg import as_int, check_size
 
 _TWO_PI = 2.0 * math.pi
 _ANCILLA_RE = re.compile(r"^a(\d+)$")
@@ -67,7 +67,7 @@ def _checked_placement(mapping, num_levels: int) -> dict:
     Raises ValueError unless it maps states one-to-one onto levels
     0..num_levels-1."""
     try:
-        placement = {state_key(s): int(lv) for s, lv in mapping.items()}
+        placement = {state_key(s): as_int(lv) for s, lv in mapping.items()}
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"placement must map state labels to levels: {exc}") from None
     levels = list(placement.values())
@@ -255,11 +255,11 @@ class PlacementWalk:
             self.pulse(pulse.level_low, pulse.level_high, pulse.theta, pulse.phi)
         return pulses
 
-    def graph(self) -> CouplingGraph:
-        """The starting graph with the walk's placement and phases."""
+    def graph(self, node_phase: tuple = ()) -> CouplingGraph:
+        """The starting graph with the walk's placement, and node_phase or its phases."""
         mapping = dict(self.start.logical_map)
         mapping.update(zip(self.start.state_order(), self.levels))
-        return self.start._clone(logical_map=mapping, node_phase=tuple(self.phases))
+        return self.start._clone(logical_map=mapping, node_phase=node_phase or tuple(self.phases))
 
 
 def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
@@ -353,9 +353,9 @@ def load_graph(path: str | Path) -> CouplingGraph:
 
 def graph_from_dict(doc: dict) -> CouplingGraph:
     try:
-        levels = int(doc["levels"])
-        edges = frozenset((int(a), int(b)) for a, b in doc["edges"])
-        mapping = {str(k): int(v) for k, v in doc["logical_map"].items()}
+        levels = as_int(doc["levels"])
+        edges = frozenset((as_int(a), as_int(b)) for a, b in doc["edges"])
+        mapping = {str(k): v for k, v in doc["logical_map"].items()}  # levels: CouplingGraph
         ancillas = frozenset(str(s) for s in doc.get("ancillas", ()))
         phases = tuple(float(p) for p in doc.get("node_phase", ()))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

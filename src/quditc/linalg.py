@@ -16,8 +16,11 @@ The tolerance contract.  Every cut-off in quditc is one of three:
   entries up to ``DEFAULT_TOL`` unrotated, and it gathers rounding error
   over its gates, so it is checked ten times more loosely.
 * ``qr.NEGLIGIBLE`` (1e-12) is the elimination ladder's skip.  It sits
-  three orders below ``DEFAULT_TOL`` so that the ladder's final matrix
-  passes the diagonal test with room to spare.
+  three orders below ``DEFAULT_TOL``, so that on a unitary input the
+  ladder's final matrix passes the diagonal test with room to spare.  An
+  input unitary only within ``DEFAULT_TOL`` can still end above it;
+  ``qr.ladder`` checks its end once and raises ValueError, for both
+  back-ends and the cost bound alike.
 
 ``MAX_LEVELS`` caps a graph's levels and a sequence's or unitary's dim,
 checked before allocating: twice the documented scope of ``d <= 64``.
@@ -39,6 +42,14 @@ def check_size(n: int, what: str) -> None:
     """Raise ValueError if a document names a size above MAX_LEVELS."""
     if n > MAX_LEVELS:
         raise ValueError(f"{what} {n} exceeds the cap of {MAX_LEVELS}")
+
+
+def as_int(value) -> int:
+    """A document's integer field as an int; ValueError for a bool, a string
+    or a fractional number, all of which int() accepts (1.7 as 1)."""
+    if isinstance(value, (bool, np.bool_, str)) or value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def check_tol(tol: float) -> None:
@@ -108,7 +119,7 @@ def load_unitary(path: str | Path) -> np.ndarray:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        dim = int(doc["dim"])
+        dim = as_int(doc["dim"])
         check_size(dim, "unitary dim")
         arr = np.asarray(doc["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -10,6 +10,8 @@ restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps, and in the
 same pass the adaptive one-way replay, without emitting a gate.
 :func:`emit_steps` emits either form's gate records on one placement walk.
+:func:`ladder` holds the one check of an elimination's end, so every
+entry point rejects an input whose elimination does not end diagonal.
 """
 from __future__ import annotations
 
@@ -39,7 +41,8 @@ _HALF_PI = math.pi / 2
 def ladder(m0: np.ndarray):
     """Run the fixed elimination in place on a complex128 copy of m0, the
     conjugate transpose of the target (m0 is not modified).  Returns the
-    (r, r2, theta, phi) steps in order and the final matrix.
+    (r, r2, theta, phi) steps in order and the final matrix; ValueError
+    unless that matrix is diagonal, the one check of an elimination's end.
 
     The steps and the matrix are bit for bit those of annihilation_angles
     and apply_rotation_rows on a list of rows:
@@ -83,6 +86,8 @@ def ladder(m0: np.ndarray):
             pivot = entry(r, c)
             mods[r] = abs(pivot)
             angs[r] = float(arctan2(pivot.imag, pivot.real))
+    if not is_diagonal(m):
+        raise ValueError("elimination did not terminate in a diagonal")
     return steps, m
 
 
@@ -110,12 +115,12 @@ def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams):
 
 
 def emit_steps(graph: CouplingGraph, steps, undo: bool):
-    """(records, final graph) of the (r, r2, theta, phi) steps on the states
-    of graph.state_order(), routed on one placement walk from graph.  With
+    """(records, walk) of the (r, r2, theta, phi) steps on the states of
+    graph.state_order(), routed on one placement walk from graph.  With
     undo each rotation's routing is inverted right after it (the fixed
     sequence); without it the placement moves on.  Each gate is an
     emit_rotation record (low, high, theta, phi, routing); assemble builds
-    the gates."""
+    the gates and the final graph from the records and the walk."""
     walk = PlacementWalk(graph)
     records = []
     for r, r2, theta, phi in steps:
@@ -125,7 +130,7 @@ def emit_steps(graph: CouplingGraph, steps, undo: bool):
             for low, high, p_theta, p_phi, _ in reversed(step[:-1]):
                 walk.pulse(low, high, -p_theta, p_phi)
                 records.append((low, high, -p_theta, p_phi, True))
-    return records, walk.graph()
+    return records, walk
 
 
 def _validated(u) -> np.ndarray:
@@ -142,18 +147,15 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     dim = u.shape[0]
     states = compile_states(graph, dim)
     steps, m = ladder(u.conj().T)
-    if not is_diagonal(m):
-        raise ValueError("elimination did not terminate in a diagonal")
-
-    records, g = emit_steps(graph, steps, undo=True)
-    sequence, theta_res, g_final = assemble(graph, g, records, m, dim)
+    records, walk = emit_steps(graph, steps, undo=True)
+    sequence, theta_res, g_final = assemble(walk, records, m, dim)
     total = ladder_cost(steps, graph, states, params)[0]
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)
 
 
 def qr_cost_bound(u, graph: CouplingGraph, params: CostParams = CostParams()) -> float:
     """Total cost of the fixed decomposition, priced from the ladder's
-    steps without emitting a gate."""
+    steps without emitting a gate; ValueError where qr_decompose raises."""
     u = _validated(u)
     states = compile_states(graph, u.shape[0])
     return ladder_cost(ladder(u.conj().T)[0], graph, states, params)[0]

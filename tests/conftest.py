@@ -2,12 +2,30 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from quditc.adaptive import _Search
 from quditc.cost import CostParams
 from quditc.graph import CouplingGraph
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
+
+
+def unfinished_elimination_input() -> np.ndarray:
+    """A 5x5 matrix unitary within DEFAULT_TOL (error 8.85e-10) whose
+    elimination ladder leaves an off-diagonal entry of 1.09e-9, above it."""
+    u = haar_unitary(5, 1660)
+    u[:, -1] += 4e-10 * np.random.default_rng(1660).standard_normal(5)
+    return u
+
+
+@pytest.fixture
+def no_search_node(monkeypatch):
+    """Fail the test if an adaptive search expands a node."""
+    def enter(*args):
+        raise AssertionError("a search node was expanded")
+
+    monkeypatch.setattr(_Search, "enter", enter)
 
 
 @pytest.fixture

@@ -113,11 +113,13 @@ class TestCostLimit:
                              ids=[aid for aid, _ in architectures_for_dim(5)])
     def test_factor_above_one_is_moot_with_warm_start(self, graph):
         # The limit is only the first incumbent.  A warm start never costs
-        # more than the fixed sequence, so under any factor above 1 it
+        # more than the fixed sequence, so under any factor of 1 or above it
         # replaces the limit before the first node, and the searches agree.
+        # At exactly 1 the warm start can cost as much as the limit (the
+        # one-way replay on bridge): the limit is inclusive, so it is kept.
         for u in random_cliffords(5, 4, 99):
             runs = [adaptive_compile(u, graph, SearchConfig(cost_limit_factor=f, max_nodes=300))
-                    for f in (1.1, 2.0, math.inf)]
+                    for f in (1.0, 1.1, 2.0, math.inf)]
             assert len({result_digest([r]) for r in runs}) == 1
             assert len({r.stats.nodes_expanded for r in runs}) == 1
 
@@ -272,8 +274,10 @@ class TestStopReason:
         assert cold.total_cost < cold.stats.cost_limit  # accepted only under the limit
 
     def test_first_solution_with_incumbent_builds_no_table(self):
-        # An accepted warm start answers a first-solution search before
-        # any per-search table (distances, candidate pairs) is built.
+        # An accepted warm start answers a first-solution search without
+        # expanding a node, and the search builds no table of its own: the
+        # distances and candidate pairs are shared per edge set and per
+        # dimension.
         g = path_architecture(7)
         u = haar_unitary(7, 77)
         m0 = u.conj().T.copy()
@@ -281,12 +285,14 @@ class TestStopReason:
         cfg = SearchConfig(return_first=True)
         limit, warm = adaptive_module._ladder_replay(m0, g, states, CostParams(), cfg)
         assert warm is not None and warm[3] is False  # the one-way replay
-        search = _Search(states, cfg, CostParams(), limit, warm)
-        search.run(m0, g)
+        search = _Search(g, states, cfg, CostParams(), limit, warm)
+        search.run(m0)
         assert search.best is warm and search.stats.solutions_found == 1
         assert search.stats.stop_reason == "first_solution"
         assert search.stats.nodes_expanded == 0
-        assert search.dist is None and search.columns is None
+        other = _Search(star_architecture(7), states, SearchConfig(), CostParams(), limit, None)
+        assert other.columns is search.columns
+        assert search.dist is _topology(g.num_levels, g.edges)[1]
 
     def test_no_solution_error_carries_reason(self, path3):
         with pytest.raises(NoSolutionError) as info:
@@ -468,6 +474,13 @@ class TestDeepSearch:
         assert peak < 8 * 2**20
 
 
+def root_node(search, m):
+    """(moduli rows, phase rows, state levels) of a root given as a full
+    matrix, as _Search.run builds them."""
+    levels = [search.graph.logical_map[s] for s in search.states]
+    return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), levels
+
+
 def reference_children(search, m, graph, cost):
     """The node's children from the scalar per-candidate calls, column by
     column: zero-tolerance filter, annihilation angles, routed step cost,
@@ -530,10 +543,11 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
+        states = compile_states(g, m.shape[0])
+        search = _Search(g, states, SearchConfig(), CostParams(), limit, None)
         if incumbent:
             search.best = (limit, [], None, False)
-        children = list(search.children(*search.prepare(m, g), spent))
+        children = list(search.children(*root_node(search, m), spent))
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
         assert children == expected
@@ -549,13 +563,14 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        search = _Search(compile_states(g, m.shape[0]), SearchConfig(), CostParams(), limit, None)
+        states = compile_states(g, m.shape[0])
+        search = _Search(g, states, SearchConfig(), CostParams(), limit, None)
         search.best = (limit, [], None, False)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
         expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
         yielded = []
-        for child in search.children(*search.prepare(m, g), spent):
+        for child in search.children(*root_node(search, m), spent):
             yielded.append(child)
             if len(yielded) == after:
                 search.best = (improved, [], None, False)
@@ -580,7 +595,7 @@ class TestNodeScoring:
             m = u.conj().T.copy()
             limit = 1.1 * qr_cost_bound(u, g)
             states = compile_states(g, 5)
-            reference = _Search(states, SearchConfig(), CostParams(), limit, None)
+            reference = _Search(g, states, SearchConfig(), CostParams(), limit, None)
             # Past limit - pulse, a candidate that needs routing is rejected.
             for spent in (0.0, limit - pulse_cost(params)):
                 listed = reference_children(reference, m, g, spent)
@@ -588,9 +603,9 @@ class TestNodeScoring:
                           for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
                           if abs(m[r2, c]) > DEFAULT_TOL]
                 expected = thetas[:thetas.index(listed[0][4]) + 1]
-                search = _Search(states, SearchConfig(), params, limit, None)
+                search = _Search(g, states, SearchConfig(), params, limit, None)
                 priced.clear()
-                children = search.children(*search.prepare(m, g), spent)
+                children = search.children(*root_node(search, m), spent)
                 assert next(children) == listed[0]
                 assert priced == expected
                 rejected += len(expected) - 1
@@ -646,9 +661,10 @@ class TestCustomCostModel:
         for seed in range(4):
             u = haar_unitary(3, 1200 + seed)
             m0 = u.conj().T.copy()
-            search = _Search(compile_states(g, 3), cfg, params, 1.1 * qr_cost_bound(u, g), None)
+            limit = 1.1 * qr_cost_bound(u, g)
+            search = _Search(g, compile_states(g, 3), cfg, params, limit, None)
             calls.clear()
-            search.run(m0, g)
+            search.run(m0)
             assert calls and max(calls.values()) == 1
             result = adaptive_compile(u, g, cfg, params)
             assert result.total_cost == pytest.approx(

@@ -13,7 +13,7 @@ from quditc.graph import graph_to_dict, save_graph
 from quditc.bench import path_architecture
 from quditc.linalg import MAX_LEVELS, save_unitary
 
-from conftest import haar_unitary
+from conftest import haar_unitary, unfinished_elimination_input
 
 
 @pytest.fixture
@@ -183,6 +183,17 @@ class TestCompile:
                     "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["adaptive", "qr"])
+    def test_unfinished_elimination_is_invalid_input(self, tmp_path, capsys, no_search_node,
+                                                     mode):
+        # unitary within tolerance, but its elimination does not end diagonal:
+        # rejected before any search node, not after the budget (exit 3)
+        save_unitary(unfinished_elimination_input(), tmp_path / "u.json")
+        save_graph(path_architecture(5), tmp_path / "g.json")
+        assert run(["compile", "--unitary", tmp_path / "u.json", "--graph", tmp_path / "g.json",
+                    "--mode", mode]) == EXIT_INVALID
+        assert "did not terminate in a diagonal" in capsys.readouterr().err
+
     @pytest.mark.parametrize("phase", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_node_phase_is_invalid_input(self, workdir, tmp_path, capsys, phase):
         # Python's json module reads these constants as floats
@@ -257,6 +268,18 @@ class TestVerify:
         (tmp_path / "seq.json").write_text(json.dumps({"dim": 3, "gates": [{"type": "Q"}]}))
         assert run(["verify", "--unitary", workdir / "u.json",
                     "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("record", [{"i": 0.6, "j": 1.4}, {"i": 0, "j": True},
+                                        {"i": "0", "j": 1}])
+    def test_non_integer_gate_level_is_invalid_input(self, tmp_path, capsys, record):
+        # int() would read these as levels 0 and 1: a gate that verifies
+        save_unitary(np.eye(2, dtype=complex), tmp_path / "u.json")
+        gate = {"type": "R", "theta": 0.0, "phi": 0.0, **record}
+        (tmp_path / "seq.json").write_text(json.dumps({"dim": 2, "gates": [gate]}))
+        assert run(["verify", "--unitary", tmp_path / "u.json",
+                    "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected an integer" in captured.err
 
     @pytest.mark.parametrize("gates", [[{"type": "R", "i": 0}], 5, ["x"]])
     def test_malformed_gate_list_is_invalid_input(self, workdir, tmp_path, capsys, gates):

@@ -145,3 +145,56 @@ class TestSizeCap:
         save_unitary(np.eye(MAX_LEVELS + 1), tmp_path / "u.json")
         with pytest.raises(ValueError, match="cap"):
             load_unitary(tmp_path / "u.json")
+
+
+class TestIntegerFields:
+    """A level, edge end, placement level or dim is an integer: a fractional
+    number, a boolean or a string is rejected, not rounded down by int()."""
+
+    BAD = [3.9, 1.2, True, False, "1"]
+
+    def test_fractional_graph_document(self):
+        doc = {"levels": 3.9, "edges": [[0, 1.7], [1, 2]],
+               "logical_map": {"0": 0, "1": 1.2, "2": 2}}
+        with pytest.raises(ValueError, match="expected an integer"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["levels", "edge", "logical_map"])
+    def test_graph_fields(self, field, bad):
+        doc = {"levels": 3, "edges": [[0, 1], [1, 2]], "logical_map": {"0": 0, "1": 1, "2": 2}}
+        if field == "levels":
+            doc["levels"] = bad
+        elif field == "edge":
+            doc["edges"][0][1] = bad
+        else:
+            doc["logical_map"]["1"] = bad
+        with pytest.raises(ValueError, match="expected an integer"):
+            graph_from_dict(doc)
+
+    def test_integral_floats_are_integers(self):
+        doc = {"levels": 3.0, "edges": [[0, 1.0], [1, 2]],
+               "logical_map": {"0": 0, "1": 1.0, "2": 2}}
+        assert graph_from_dict(doc) == graph_from_dict(_path_graph_doc(3))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["dim", "i", "j"])
+    def test_sequence_fields(self, field, bad):
+        gate = {"type": "R", "i": 0, "j": 1, "theta": 0.0, "phi": 0.0}
+        doc = {"dim": 2, "gates": [gate]}
+        (doc if field == "dim" else gate)[field] = bad
+        with pytest.raises(ValueError, match="expected an integer"):
+            sequence_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_virtual_z_level(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            sequence_from_dict({"dim": 2, "gates": [{"type": "Z", "i": bad, "phi": 0.0}]})
+
+    def test_fractional_unitary_dim(self, tmp_path):
+        save_unitary(np.eye(3), tmp_path / "u.json")
+        doc = json.loads((tmp_path / "u.json").read_text())
+        doc["dim"] = 3.5
+        (tmp_path / "u.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_unitary(tmp_path / "u.json")

@@ -272,7 +272,8 @@ class TestPlacementWalk:
     @given(case=walk_cases(), undo=st.booleans())
     def test_matches_per_pulse_rule_bit_for_bit(self, case, undo):
         g, steps = case
-        records, g_final = emit_steps(g, steps, undo)
+        records, walk = emit_steps(g, steps, undo)
+        g_final = walk.graph()  # the walk's placement and stored phases
         ref_gates, ref_map, ref_phases = per_pulse_emission(g, steps, undo)
         assert [record_bits(x) for x in records] == [gate_bits(x) for x in ref_gates]
         assert g_final.logical_map == ref_map

@@ -14,10 +14,11 @@ from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
 from quditc.graph import CouplingGraph
+from quditc.linalg import DEFAULT_TOL, max_norm
 from quditc.qr import NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import reconstruction_error, verify_result
 
-from conftest import haar_unitary
+from conftest import haar_unitary, unfinished_elimination_input
 from test_adaptive import result_digest
 from test_graph import random_connected_graph, walk_cases
 
@@ -305,6 +306,25 @@ class TestErrors:
     def test_dim_mismatch_rejected(self, path3):
         with pytest.raises(ValueError):
             qr_decompose(np.eye(4, dtype=complex), path3)
+
+
+class TestEliminationEnd:
+    """The ladder checks that its final matrix is diagonal, once, so that
+    both back-ends and the cost bound reject the same inputs."""
+
+    def test_input_passes_validation_but_not_elimination(self):
+        u = unfinished_elimination_input()
+        assert 8e-10 < max_norm(u.conj().T @ u - np.eye(5)) <= DEFAULT_TOL
+        with pytest.raises(ValueError, match="did not terminate in a diagonal"):
+            ladder(u.conj().T)
+
+    @pytest.mark.parametrize("arch", architectures_for_dim(5), ids=lambda a: a[0])
+    def test_every_entry_point_raises(self, arch, no_search_node):
+        u, g = unfinished_elimination_input(), arch[1]
+        for compile_ in (qr_decompose, qr_cost_bound, adaptive_compile,
+                         lambda u, g: adaptive_compile(u, g, SearchConfig(warm_start=False))):
+            with pytest.raises(ValueError, match="did not terminate in a diagonal"):
+                compile_(u, g)
 
 
 def test_ancilla_block_compilation(bridged_graph):
