@@ -63,13 +63,12 @@ class CompilationResult:
         return len(self.sequence) - self.rotation_count
 
 
-def compile_states(graph: CouplingGraph, dim: int) -> list[str]:
-    """Logical states addressed by a dim-dimensional unitary, in matrix
-    index order.  dim must cover either the computational states or every
-    mapped state (ancilla blocks included)."""
-    order = graph.state_order()
+def compile_levels(graph: CouplingGraph, dim: int) -> list[int]:
+    """Start levels of the logical states a dim-dimensional unitary
+    addresses, in matrix index order.  dim must cover either the
+    computational states or every mapped state (ancilla blocks included)."""
     if dim == graph.num_computational or dim == graph.num_states:
-        return order[:dim]
+        return [graph.logical_map[s] for s in graph.state_order()[:dim]]
     raise ValueError(
         f"unitary dim {dim} matches neither the {graph.num_computational} "
         f"computational states nor all {graph.num_states} mapped states"
@@ -115,9 +114,9 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     return records
 
 
-def assemble(walk: PlacementWalk, records, remaining: np.ndarray, dim: int):
+def assemble(walk: PlacementWalk, records, remaining: np.ndarray, initial: list):
     """Fold the walk's stored phases and the terminal diagonal into the
-    emitted records and build each gate once, with :func:`conjugated`.
+    emitted records of the states at levels initial and build each gate once.
 
     Returns (sequence, residual_phases, final graph) satisfying the
     reconstruction identity exactly: the final graph is built once, with
@@ -126,10 +125,9 @@ def assemble(walk: PlacementWalk, records, remaining: np.ndarray, dim: int):
     start = walk.start
     delta = np.angle(np.diag(remaining))
     dphase = np.array(walk.phases, dtype=np.float64)
-    for k in range(dim):
+    for k in range(len(initial)):
         dphase[walk.levels[k]] += delta[k]
     shifts = (-dphase).tolist()
     sequence = tuple(conjugated(record, shifts) for record in records)
-    initial = [start.logical_map[s] for s in start.state_order()[:dim]]
     theta = np.angle(np.exp(1j * (np.array(start.node_phase)[initial] - dphase[initial])))
     return sequence, theta, walk.graph((0.0,) * start.num_levels)

@@ -45,12 +45,12 @@ children use:
     terminal.  At the depth cap only a terminal child is kept, so a child
     that leaves a third row dirty is dropped before it is routed or rotated.
   * A node's placement is a list of its states' levels, moved by
-    ``graph.routed_levels`` when a child's two states are not adjacent.  A
-    node records its path as parent-linked (r, r2, theta, phi) steps, which
-    a new incumbent unrolls into a step list; gates (pulses, deposited
-    phases) are emitted once, for the final incumbent, as records and a
-    placement walk, from which assemble builds the gates and the final
-    graph.
+    ``graph.routed_levels`` (a copy) when a child's two states are not
+    adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
+    the stack is the path and its length a child's depth.  Gates (pulses,
+    deposited phases) are emitted once, for the final incumbent, as records
+    and a placement walk, from which assemble builds the gates and the
+    final graph.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ from ._compile import (
     annihilation_angles,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     apply_rotation_rows,
     assemble,
-    compile_states,
+    compile_levels,
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
 )
 from .cost import CostParams, pulse_cost, rotation_cost
@@ -105,17 +105,7 @@ class NoSolutionError(RuntimeError):
         self.stats = stats
 
 
-def _path_steps(path) -> list:
-    """The (r, r2, theta, phi) steps of a parent-linked path, root first."""
-    steps = []
-    while path is not None:
-        path, r, r2, theta, phi = path
-        steps.append((r, r2, theta, phi))
-    steps.reverse()
-    return steps
-
-
-def _ladder_replay(m0, graph, states, params, config):
+def _ladder_replay(m0, graph, levels, params, config):
     """Run and price the fixed elimination ladder once, for both of its
     uses: the cost limit (config's factor times the fixed sequence's cost)
     and, with warm start, an incumbent (cost, the ladder's steps, final
@@ -124,7 +114,7 @@ def _ladder_replay(m0, graph, states, params, config):
     steps replayed with one-way routing, or the fixed sequence (undo True)
     where that costs less than the replay."""
     steps, m = ladder(m0)
-    fixed, one_way = ladder_cost(steps, graph, states, params)
+    fixed, one_way = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
         return limit, None
@@ -147,16 +137,16 @@ def _columns(dim: int) -> tuple:
 
 
 class _Search:
-    def __init__(self, graph, states, config, params, limit, warm):
+    def __init__(self, graph, levels, config, params, limit, warm):
         self.graph = graph  # the edges routing follows; routing never changes them
-        self.states = states
+        self.levels = levels  # the root's placement (compile_levels)
         self.config = config
         self.params = params
         self.pulse_cost = pulse_cost(params)
         # (cost, steps, matrix, undo); the limit is an incumbent with no steps
         self.best = warm or (limit, None, None, False)
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
-        dim = len(states)
+        dim = len(levels)
         self.depth_cap = config.max_depth if config.max_depth is not None \
             else dim * (dim - 1) // 2 + dim
         self.costs = {}  # theta -> rotation_cost(theta, 1, params)
@@ -200,14 +190,14 @@ class _Search:
                 yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
 
     def enter(self, stack, node) -> bool:
-        """Expand a node (rows, mag, ang, dirty, levels, path, cost, depth)
-        onto the stack; False once the node budget is spent."""
+        """Expand a node (step, rows, mag, ang, dirty, levels, cost) onto the
+        stack at depth len(stack); False once the node budget is spent."""
         if self.stats.nodes_expanded >= self.config.max_nodes:
             self.stats.stop_reason = "node_budget"
             return False
         self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, node[-1])
-        _, mag, ang, _, levels, _, cost, _ = node
+        self.stats.max_depth = max(self.stats.max_depth, len(stack))
+        _, _, mag, ang, _, levels, cost = node
         stack.append((self.children(mag, ang, levels, cost),) + node)
         return True
 
@@ -215,27 +205,28 @@ class _Search:
         """Depth-first search from the root matrix.  Each stack frame holds a
         node and the iterator over its children, so a child's subtree is
         searched in full before its next sibling, as a recursive search
-        would.  A first-solution search holding a warm start expands none."""
+        would.  The stack is the path: a frame's step made its node (None at
+        the root).  A first-solution search holding a warm start expands
+        none."""
         if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
         pulse, costs, graph, dist = self.pulse_cost, self.costs, self.graph, self.dist
         mag0 = np.hypot(m0.real, m0.imag).tolist()
         ang0 = np.arctan2(m0.imag, m0.real).tolist()
-        levels0 = [graph.logical_map[s] for s in self.states]
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
         stack = []
-        if not self.enter(stack, (list(m0), mag0, ang0, dirty0, levels0, None, 0.0, 0)):
+        if not self.enter(stack, (None, list(m0), mag0, ang0, dirty0, self.levels, 0.0)):
             return
         while stack:
-            children, rows, mag, ang, dirty, levels, path, cost, depth = stack[-1]
-            for step, c, r, r2, theta, phi in children:
-                if depth + 1 >= self.depth_cap and dirty & ~(1 << r | 1 << r2):
+            children, _, rows, mag, ang, dirty, levels, cost = stack[-1]
+            depth = len(stack)  # a child's
+            for _, _, r, r2, theta, phi in children:
+                if depth >= self.depth_cap and dirty & ~(1 << r | 1 << r2):
                     continue  # at the cap, only a terminal child is kept
                 hops = dist[levels[r]][levels[r2]] - 1
                 levels2 = routed_levels(graph, levels, r, r2) if hops else levels
                 cost2 = cost + costs[theta] + hops * pulse
-                path2 = (path, r, r2, theta, phi)
                 x, y = apply_rotation_rows(rows[r], rows[r2], theta, phi)
                 rows2 = rows.copy()
                 rows2[r], rows2[r2] = x, y
@@ -246,16 +237,17 @@ class _Search:
                 if not dirty2:
                     self.stats.solutions_found += 1
                     if cost2 < self.best[0]:
-                        self.best = (cost2, _path_steps(path2), np.array(rows2), False)
+                        steps = [frame[1] for frame in stack[1:]] + [(r, r2, theta, phi)]
+                        self.best = (cost2, steps, np.array(rows2), False)
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
-                elif depth + 1 < self.depth_cap:
+                elif depth < self.depth_cap:
                     mag2, ang2 = mag.copy(), ang.copy()
                     mag2[r], mag2[r2] = mag_r, mag_r2
                     ang2[r] = np.arctan2(x.imag, x.real).tolist()
                     ang2[r2] = np.arctan2(y.imag, y.real).tolist()
-                    node = (rows2, mag2, ang2, dirty2, levels2, path2, cost2, depth + 1)
+                    node = ((r, r2, theta, phi), rows2, mag2, ang2, dirty2, levels2, cost2)
                     if not self.enter(stack, node):
                         return
                     break
@@ -266,18 +258,17 @@ class _Search:
 def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfig(),
                      params: CostParams = CostParams()) -> CompilationResult:
     u = _validated(u)
-    dim = u.shape[0]
-    states = compile_states(graph, dim)
+    levels = compile_levels(graph, u.shape[0])
     t0 = time.perf_counter()
 
     m0 = u.conj().T.copy()
     if is_diagonal(m0):
-        sequence, theta, g_final = assemble(PlacementWalk(graph), [], m0, dim)
+        sequence, theta, g_final = assemble(PlacementWalk(graph), [], m0, levels)
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
 
-    limit, warm = _ladder_replay(m0, graph, states, params, config)
-    search = _Search(graph, states, config, params, limit, warm)
+    limit, warm = _ladder_replay(m0, graph, levels, params, config)
+    search = _Search(graph, levels, config, params, limit, warm)
     search.run(m0)
     search.stats.beat_warm_start = warm is not None and search.best is not warm
     search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
@@ -292,5 +283,5 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     # Gates are built here, once, by replaying the final incumbent's steps
     # from the initial graph: emission records them and assemble builds them.
     records, walk = emit_steps(graph, steps, undo)
-    sequence, theta, g_final = assemble(walk, records, m_final, dim)
+    sequence, theta, g_final = assemble(walk, records, m_final, levels)
     return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)

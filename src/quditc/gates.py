@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import as_int, check_size
+from .linalg import as_int, as_real, check_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +197,7 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
         gates = [_gate_from_record(rec) for rec in doc["gates"]]
         phases = doc.get("virtual_phases")
         if phases is not None:
-            phases = np.asarray(phases, dtype=np.float64)
+            phases = np.array([as_real(p) for p in phases])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sequence document: {exc!r}") from None
     if doc.get("order", "application") != "application":
@@ -206,7 +206,7 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
         top = gate.level if isinstance(gate, VirtualZGate) else gate.level_high
         if top >= dim:
             raise ValueError(f"gate level {top} out of range for dim {dim}")
-    if phases is not None and (phases.ndim != 1 or not np.all(np.isfinite(phases))):
+    if phases is not None and not np.all(np.isfinite(phases)):
         raise ValueError("virtual_phases must be a list of finite numbers")
     return gates, dim, phases
 
@@ -214,10 +214,13 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
 def _gate_from_record(rec: dict) -> Gate:
     kind = rec.get("type")
     if kind == "R":
-        return RotationGate(as_int(rec["i"]), as_int(rec["j"]), float(rec["theta"]),
-                            float(rec["phi"]), routing=bool(rec.get("routing", False)))
+        routing = rec.get("routing", False)
+        if not isinstance(routing, bool):
+            raise ValueError(f"routing must be true or false, got {routing!r}")
+        return RotationGate(as_int(rec["i"]), as_int(rec["j"]), as_real(rec["theta"]),
+                            as_real(rec["phi"]), routing=routing)
     if kind == "Z":
-        return VirtualZGate(as_int(rec["i"]), float(rec["phi"]))
+        return VirtualZGate(as_int(rec["i"]), as_real(rec["phi"]))
     raise ValueError(f"unknown gate type {kind!r}")
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import Gate, VirtualZGate, conjugated, reorder_pulse
-from .linalg import as_int, check_size
+from .linalg import as_int, as_real, check_size
 
 _TWO_PI = 2.0 * math.pi
 _ANCILLA_RE = re.compile(r"^a(\d+)$")
@@ -141,8 +141,11 @@ class CouplingGraph:
             if not _ANCILLA_RE.match(s):
                 raise ValueError(f"ancilla label {s!r} must look like 'a0'")
         object.__setattr__(self, "ancillas", anc)
+        for s in sorted(cleaned.keys() - anc):
+            if _ANCILLA_RE.match(s):
+                raise ValueError(f"state {s!r} looks like an ancilla but is not in ancillas")
 
-        comp = sorted(int(s) for s in cleaned if not _ANCILLA_RE.match(s))
+        comp = sorted(int(s) for s in cleaned.keys() - anc)
         if comp != list(range(len(comp))):
             raise ValueError("computational states must be 0..d-1 without gaps")
 
@@ -357,7 +360,7 @@ def graph_from_dict(doc: dict) -> CouplingGraph:
         edges = frozenset((as_int(a), as_int(b)) for a, b in doc["edges"])
         mapping = {str(k): v for k, v in doc["logical_map"].items()}  # levels: CouplingGraph
         ancillas = frozenset(str(s) for s in doc.get("ancillas", ()))
-        phases = tuple(float(p) for p in doc.get("node_phase", ()))
+        phases = tuple(as_real(p) for p in doc.get("node_phase", ()))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
     return CouplingGraph(levels, edges, mapping, ancillas, phases)

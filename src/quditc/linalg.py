@@ -52,6 +52,14 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_real(value) -> float:
+    """A document's real-valued field as a float; ValueError for a bool or a
+    string, both of which float() accepts (true as 1.0, "1" as 1.0)."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError unless 0 < tol < inf (inf passes anything, NaN nothing)."""
     if not 0 < tol < math.inf:
@@ -121,7 +129,7 @@ def load_unitary(path: str | Path) -> np.ndarray:
     try:
         dim = as_int(doc["dim"])
         check_size(dim, "unitary dim")
-        arr = np.asarray(doc["entries"], dtype=np.float64)
+        arr = np.array([[[as_real(x) for x in z] for z in row] for row in doc["entries"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed unitary file {path}: {exc}") from None
     if arr.ndim != 3 or arr.shape != (dim, dim, 2):

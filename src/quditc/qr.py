@@ -24,7 +24,7 @@ from ._compile import (
     annihilation_angles,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     apply_rotation_rows,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     assemble,
-    compile_states,
+    compile_levels,
     emit_rotation,
     rotation_coefficients,
 )
@@ -91,14 +91,13 @@ def ladder(m0: np.ndarray):
     return steps, m
 
 
-def ladder_cost(steps, graph: CouplingGraph, states, params: CostParams):
+def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
     """(fixed, one_way): the cost of the steps as emit_steps emits them with
     and without undo.  Fixed is each rotation plus its n pulses, then the n
-    inverse pulses one at a time, from the initial placement; one-way moves
-    the placement on, as routed_levels moves it.  Each rotation is priced
-    once, for both sums."""
+    inverse pulses one at a time, from the start levels; one-way moves them
+    on, as routed_levels moves a copy.  Each rotation is priced once."""
     dist = _topology(graph.num_levels, graph.edges)[1]
-    start = levels = [graph.logical_map[s] for s in states]
+    start = levels
     pulse = pulse_cost(params)
     fixed = one_way = 0.0
     for r, r2, theta, _ in steps:
@@ -144,12 +143,11 @@ def _validated(u) -> np.ndarray:
 
 def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> CompilationResult:
     u = _validated(u)
-    dim = u.shape[0]
-    states = compile_states(graph, dim)
+    levels = compile_levels(graph, u.shape[0])
     steps, m = ladder(u.conj().T)
     records, walk = emit_steps(graph, steps, undo=True)
-    sequence, theta_res, g_final = assemble(walk, records, m, dim)
-    total = ladder_cost(steps, graph, states, params)[0]
+    sequence, theta_res, g_final = assemble(walk, records, m, levels)
+    total = ladder_cost(steps, graph, levels, params)[0]
     return CompilationResult(sequence, theta_res, total, None, graph, g_final)
 
 
@@ -157,5 +155,5 @@ def qr_cost_bound(u, graph: CouplingGraph, params: CostParams = CostParams()) ->
     """Total cost of the fixed decomposition, priced from the ladder's
     steps without emitting a gate; ValueError where qr_decompose raises."""
     u = _validated(u)
-    states = compile_states(graph, u.shape[0])
-    return ladder_cost(ladder(u.conj().T)[0], graph, states, params)[0]
+    levels = compile_levels(graph, u.shape[0])
+    return ladder_cost(ladder(u.conj().T)[0], graph, levels, params)[0]

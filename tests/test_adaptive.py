@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, cost as cost_module
-from quditc._compile import annihilation_angles, compile_states
+from quditc._compile import annihilation_angles, compile_levels
 from quditc.adaptive import NoSolutionError, SearchConfig, _Search, adaptive_compile
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
@@ -238,6 +238,28 @@ class TestSearchControls:
             assert first.stats.nodes_expanded == 0 and first.rotation_count == 3
             assert verify_result(u, first)
 
+    @pytest.mark.parametrize("warm_start", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(3, 5), cap=st.integers(1, 8), arch=st.integers(0, 2),
+           clifford=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_depth_cap_bounds_results_and_nodes(self, warm_start, dim, cap, arch, clifford,
+                                                seed):
+        # A result has at most max_depth rotations, and no node at depth
+        # max_depth is expanded: a child there is kept only if terminal.
+        u = random_cliffords(dim, 1, seed)[0] if clifford and dim != 4 \
+            else haar_unitary(dim, seed)
+        g = architectures_for_dim(dim)[arch][1]
+        cfg = SearchConfig(max_nodes=400, max_depth=cap, warm_start=warm_start)
+        try:
+            result = adaptive_compile(u, g, cfg)
+        except NoSolutionError as exc:
+            stats = exc.stats
+        else:
+            stats = result.stats
+            assert result.rotation_count <= cap
+            assert verify_result(u, result)
+        assert stats.max_depth <= cap - 1
+
     def test_stats_populated(self, path3):
         u = haar_unitary(3, 7)
         result = adaptive_compile(u, path3, SearchConfig(max_nodes=5000))
@@ -281,16 +303,17 @@ class TestStopReason:
         g = path_architecture(7)
         u = haar_unitary(7, 77)
         m0 = u.conj().T.copy()
-        states = compile_states(g, 7)
+        levels = compile_levels(g, 7)
         cfg = SearchConfig(return_first=True)
-        limit, warm = adaptive_module._ladder_replay(m0, g, states, CostParams(), cfg)
+        limit, warm = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg)
         assert warm is not None and warm[3] is False  # the one-way replay
-        search = _Search(g, states, cfg, CostParams(), limit, warm)
+        search = _Search(g, levels, cfg, CostParams(), limit, warm)
         search.run(m0)
         assert search.best is warm and search.stats.solutions_found == 1
         assert search.stats.stop_reason == "first_solution"
         assert search.stats.nodes_expanded == 0
-        other = _Search(star_architecture(7), states, SearchConfig(), CostParams(), limit, None)
+        star = star_architecture(7)
+        other = _Search(star, compile_levels(star, 7), SearchConfig(), CostParams(), limit, None)
         assert other.columns is search.columns
         assert search.dist is _topology(g.num_levels, g.edges)[1]
 
@@ -477,8 +500,7 @@ class TestDeepSearch:
 def root_node(search, m):
     """(moduli rows, phase rows, state levels) of a root given as a full
     matrix, as _Search.run builds them."""
-    levels = [search.graph.logical_map[s] for s in search.states]
-    return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), levels
+    return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), search.levels
 
 
 def reference_children(search, m, graph, cost):
@@ -487,8 +509,8 @@ def reference_children(search, m, graph, cost):
     filter against the incumbent's cost.  Within a column they stay in
     (row, row2) order, or are sorted by step cost once the incumbent has
     steps."""
-    states = search.states
-    dim = len(states)
+    states = graph.state_order()
+    dim = m.shape[0]
     limit = search.best[0]
     _, dist = _topology(graph.num_levels, graph.edges)
     children = []
@@ -543,8 +565,8 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        states = compile_states(g, m.shape[0])
-        search = _Search(g, states, SearchConfig(), CostParams(), limit, None)
+        levels = compile_levels(g, m.shape[0])
+        search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
         if incumbent:
             search.best = (limit, [], None, False)
         children = list(search.children(*root_node(search, m), spent))
@@ -563,8 +585,8 @@ class TestNodeScoring:
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
-        states = compile_states(g, m.shape[0])
-        search = _Search(g, states, SearchConfig(), CostParams(), limit, None)
+        levels = compile_levels(g, m.shape[0])
+        search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
         search.best = (limit, [], None, False)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
@@ -594,8 +616,8 @@ class TestNodeScoring:
             u = haar_unitary(5, 1300 + seed)
             m = u.conj().T.copy()
             limit = 1.1 * qr_cost_bound(u, g)
-            states = compile_states(g, 5)
-            reference = _Search(g, states, SearchConfig(), CostParams(), limit, None)
+            levels = compile_levels(g, 5)
+            reference = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
             # Past limit - pulse, a candidate that needs routing is rejected.
             for spent in (0.0, limit - pulse_cost(params)):
                 listed = reference_children(reference, m, g, spent)
@@ -603,7 +625,7 @@ class TestNodeScoring:
                           for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
                           if abs(m[r2, c]) > DEFAULT_TOL]
                 expected = thetas[:thetas.index(listed[0][4]) + 1]
-                search = _Search(g, states, SearchConfig(), params, limit, None)
+                search = _Search(g, levels, SearchConfig(), params, limit, None)
                 priced.clear()
                 children = search.children(*root_node(search, m), spent)
                 assert next(children) == listed[0]
@@ -662,7 +684,7 @@ class TestCustomCostModel:
             u = haar_unitary(3, 1200 + seed)
             m0 = u.conj().T.copy()
             limit = 1.1 * qr_cost_bound(u, g)
-            search = _Search(g, compile_states(g, 3), cfg, params, limit, None)
+            search = _Search(g, compile_levels(g, 3), cfg, params, limit, None)
             calls.clear()
             search.run(m0)
             assert calls and max(calls.values()) == 1

@@ -204,6 +204,28 @@ class TestCompile:
         assert "node_phase" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("phase", ['"0"', "true"])
+    def test_non_real_node_phase_is_invalid_input(self, workdir, tmp_path, capsys, phase):
+        # float() would read both as numbers
+        doc = json.dumps(graph_to_dict(path_architecture(3)))
+        (tmp_path / "bad.json").write_text(doc[:-1] + f', "node_phase": [{phase}, 0, 0]}}')
+        assert run(["compile", "--unitary", workdir / "u.json",
+                    "--graph", tmp_path / "bad.json"]) == EXIT_INVALID
+        assert "expected a real number" in capsys.readouterr().err
+
+    def test_unflagged_ancilla_is_invalid_input(self, tmp_path, capsys):
+        # without "ancillas", a0 would count as a third computational state
+        save_unitary(haar_unitary(2, 5), tmp_path / "u.json")
+        doc = {"levels": 3, "edges": [[0, 1], [1, 2]], "logical_map": {"0": 0, "1": 1, "a0": 2}}
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        assert run(["compile", "--unitary", tmp_path / "u.json",
+                    "--graph", tmp_path / "g.json"]) == EXIT_INVALID
+        assert "'a0'" in capsys.readouterr().err
+        (tmp_path / "g.json").write_text(json.dumps({**doc, "ancillas": ["a0"]}))
+        assert run(["compile", "--unitary", tmp_path / "u.json",
+                    "--graph", tmp_path / "g.json"]) == EXIT_OK
+
+
 class TestVerify:
     def test_pass_and_fail(self, workdir, capsys):
         run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
@@ -280,6 +302,36 @@ class TestVerify:
                     "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == "" and "expected an integer" in captured.err
+
+    @pytest.mark.parametrize("entries", [
+        [[[True, False], [0, 0]], [[0, 0], [True, False]]],
+        [[["1", 0], [0, 0]], [[0, 0], [1, 0]]],
+    ])
+    def test_non_real_unitary_entry_is_invalid_input(self, tmp_path, capsys, entries):
+        # float() would read both as the identity, which the empty sequence matches
+        (tmp_path / "u.json").write_text(json.dumps({"dim": 2, "entries": entries}))
+        (tmp_path / "seq.json").write_text(json.dumps({"dim": 2, "gates": []}))
+        assert run(["verify", "--unitary", tmp_path / "u.json",
+                    "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected a real number" in captured.err
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"gates": [{"type": "R", "i": 0, "j": 1, "theta": "0", "phi": 0}]}, "real number"),
+        ({"gates": [{"type": "R", "i": 0, "j": 1, "theta": 0, "phi": True}]}, "real number"),
+        ({"gates": [{"type": "Z", "i": 0, "phi": "0"}]}, "real number"),
+        ({"gates": [], "virtual_phases": [False, "0"]}, "real number"),
+        ({"gates": [{"type": "R", "i": 0, "j": 1, "theta": 0, "phi": 0, "routing": "false"}]},
+         "routing"),
+    ])
+    def test_non_real_gate_field_is_invalid_input(self, tmp_path, capsys, doc, message):
+        # float() and bool() would read these as a sequence of the identity
+        save_unitary(np.eye(2, dtype=complex), tmp_path / "u.json")
+        (tmp_path / "seq.json").write_text(json.dumps({"dim": 2, **doc}))
+        assert run(["verify", "--unitary", tmp_path / "u.json",
+                    "--sequence", tmp_path / "seq.json"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("gates", [[{"type": "R", "i": 0}], 5, ["x"]])
     def test_malformed_gate_list_is_invalid_input(self, workdir, tmp_path, capsys, gates):

@@ -198,3 +198,59 @@ class TestIntegerFields:
         (tmp_path / "u.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="expected an integer"):
             load_unitary(tmp_path / "u.json")
+
+
+class TestRealFields:
+    """A phase, angle or unitary entry is a real number and a routing flag
+    a JSON boolean: float() and bool() would read a boolean or a string."""
+
+    BAD = [True, False, "0", "1.5"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_unitary_entry(self, tmp_path, bad):
+        save_unitary(np.eye(2), tmp_path / "u.json")
+        doc = json.loads((tmp_path / "u.json").read_text())
+        doc["entries"][1][0][1] = bad
+        (tmp_path / "u.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="expected a real number"):
+            load_unitary(tmp_path / "u.json")
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_node_phase(self, bad):
+        doc = {**_path_graph_doc(3), "node_phase": [0.0, bad, 0.0]}
+        with pytest.raises(ValueError, match="expected a real number"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["theta", "phi", "z_phi", "virtual_phases"])
+    def test_sequence_fields(self, field, bad):
+        gates = [{"type": "R", "i": 0, "j": 1, "theta": 0.5, "phi": 0.0},
+                 {"type": "Z", "i": 1, "phi": 0.0}]
+        doc = {"dim": 2, "gates": gates, "virtual_phases": [0.0, 0.0]}
+        if field == "z_phi":
+            gates[1]["phi"] = bad
+        elif field == "virtual_phases":
+            doc["virtual_phases"][1] = bad
+        else:
+            gates[0][field] = bad
+        with pytest.raises(ValueError, match="expected a real number"):
+            sequence_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+    def test_routing_is_a_boolean(self, bad):
+        gate = {"type": "R", "i": 0, "j": 1, "theta": 0.5, "phi": 0.0, "routing": bad}
+        with pytest.raises(ValueError, match="routing"):
+            sequence_from_dict({"dim": 2, "gates": [gate]})
+
+    def test_integers_and_booleans_where_they_belong(self, tmp_path):
+        gates = [{"type": "R", "i": 0, "j": 1, "theta": 1, "phi": 0, "routing": True},
+                 {"type": "R", "i": 0, "j": 1, "theta": 1, "phi": 0, "routing": False}]
+        parsed, _, phases = sequence_from_dict({"dim": 2, "gates": gates,
+                                                "virtual_phases": [0, 1]})
+        assert [g.routing for g in parsed] == [True, False]
+        assert parsed[0].theta == 1.0 and phases.tolist() == [0.0, 1.0]
+        doc = {**_path_graph_doc(3), "node_phase": [0, 1, 0]}
+        assert graph_from_dict(doc).node_phase == (0.0, 1.0, 0.0)
+        (tmp_path / "u.json").write_text(json.dumps(
+            {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}))
+        assert np.array_equal(load_unitary(tmp_path / "u.json"), np.diag([1, 1j]))

@@ -428,7 +428,8 @@ class TestApplyGraphRules:
 class TestAncillas:
     def test_mark_then_list(self, path3):
         edges, mapping = frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "a0": 2}
-        assert CouplingGraph(3, edges, mapping).ancillas == frozenset()
+        with pytest.raises(ValueError, match="'a0'"):
+            CouplingGraph(3, edges, mapping)  # an unflagged ancilla label
         g = CouplingGraph(3, edges, mapping, ancillas=frozenset({"a0"}))
         assert g.ancillas == {"a0"}
         assert g.num_computational == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc._compile import annihilation_angles, apply_rotation_rows
+from quditc._compile import annihilation_angles, apply_rotation_rows, compile_levels
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.bench import architectures_for_dim
 from quditc.clifford import random_cliffords
@@ -144,7 +144,7 @@ class TestCostBound:
         # replay; each is the cost of the gates built from the records
         # emit_steps emits for it
         g, steps = case
-        fixed, one_way = ladder_cost(steps, g, g.state_order(), CostParams())
+        fixed, one_way = ladder_cost(steps, g, compile_levels(g, g.num_states), CostParams())
 
         def emitted_cost(undo):
             records = emit_steps(g, steps, undo)[0]
