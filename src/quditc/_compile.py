@@ -95,12 +95,32 @@ def rotation_coefficients(theta: float, phi: float) -> tuple:
     return c, -1j * cmath.exp(-1j * phi) * s, -1j * cmath.exp(1j * phi) * s
 
 
-def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float):
-    """Rows (x, y) left-multiplied by the two-level rotation on them, as
-    (c x + a y, b x + c y); the inputs are not modified.  The one row kernel:
-    the ladder does the same arithmetic in place."""
+def rotation_scratch(dim: int) -> tuple:
+    """Reused buffers of apply_rotation_rows for rows of length dim: the
+    2x2 coefficients coef[j, i] (row j's weight in row i, as the ladder
+    lays them out), the two rows gathered as (2, 1, dim) and the products
+    coef[j, i] * row j, with views of each."""
+    coef = np.empty((2, 2, 1), dtype=np.complex128)
+    gathered = np.empty((2, 1, dim), dtype=np.complex128)
+    products = np.empty((2, 2, dim), dtype=np.complex128)
+    return (coef, coef.reshape(4), gathered, gathered[0, 0], gathered[1, 0],
+            products, products[0], products[1])
+
+
+def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float,
+                        scratch: tuple) -> np.ndarray:
+    """Rows (x, y) left-multiplied by the two-level rotation on them: a new
+    (2, d) array of (c x + a y, b x + c y); the inputs are not modified.
+    The paired update, with the ladder's arithmetic (which runs it in
+    place): the rows are gathered into scratch, rotation_scratch(d), then
+    one np.multiply by the coefficients and one np.add give both rows."""
+    coef, weights, gathered, x_in, y_in, products, from_x, from_y = scratch
     c, a, b = rotation_coefficients(theta, phi)
-    return c * x + a * y, b * x + c * y
+    weights[0], weights[1], weights[2], weights[3] = c, b, a, c
+    x_in[...] = x
+    y_in[...] = y
+    np.multiply(coef, gathered, out=products)
+    return np.add(from_x, from_y)
 
 
 def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float) -> list:

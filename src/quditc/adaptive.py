@@ -21,21 +21,29 @@ not bounded by the recursion limit.  A node does only the work its taken
 children use:
 
   * A node holds its matrix as a list of d row arrays.  A child copies the
-    list and replaces the two rows returned by ``apply_rotation_rows``, the
-    one row kernel (the ladder does the same arithmetic in place); a matrix
-    is built only for a new incumbent.  The moduli and phases are row lists kept the same way, from
-    ``np.hypot`` and ``np.arctan2`` (what ``np.angle`` computes) of the two
-    new rows: ``np.abs`` on complex arrays can differ from them in the last
-    ulp, which changes costs and tie-breaks.
+    list and replaces two rows with the (2, d) array that
+    ``apply_rotation_rows``, the paired update, returns: one np.multiply by
+    the 2x2 coefficients into the search's reused buffers and one np.add,
+    the ladder's arithmetic (the ladder runs it in place); a matrix is built
+    only for a new incumbent.  The moduli and phases are row lists kept the
+    same way, from one ``np.hypot`` and one ``np.arctan2`` (what
+    ``np.angle`` computes) of the two new rows: ``np.abs`` on complex arrays
+    can differ from them in the last ulp, which changes costs and
+    tie-breaks.  A node's two phase rows are computed when it yields its
+    first child, so a dead end computes none.
   * Children come column by column.  While the incumbent is the bare limit
     a column is priced lazily in (row, row2) order, one candidate per yield;
-    once it has steps a column's passing candidates are priced together and
-    sorted by step cost, so a node first tries the cheapest rotation of its
-    lowest uncleared column.  Sorted from the start, a cold first-solution search
+    once it has steps, each live entry (row2, c) of a column is read once,
+    its pivots are priced and the passing candidates are sorted by step
+    cost, so a node first tries the cheapest rotation of its lowest
+    uncleared column.  Sorted from the start, a cold first-solution search
     of ``haar_unitary(16, 16)`` on star-16 dives by tiny rotations and
     finds no solution in 20000 nodes, where (row, row2) order finds one in
     120; priced eagerly, a cold star-48 search peaks at 5x the memory.  Each
-    child is checked against the incumbent current when it is yielded.
+    child is checked against the incumbent current when it is yielded.  A
+    candidate whose routing pulses alone reach the incumbent's cost is
+    dropped before its angle is taken or priced, which is exact because a
+    rotation costs >= 0 (``cost.rotation_cost`` checks it).
   * Each distinct angle is priced once per search: the registered
     ``rotation_cost`` (a pure function of its arguments) is memoised.
   * A child is terminal when its two new rows are diagonal within
@@ -69,12 +77,13 @@ from ._compile import (
     assemble,
     compile_levels,
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
+    rotation_scratch,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .qr import _validated, emit_steps, ladder, ladder_cost
+from .qr import _validated, emit_steps, ladder, ladder_cost, replay_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -112,28 +121,35 @@ def _ladder_replay(m0, graph, levels, params, config):
     matrix, undo), None if it costs more than the limit or has more steps
     than config.max_depth.  The incumbent is the cheaper complete form: the
     steps replayed with one-way routing, or the fixed sequence (undo True)
-    where that costs less than the replay."""
+    where that costs less than the replay.  Each rotation is priced once,
+    and the replay only where the warm start is used."""
     steps, m = ladder(m0)
-    fixed, one_way = ladder_cost(steps, graph, levels, params)
+    fixed, rotations = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
         return limit, None
+    one_way = replay_cost(steps, rotations, graph, levels, params)
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
     if cost > limit:
         return limit, None
     return limit, (cost, steps, m, undo)
 
 
-def _dirty(row: list, k: int) -> bool:
-    """True if row k has an off-diagonal modulus above the zero tolerance."""
-    return max(row[:k] + row[k + 1:]) > DEFAULT_TOL
+@lru_cache(maxsize=8)
+def _columns(dim: int) -> tuple:
+    """(c, pairs, entries) per column, where entry (r2, c) rotates into
+    (r, c): the cold path's (r, r2) pairs in order, and each entry r2 > c
+    with its pivots r, c <= r < r2."""
+    return tuple((c, tuple((r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)),
+                  tuple((r2, tuple(range(c, r2))) for r2 in range(c + 1, dim)))
+                 for c in range(dim))
 
 
 @lru_cache(maxsize=8)
-def _columns(dim: int) -> tuple:
-    """(c, ((r, r2), ...)) per column: entry (r2, c) rotates into (r, c)."""
-    return tuple((c, tuple((r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)))
-                 for c in range(dim))
+def _pulse_costs(num_levels: int, edges: frozenset, pulse: float) -> tuple:
+    """pulses[a][b]: (dist - 1) * pulse, the routing pulses' cost of a
+    rotation between levels a and b, as the search adds it."""
+    return tuple(tuple((n - 1) * pulse for n in row) for row in _topology(num_levels, edges)[1])
 
 
 class _Search:
@@ -152,53 +168,88 @@ class _Search:
         self.costs = {}  # theta -> rotation_cost(theta, 1, params)
         self.dist = _topology(graph.num_levels, graph.edges)[1]  # level distances
         self.columns = _columns(dim)
+        self.pulses = _pulse_costs(graph.num_levels, graph.edges, self.pulse_cost)
 
-    def children(self, mag, ang, levels, cost):
+    def children(self, node):
         """Children of a node as (step, c, r, r2, theta, phi): one per
         candidate entry above the zero tolerance whose step keeps the path
         under the incumbent's cost, column by column.  While the incumbent
-        has steps, a column's passing candidates are priced when it is
-        reached and sorted by step cost; before that they are priced lazily
-        in (r, r2) order.  Each child is checked against the incumbent
-        current when it is yielded: the incumbent only improves while the
-        caller searches a yielded child's subtree."""
-        dist, costs, params = self.dist, self.costs, self.params
-        pulse, tol = self.pulse_cost, DEFAULT_TOL
-        for c, pairs in self.columns:
-            lazy = self.best[1] is None
-            limit = self.best[0]
+        is the bare limit a column's candidates are priced lazily in (r, r2)
+        order; once it has steps, each live entry (r2, c) is read once, its
+        pivots r are priced and the passing candidates are sorted by step
+        cost.  A candidate whose routing alone reaches the incumbent's cost
+        is dropped unpriced: a rotation costs >= 0.  Each child is checked
+        against the incumbent current when it is yielded: the incumbent only
+        improves while the caller searches a yielded child's subtree.
+
+        The node is (step, rows, pair, mag, ang, dirty, levels, cost).  Its
+        phase rows ang start as a copy of its parent's: the two rows its step
+        made, pair, get their phases in place at the first yield, so a node
+        without children computes none.  At the root pair is None."""
+        made, _, pair, mag, ang, _, levels, cost = node
+        pulses, costs, params, tol = self.pulses, self.costs, self.params, DEFAULT_TOL
+        for c, pairs, entries in self.columns:
+            best = self.best
+            limit = best[0]
+            if best[1] is None:
+                for r, r2 in pairs:
+                    low = mag[r2][c]
+                    if low <= tol:
+                        continue
+                    routing = pulses[levels[r]][levels[r2]]
+                    if cost + routing >= limit:
+                        continue
+                    theta = 2.0 * math.atan2(low, mag[r][c])
+                    rot = costs.get(theta)
+                    if rot is None:
+                        rot = costs[theta] = rotation_cost(theta, 1, params)
+                    step = routing + rot
+                    if cost + step < limit:
+                        if pair is not None:  # the node's first child
+                            ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
+                            pair = None
+                        yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+                        limit = self.best[0]
+                continue
             column = []
-            for r, r2 in pairs:
+            for r2, pivots in entries:
                 low = mag[r2][c]
                 if low <= tol:
                     continue
-                theta = 2.0 * math.atan2(low, mag[r][c])
-                rot = costs.get(theta)
-                if rot is None:
-                    rot = costs[theta] = rotation_cost(theta, 1, params)
-                step = (dist[levels[r]][levels[r2]] - 1) * pulse + rot
-                if cost + step < limit:
-                    if lazy:
-                        yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
-                        limit = self.best[0]
-                    else:
+                near = pulses[levels[r2]]
+                for r in pivots:
+                    routing = near[levels[r]]
+                    if cost + routing >= limit:
+                        continue
+                    theta = 2.0 * math.atan2(low, mag[r][c])
+                    rot = costs.get(theta)
+                    if rot is None:
+                        rot = costs[theta] = rotation_cost(theta, 1, params)
+                    step = routing + rot
+                    if cost + step < limit:
                         column.append((step, r, r2, theta))
+            if not column:
+                continue
             column.sort()
             for step, r, r2, theta in column:
                 if cost + step >= self.best[0]:
                     break  # the rest of the column costs at least as much
+                if pair is not None:  # the node's first child
+                    ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
+                    pair = None
                 yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
 
     def enter(self, stack, node) -> bool:
-        """Expand a node (step, rows, mag, ang, dirty, levels, cost) onto the
-        stack at depth len(stack); False once the node budget is spent."""
+        """Expand a node (step, rows, pair, mag, ang, dirty, levels, cost)
+        onto the stack at depth len(stack); False once the node budget is
+        spent."""
         if self.stats.nodes_expanded >= self.config.max_nodes:
             self.stats.stop_reason = "node_budget"
             return False
         self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, len(stack))
-        _, _, mag, ang, _, levels, cost = node
-        stack.append((self.children(mag, ang, levels, cost),) + node)
+        if len(stack) > self.stats.max_depth:
+            self.stats.max_depth = len(stack)
+        stack.append((self.children(node),) + node)
         return True
 
     def run(self, m0) -> None:
@@ -212,28 +263,31 @@ class _Search:
             self.stats.stop_reason = "first_solution"
             return
         pulse, costs, graph, dist = self.pulse_cost, self.costs, self.graph, self.dist
+        cap, tol = self.depth_cap, DEFAULT_TOL
+        scratch = rotation_scratch(len(m0))  # apply_rotation_rows' buffers
         mag0 = np.hypot(m0.real, m0.imag).tolist()
         ang0 = np.arctan2(m0.imag, m0.real).tolist()
-        dirty0 = sum(1 << k for k, row in enumerate(mag0) if _dirty(row, k))
+        # row k is dirty when an off-diagonal modulus is above the tolerance
+        dirty0 = sum(1 << k for k, row in enumerate(mag0) if max(row[:k] + row[k + 1:]) > tol)
         stack = []
-        if not self.enter(stack, (None, list(m0), mag0, ang0, dirty0, self.levels, 0.0)):
+        if not self.enter(stack, (None, list(m0), None, mag0, ang0, dirty0, self.levels, 0.0)):
             return
         while stack:
-            children, _, rows, mag, ang, dirty, levels, cost = stack[-1]
+            children, _, rows, _, mag, ang, dirty, levels, cost = stack[-1]
             depth = len(stack)  # a child's
             for _, _, r, r2, theta, phi in children:
-                if depth >= self.depth_cap and dirty & ~(1 << r | 1 << r2):
+                if depth >= cap and dirty & ~(1 << r | 1 << r2):
                     continue  # at the cap, only a terminal child is kept
                 hops = dist[levels[r]][levels[r2]] - 1
                 levels2 = routed_levels(graph, levels, r, r2) if hops else levels
                 cost2 = cost + costs[theta] + hops * pulse
-                x, y = apply_rotation_rows(rows[r], rows[r2], theta, phi)
-                rows2 = rows.copy()
-                rows2[r], rows2[r2] = x, y
-                mag_r = np.hypot(x.real, x.imag).tolist()
-                mag_r2 = np.hypot(y.real, y.imag).tolist()
+                pair = apply_rotation_rows(rows[r], rows[r2], theta, phi, scratch)
+                mag_r, mag_r2 = np.hypot(pair.real, pair.imag).tolist()
                 dirty2 = dirty & ~((1 << r) | (1 << r2)) \
-                    | _dirty(mag_r, r) << r | _dirty(mag_r2, r2) << r2
+                    | (max(mag_r[:r] + mag_r[r + 1:]) > tol) << r \
+                    | (max(mag_r2[:r2] + mag_r2[r2 + 1:]) > tol) << r2
+                rows2 = rows.copy()
+                rows2[r], rows2[r2] = pair
                 if not dirty2:
                     self.stats.solutions_found += 1
                     if cost2 < self.best[0]:
@@ -242,12 +296,11 @@ class _Search:
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
-                elif depth < self.depth_cap:
-                    mag2, ang2 = mag.copy(), ang.copy()
+                elif depth < cap:
+                    mag2 = mag.copy()
                     mag2[r], mag2[r2] = mag_r, mag_r2
-                    ang2[r] = np.arctan2(x.imag, x.real).tolist()
-                    ang2[r2] = np.arctan2(y.imag, y.real).tolist()
-                    node = ((r, r2, theta, phi), rows2, mag2, ang2, dirty2, levels2, cost2)
+                    node = ((r, r2, theta, phi), rows2, pair, mag2, ang.copy(), dirty2,
+                            levels2, cost2)
                     if not self.enter(stack, node):
                         return
                     break

@@ -13,6 +13,10 @@ Models are swappable: ``CostParams.model`` holds the model function, so
 every consumer that carries a CostParams uses the chosen hardware model.
 A model must be a pure function of (theta, dist, params): the adaptive
 search prices each distinct angle once per search and reuses the value.
+Its cost must be finite and >= 0, or rotation_cost raises ValueError: the
+search prunes a path as soon as its cost so far, or a candidate's routing
+alone, reaches the incumbent's, which is exact only because no later
+rotation lowers the total.
 """
 from __future__ import annotations
 
@@ -45,10 +49,14 @@ class CostParams:
 
 def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) -> float:
     """Cost of one two-level rotation by theta (radians) at graph distance
-    dist, under params' model."""
+    dist, under params' model; ValueError unless it is finite and >= 0."""
     if dist < 1:
         raise ValueError("distance must be >= 1")
-    return params.model(theta, dist, params)
+    cost = params.model(theta, dist, params)
+    if not 0.0 <= cost < math.inf:
+        raise ValueError(f"cost model returned {cost!r} for theta {theta!r}; "
+                         "a cost must be finite and >= 0")
+    return cost
 
 
 def pulse_cost(params: CostParams = CostParams()) -> float:

@@ -7,8 +7,9 @@ eliminated with a rotation on the adjacent index pair (r-1, r).  Where
 the coupling graph lacks the needed edge, reordering pulses are inserted
 and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
-the initial graph, and :func:`ladder_cost` prices the steps, and in the
-same pass the adaptive one-way replay, without emitting a gate.
+the initial graph, and :func:`ladder_cost` prices the steps without
+emitting a gate; :func:`replay_cost` prices the adaptive one-way replay
+from the same rotation costs.
 :func:`emit_steps` emits either form's gate records on one placement walk.
 :func:`ladder` holds the one check of an elimination's end, so every
 entry point rejects an input whose elimination does not end diagonal.
@@ -27,6 +28,7 @@ from ._compile import (
     compile_levels,
     emit_rotation,
     rotation_coefficients,
+    rotation_scratch,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
 from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
@@ -54,17 +56,16 @@ def ladder(m0: np.ndarray):
         scalar np.arctan2 back into the running column.  theta is 2
         math.atan2 of the moduli, one step at a time: np.arctan2 can differ
         from math.atan2 in the last ulp.
-      * A step updates the two adjacent rows (r, r + 1) in place, with the
-        kernel's arithmetic (c x + a y, b x + c y): one np.multiply of the
-        2x2 coefficients into a reused buffer, one np.add into the rows.
+      * A step updates the two adjacent rows (r, r + 1) in place, with
+        apply_rotation_rows' arithmetic (c x + a y, b x + c y) and buffers:
+        one np.multiply of the 2x2 coefficients into the products, one
+        np.add into the rows.
     """
     m = np.array(m0, dtype=np.complex128)
     dim = len(m)
     steps = []
-    coef = np.empty((2, 2, 1), dtype=np.complex128)  # coef[j, i]: row j's weight in row i
-    weights = coef.reshape(4)
-    products = np.empty((2, 2, dim), dtype=np.complex128)  # products[j, i] = coef[j, i] row j
-    from_x, from_y = products
+    # the kernel's coefficients and products; the rows need no gathering
+    coef, weights, _, _, _, products, from_x, from_y = rotation_scratch(dim)
     pairs = [m[r:r + 2] for r in range(dim - 1)]  # rows (r, r + 1), written in place
     spread = [pair[:, None] for pair in pairs]    # the same rows as (2, 1, dim)
     arctan2, multiply, add, entry = np.arctan2, np.multiply, np.add, m.item
@@ -92,25 +93,35 @@ def ladder(m0: np.ndarray):
 
 
 def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
-    """(fixed, one_way): the cost of the steps as emit_steps emits them with
-    and without undo.  Fixed is each rotation plus its n pulses, then the n
-    inverse pulses one at a time, from the start levels; one-way moves them
-    on, as routed_levels moves a copy.  Each rotation is priced once."""
+    """(fixed, rotations): the cost of the steps as emit_steps emits them
+    with undo, and each step's rotation cost, priced once here, for
+    replay_cost.  Fixed is each rotation plus its n pulses, then the n
+    inverse pulses one at a time, from the start levels."""
     dist = _topology(graph.num_levels, graph.edges)[1]
-    start = levels
     pulse = pulse_cost(params)
-    fixed = one_way = 0.0
-    for r, r2, theta, _ in steps:
-        rot = rotation_cost(theta, 1, params)
-        n = dist[start[r]][start[r2]] - 1
+    rotations = [rotation_cost(theta, 1, params) for _, _, theta, _ in steps]
+    fixed = 0.0
+    for (r, r2, _, _), rot in zip(steps, rotations):
+        n = dist[levels[r]][levels[r2]] - 1
         fixed += rot + n * pulse
         for _ in range(n):
             fixed += pulse
+    return fixed, rotations
+
+
+def replay_cost(steps, rotations, graph: CouplingGraph, levels, params: CostParams) -> float:
+    """The cost of the steps as emit_steps emits them without undo, from
+    ladder_cost's rotation costs: each rotation plus its n pulses at the
+    current placement, which moves on as routed_levels moves a copy."""
+    dist = _topology(graph.num_levels, graph.edges)[1]
+    pulse = pulse_cost(params)
+    one_way = 0.0
+    for (r, r2, _, _), rot in zip(steps, rotations):
         n = dist[levels[r]][levels[r2]] - 1
         one_way += rot + n * pulse
         if n:
             levels = routed_levels(graph, levels, r, r2)
-    return fixed, one_way
+    return one_way
 
 
 def emit_steps(graph: CouplingGraph, steps, undo: bool):

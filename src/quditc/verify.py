@@ -22,7 +22,7 @@ import cmath
 
 import numpy as np
 
-from ._compile import apply_rotation_rows
+from ._compile import apply_rotation_rows, rotation_scratch
 from .gates import VirtualZGate, sequence_from_dict
 from .graph import CouplingGraph, placement_embedding
 from .linalg import VERIFY_TOL, equal_up_to_global_phase, max_norm
@@ -36,13 +36,15 @@ def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phas
     dim = u.shape[0]
     lhs = placement_embedding(initial_map, num_levels, dim) \
         @ np.diag(np.exp(1j * np.asarray(residual_phases)))
+    scratch = rotation_scratch(dim)
     try:
         for gate in sequence:
             if isinstance(gate, VirtualZGate):
                 lhs[gate.level] *= cmath.exp(1j * gate.phi)
             else:
                 i, j = gate.level_low, gate.level_high
-                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], gate.theta, gate.phi)
+                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], gate.theta, gate.phi,
+                                                     scratch)
     except IndexError:  # gate levels are non-negative, so none wraps around
         raise ValueError(f"a gate level is out of range for {num_levels} levels") from None
     rhs = placement_embedding(final_map, num_levels, dim) @ u

@@ -298,8 +298,8 @@ class TestStopReason:
     def test_first_solution_with_incumbent_builds_no_table(self):
         # An accepted warm start answers a first-solution search without
         # expanding a node, and the search builds no table of its own: the
-        # distances and candidate pairs are shared per edge set and per
-        # dimension.
+        # distances, routing costs and candidate pairs are shared per edge
+        # set and per dimension.
         g = path_architecture(7)
         u = haar_unitary(7, 77)
         m0 = u.conj().T.copy()
@@ -316,6 +316,8 @@ class TestStopReason:
         other = _Search(star, compile_levels(star, 7), SearchConfig(), CostParams(), limit, None)
         assert other.columns is search.columns
         assert search.dist is _topology(g.num_levels, g.edges)[1]
+        assert search.pulses is adaptive_module._pulse_costs(g.num_levels, g.edges,
+                                                             search.pulse_cost)
 
     def test_no_solution_error_carries_reason(self, path3):
         with pytest.raises(NoSolutionError) as info:
@@ -497,10 +499,12 @@ class TestDeepSearch:
         assert peak < 8 * 2**20
 
 
-def root_node(search, m):
-    """(moduli rows, phase rows, state levels) of a root given as a full
-    matrix, as _Search.run builds them."""
-    return np.hypot(m.real, m.imag).tolist(), np.arctan2(m.imag, m.real).tolist(), search.levels
+def root_node(search, m, cost):
+    """The node (step, rows, pair, mag, ang, dirty, levels, cost) of a root
+    given as a full matrix and reached at cost, as _Search.run builds it;
+    children reads neither its rows nor its dirty bits."""
+    return (None, list(m), None, np.hypot(m.real, m.imag).tolist(),
+            np.arctan2(m.imag, m.real).tolist(), None, search.levels, cost)
 
 
 def reference_children(search, m, graph, cost):
@@ -549,8 +553,15 @@ def scoring_cases(draw):
         g = CouplingGraph(dim, g.edges, {str(k): lv for k, lv in enumerate(levels)})
     else:
         g = draw(st.sampled_from(architectures_for_dim(dim)))[1]
-    # a cost so far that leaves room for some children but not all
-    spent = draw(st.floats(0.0, 0.9)) * qr_cost_bound(u, g)
+    bound = qr_cost_bound(u, g)
+    if draw(st.booleans()):
+        # a cost so far that leaves room for some children but not all
+        spent = draw(st.floats(0.0, 0.9)) * bound
+    else:
+        # within a few ulps of limit - k pulses, where a candidate's routing
+        # alone reaches the tests' limit (1.1 times the bound) or just misses it
+        spent = 1.1 * bound - draw(st.integers(1, 3)) * pulse_cost(CostParams())
+        spent = max(0.0, spent + draw(st.integers(-2, 2)) * math.ulp(spent))
     return u, g, spent
 
 
@@ -561,18 +572,34 @@ class TestNodeScoring:
     def test_matches_scalar_reference(self, incumbent, case):
         # While the incumbent is the bare limit (a cold search before its
         # first solution) the children come in triple order; once it has
-        # steps, each column is sorted by step cost.
+        # steps, each column is sorted by step cost.  Either way every
+        # candidate is priced, once, unless its routing alone reaches the
+        # limit.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
         levels = compile_levels(g, m.shape[0])
-        search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
+        priced = []
+
+        def counting(theta, dist, p):
+            priced.append(theta)
+            return cost_module._calibrated_linear(theta, dist, p)
+
+        search = _Search(g, levels, SearchConfig(), CostParams(model=counting), limit, None)
         if incumbent:
             search.best = (limit, [], None, False)
-        children = list(search.children(*root_node(search, m), spent))
+        priced.clear()  # the pulse's price
+        children = list(search.children(root_node(search, m, spent)))
+        searched = sorted(priced)
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
         assert children == expected
+        dim, pulse, dist = m.shape[0], search.pulse_cost, search.dist
+        routed = {annihilation_angles(m, r, r2, c)[0]
+                  for c in range(dim) for r in range(c, dim) for r2 in range(r + 1, dim)
+                  if abs(m[r2, c]) > DEFAULT_TOL
+                  and spent + (dist[levels[r]][levels[r2]] - 1) * pulse < limit}
+        assert searched == sorted(routed)
 
     @settings(max_examples=60, deadline=None)
     @given(case=scoring_cases(), cut=st.floats(0.0, 1.0), after=st.integers(1, 6))
@@ -592,7 +619,7 @@ class TestNodeScoring:
         listed = reference_children(search, m, g, spent)
         expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
         yielded = []
-        for child in search.children(*root_node(search, m), spent):
+        for child in search.children(root_node(search, m, spent)):
             yielded.append(child)
             if len(yielded) == after:
                 search.best = (improved, [], None, False)
@@ -601,7 +628,8 @@ class TestNodeScoring:
 
     def test_cold_root_prices_lazily(self):
         # Before the first incumbent a node prices its candidates in (r, r2)
-        # order and stops at the first one it yields.
+        # order and stops at the first one it yields.  A candidate whose
+        # routing alone reaches the incumbent's cost is not priced at all.
         priced = []
 
         def counting(theta, dist, p):
@@ -609,29 +637,35 @@ class TestNodeScoring:
             return cost_module._calibrated_linear(theta, dist, p)
 
         params = CostParams(model=counting)
+        pulse = pulse_cost(params)
         g = path_architecture(5)
         g = CouplingGraph(5, g.edges, {str(k): (2 * k + 1) % 5 for k in range(5)})
-        rejected = 0
+        _, dist = _topology(g.num_levels, g.edges)
+        levels = compile_levels(g, 5)
+        rejected = unrouted = 0
         for seed in range(4):
             u = haar_unitary(5, 1300 + seed)
             m = u.conj().T.copy()
             limit = 1.1 * qr_cost_bound(u, g)
-            levels = compile_levels(g, 5)
             reference = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
-            # Past limit - pulse, a candidate that needs routing is rejected.
-            for spent in (0.0, limit - pulse_cost(params)):
+            # Past limit - pulse, a candidate that needs routing is rejected;
+            # past limit - pulse / 2, so is an unrouted one's large rotation.
+            for spent in (0.0, limit - pulse / 2, limit - pulse):
                 listed = reference_children(reference, m, g, spent)
-                thetas = [annihilation_angles(m, r, r2, c)[0]
-                          for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
-                          if abs(m[r2, c]) > DEFAULT_TOL]
-                expected = thetas[:thetas.index(listed[0][4]) + 1]
+                live = [(annihilation_angles(m, r, r2, c)[0], dist[levels[r]][levels[r2]] - 1)
+                        for c in range(5) for r in range(c, 5) for r2 in range(r + 1, 5)
+                        if abs(m[r2, c]) > DEFAULT_TOL]
+                thetas = [theta for theta, _ in live]
+                scanned = live[:thetas.index(listed[0][4]) + 1]
+                expected = [theta for theta, hops in scanned if spent + hops * pulse < limit]
                 search = _Search(g, levels, SearchConfig(), params, limit, None)
                 priced.clear()
-                children = search.children(*root_node(search, m), spent)
+                children = search.children(root_node(search, m, spent))
                 assert next(children) == listed[0]
                 assert priced == expected
                 rejected += len(expected) - 1
-        assert rejected > 0
+                unrouted += len(scanned) - len(expected)
+        assert rejected > 0 and unrouted > 0
 
 
 class TestCustomCostModel:

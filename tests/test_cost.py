@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from quditc.adaptive import adaptive_compile
+from quditc.bench import path_architecture
 from quditc.cost import CostParams, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, VirtualZGate
 from quditc.graph import CouplingGraph
-from quditc.qr import qr_decompose
+from quditc.qr import qr_cost_bound, qr_decompose
 
 from conftest import haar_unitary
 
@@ -88,6 +90,30 @@ class TestModelRegistry:
         for model in ("calibrated-linear", None):
             with pytest.raises(ValueError, match="not callable"):
                 CostParams(model=model)
+
+
+class TestModelContract:
+    # The search prunes on the cost so far, and on a candidate's routing
+    # alone, so a cost must be finite and >= 0.  Before this check a NaN or
+    # inf model compiled to a NaN total_cost and a negative one failed the
+    # cost limit.
+    @pytest.mark.parametrize("value", [-1e-4, math.nan, math.inf])
+    def test_rotation_cost_rejects_value(self, value):
+        params = CostParams(model=lambda theta, dist, p: value)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            rotation_cost(1.0, 1, params)
+
+    @pytest.mark.parametrize("value", [-1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("compile_with", [adaptive_compile, qr_decompose, qr_cost_bound])
+    def test_every_entry_point_rejects_value(self, compile_with, value):
+        params = CostParams(model=lambda theta, dist, p: value * theta)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            compile_with(haar_unitary(4, 41), path_architecture(4), params=params)
+
+    def test_zero_cost_accepted(self):
+        params = CostParams(model=lambda theta, dist, p: 0.0)
+        result = adaptive_compile(haar_unitary(4, 41), path_architecture(4), params=params)
+        assert result.total_cost == 0.0
 
 
 def test_sequence_cost_counts_rotations_only():

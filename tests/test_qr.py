@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc._compile import annihilation_angles, apply_rotation_rows, compile_levels
+from quditc import qr as qr_module
+from quditc._compile import (annihilation_angles, apply_rotation_rows, compile_levels,
+                              rotation_scratch)
 from quditc.adaptive import SearchConfig, adaptive_compile
-from quditc.bench import architectures_for_dim
+from quditc.bench import architectures_for_dim, star_architecture
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
 from quditc.graph import CouplingGraph
 from quditc.linalg import DEFAULT_TOL, max_norm
-from quditc.qr import NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose
+from quditc.qr import (NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose,
+                       replay_cost)
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary, unfinished_elimination_input
@@ -140,11 +143,13 @@ class TestCostBound:
     @settings(max_examples=60, deadline=None)
     @given(case=walk_cases())
     def test_prices_both_emitted_forms(self, case):
-        # one pass prices the fixed form (routing undone) and the one-way
-        # replay; each is the cost of the gates built from the records
-        # emit_steps emits for it
+        # ladder_cost prices the fixed form (routing undone) and replay_cost
+        # the one-way replay from the same rotation costs; each is the cost
+        # of the gates built from the records emit_steps emits for it
         g, steps = case
-        fixed, one_way = ladder_cost(steps, g, compile_levels(g, g.num_states), CostParams())
+        levels = compile_levels(g, g.num_states)
+        fixed, rotations = ladder_cost(steps, g, levels, CostParams())
+        one_way = replay_cost(steps, rotations, g, levels, CostParams())
 
         def emitted_cost(undo):
             records = emit_steps(g, steps, undo)[0]
@@ -152,6 +157,24 @@ class TestCostBound:
 
         assert fixed == pytest.approx(emitted_cost(True), rel=1e-12, abs=1e-15)
         assert one_way == pytest.approx(emitted_cost(False), rel=1e-12, abs=1e-15)
+
+    def test_fixed_cost_replays_no_routing(self, monkeypatch):
+        # Only a warm start needs the one-way replay: the fixed back-end and
+        # its cost bound move no placement.
+        moves = []
+        routed_levels = qr_module.routed_levels
+
+        def counted(graph, levels, i, j):
+            moves.append((i, j))
+            return routed_levels(graph, levels, i, j)
+
+        monkeypatch.setattr(qr_module, "routed_levels", counted)
+        u, g = haar_unitary(7, 1500), star_architecture(7)
+        qr_decompose(u, g)
+        qr_cost_bound(u, g)
+        assert moves == []
+        adaptive_compile(u, g, SearchConfig(return_first=True))
+        assert moves  # the star's ladder routes, so the warm start replays it
 
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))
@@ -190,7 +213,7 @@ class TestRotationKernel:
     def test_bit_identical_to_in_place_form(self, rows, theta, phi):
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
         x, y = m[0].copy(), m[1].copy()
-        new_x, new_y = apply_rotation_rows(x, y, theta, phi)
+        new_x, new_y = apply_rotation_rows(x, y, theta, phi, rotation_scratch(len(x)))
         assert x.tobytes() == m[0].tobytes() and y.tobytes() == m[1].tobytes()
         reference_rotation_rows(m, 0, 1, theta, phi)
         assert new_x.tobytes() == m[0].tobytes()
@@ -202,6 +225,7 @@ def reference_ladder(m0):
     apply_rotation_rows per step, on a list of m0's rows."""
     rows, steps = list(m0), []
     dim = len(rows)
+    scratch = rotation_scratch(dim)
     for c in range(dim):
         for r2 in range(dim - 1, c, -1):
             if abs(rows[r2][c]) < NEGLIGIBLE:
@@ -209,7 +233,7 @@ def reference_ladder(m0):
             r = r2 - 1
             theta, phi = annihilation_angles(rows, r, r2, c)
             steps.append((r, r2, theta, phi))
-            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi)
+            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi, scratch)
     return steps, np.array(rows)
 
 
