@@ -4,11 +4,13 @@ the elimination primitives, routed emission and the final assembly.
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
 order multiply to (diagonal) . U.  Emission keeps each gate as a record
-(low, high, theta, phi, routing), with the walk's stored phases already in
-phi.  The final assembly reads the emitter's walk: it folds every
-remaining tracked phase (node deposits plus the terminal diagonal) into
-the records' phi, builds each gate once and builds the final graph once
-from the walk's placement, leaving the reconstruction identity
+(low, high, theta, phi, routing), the tuple a RotationGate is, with the
+walk's stored phases already in phi; it writes the pulse records straight
+from the walk's routed level pairs.  The final assembly reads the
+emitter's walk: it folds every remaining tracked phase (node deposits plus
+the terminal diagonal) into the records' phi, builds each gate once and
+builds the final graph once from the walk's placement, leaving the
+reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .gates import conjugated, shifted_phi, stored_order
+from .gates import PULSE_PHI, PULSE_THETA, conjugated, shifted_phi, stored_order
 from .graph import CouplingGraph, PlacementWalk
 from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
@@ -128,7 +130,7 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     with the walk's phases.  Returns the records (low, high, theta, phi,
     routing) of the routing pulses, then of the rotation; assemble builds
     their gates."""
-    records = [(p.level_low, p.level_high, p.theta, p.phi, True) for p in walk.route(i, j)]
+    records = [(low, high, PULSE_THETA, PULSE_PHI, True) for low, high in walk.route(i, j)]
     low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
     records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
     return records

@@ -13,14 +13,16 @@ Models are swappable: ``CostParams.model`` holds the model function, so
 every consumer that carries a CostParams uses the chosen hardware model.
 A model must be a pure function of (theta, dist, params): the adaptive
 search prices each distinct angle once per search and reuses the value.
-Its cost must be finite and >= 0, or rotation_cost raises ValueError: the
-search prunes a path as soon as its cost so far, or a candidate's routing
-alone, reaches the incumbent's, which is exact only because no later
-rotation lowers the total.
+Its cost must be a real number (a ``numbers.Real``, not a bool), finite
+and >= 0, or rotation_cost raises ValueError: the search prunes a path as
+soon as its cost so far, or a candidate's routing alone, reaches the
+incumbent's, which is exact only because no later rotation lowers the
+total.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,13 +51,16 @@ class CostParams:
 
 def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) -> float:
     """Cost of one two-level rotation by theta (radians) at graph distance
-    dist, under params' model; ValueError unless it is finite and >= 0."""
+    dist, under params' model; ValueError unless it is a real number,
+    finite and >= 0."""
     if dist < 1:
         raise ValueError("distance must be >= 1")
     cost = params.model(theta, dist, params)
-    if not 0.0 <= cost < math.inf:
+    # a float first, the common case; np.bool_ is not a numbers.Real
+    real = type(cost) is float or isinstance(cost, numbers.Real) and not isinstance(cost, bool)
+    if not (real and 0.0 <= cost < math.inf):
         raise ValueError(f"cost model returned {cost!r} for theta {theta!r}; "
-                         "a cost must be finite and >= 0")
+                         "a cost must be a real number, finite and >= 0")
     return cost
 
 

@@ -10,7 +10,9 @@ Convention: a rotation R(theta, phi) acting on the ordered level pair
 on rows/columns (low, high) and identity elsewhere.  Writing the same
 rotation with the level roles swapped negates phi, so a gate written
 high->low is stored low->high with phi negated: every RotationGate has
-level_low < level_high.
+level_low < level_high.  A RotationGate is the immutable 5-tuple
+(level_low, level_high, theta, phi, routing) that emission records; a
+reordering pulse is R(PULSE_THETA, PULSE_PHI) = R(pi, -pi/2).
 
 Sequences are plain lists in application order: the first element is
 applied first, i.e. it is the rightmost factor of the matrix product.
@@ -19,42 +21,46 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .linalg import as_int, as_real, check_size
 
 
-@dataclass(frozen=True, slots=True)
-class RotationGate:
-    """Two-level rotation. ``routing=True`` marks a reordering pulse used
-    to move logical content rather than act on it."""
-
+class _RotationFields(NamedTuple):
     level_low: int
     level_high: int
     theta: float
     phi: float
     routing: bool = False
 
-    def __post_init__(self):
-        if self.level_low == self.level_high:
+
+class RotationGate(_RotationFields):
+    """Two-level rotation, an immutable tuple (level_low, level_high, theta,
+    phi, routing).  ``routing=True`` marks a reordering pulse used to move
+    logical content rather than act on it."""
+
+    __slots__ = ()
+
+    def __new__(cls, level_low: int, level_high: int, theta: float, phi: float,
+                routing: bool = False):
+        if level_low == level_high:
             raise ValueError("rotation levels must differ")
-        if self.level_low < 0 or self.level_high < 0:
+        if level_low < 0 or level_high < 0:
             raise ValueError("rotation levels must be non-negative")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+        if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("theta and phi must be finite")
-        if self.level_low > self.level_high:
-            low, high, phi = stored_order(self.level_low, self.level_high, self.phi)
-            object.__setattr__(self, "level_low", low)
-            object.__setattr__(self, "level_high", high)
-            object.__setattr__(self, "phi", phi)
+        low, high, phi = stored_order(level_low, level_high, phi)
+        return tuple.__new__(cls, (low, high, theta, phi, routing))
+
+    # _replace builds through _make: a replaced gate is checked as a new one
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def inverse(self) -> "RotationGate":
-        return replace(self, theta=-self.theta)
+        return self._replace(theta=-self.theta)
 
 
 def stored_order(level_a: int, level_b: int, phi: float) -> tuple:
@@ -72,31 +78,17 @@ def shifted_phi(phi: float, phases, low: int, high: int) -> float:
     return phi + (float(phases[high]) - float(phases[low]))
 
 
-# The slot setters of a RotationGate, for building one without the constructor.
-_SET_LOW, _SET_HIGH, _SET_THETA, _SET_PHI, _SET_ROUTING = (
-    RotationGate.__dict__[name].__set__
-    for name in ("level_low", "level_high", "theta", "phi", "routing"))
-
-
 def conjugated(gate, phases) -> RotationGate:
     """D . R . D^dagger for D = diag(e^{i phases}), by :func:`shifted_phi`.
-    ``gate`` is a RotationGate or an emitted record (low, high, theta, phi,
-    routing) with low < high; assembly builds each gate of a result once,
-    here.  The gate is built without the constructor: theta and the new phi
-    must be finite (else ValueError)."""
-    if type(gate) is not tuple:
-        gate = (gate.level_low, gate.level_high, gate.theta, gate.phi, gate.routing)
+    ``gate`` is any (low, high, theta, phi, routing) tuple with low < high:
+    a RotationGate or an emitted record; assembly builds each gate of a
+    result once, here.  The gate is built without the constructor: theta
+    and the new phi must be finite (else ValueError)."""
     low, high, theta, phi, routing = gate
     phi = shifted_phi(phi, phases, low, high)
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("theta and phi must be finite")
-    new = object.__new__(RotationGate)
-    _SET_LOW(new, low)
-    _SET_HIGH(new, high)
-    _SET_THETA(new, theta)
-    _SET_PHI(new, phi)
-    _SET_ROUTING(new, routing)
-    return new
+    return tuple.__new__(RotationGate, (low, high, theta, phi, routing))
 
 
 @dataclass(frozen=True)
@@ -116,13 +108,15 @@ class VirtualZGate:
 Gate = Union[RotationGate, VirtualZGate]
 
 
-@lru_cache(maxsize=4096)
+# A reordering pulse's (theta, phi): R(pi, -pi/2) on two coupled levels.
+PULSE_THETA, PULSE_PHI = math.pi, -math.pi / 2
+
+
 def reorder_pulse(level_a: int, level_b: int) -> RotationGate:
-    """Reordering pulse with default values theta=pi, phi=-pi/2, written
-    low->high as it swaps the levels' content either way.  Gates are
-    immutable, so one per level pair is built and shared (a bounded cache)."""
+    """Reordering pulse R(PULSE_THETA, PULSE_PHI), written low->high as it
+    swaps the levels' content either way."""
     lo, hi = min(level_a, level_b), max(level_a, level_b)
-    return RotationGate(lo, hi, math.pi, -math.pi / 2, routing=True)
+    return RotationGate(lo, hi, PULSE_THETA, PULSE_PHI, routing=True)
 
 
 def rotation_matrix(gate: RotationGate, dim: int) -> np.ndarray:
@@ -168,14 +162,9 @@ def sequence_to_dict(gates, dim: int, virtual_phases=None, extra: dict | None = 
     records = []
     for gate in gates:
         if isinstance(gate, RotationGate):
-            rec = {
-                "type": "R",
-                "i": gate.level_low,
-                "j": gate.level_high,
-                "theta": gate.theta,
-                "phi": gate.phi,
-            }
-            if gate.routing:
+            low, high, theta, phi, routing = gate
+            rec = {"type": "R", "i": low, "j": high, "theta": theta, "phi": phi}
+            if routing:
                 rec["routing"] = True
         else:
             rec = {"type": "Z", "i": gate.level, "phi": gate.phi}

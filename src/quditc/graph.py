@@ -10,7 +10,8 @@ numeric order, then ancillas).
 Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
 moves a graph's placement in place, pulse by pulse, then builds one new
 graph; a search holds no graphs, and :func:`routed_levels` moves its level
-list.  Both route on a next-hop table built once per edge set (:func:`_topology`).
+list.  Both walk the next-hop table built once per edge set
+(:func:`_topology`) hop by hop; a route returns the pulsed level pairs.
 
 The physics of reordering pulses is what makes routing non-trivial: a
 pulse is not a permutation but a swap followed by a phase deposit, so
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import Gate, VirtualZGate, conjugated, reorder_pulse
+from .gates import PULSE_PHI, PULSE_THETA, Gate, VirtualZGate, conjugated, reorder_pulse
 from .linalg import as_int, as_real, check_size
 
 _TWO_PI = 2.0 * math.pi
@@ -229,6 +230,7 @@ class PlacementWalk:
         for k, lv in enumerate(self.levels):
             self.state[lv] = k
         self.phases = list(graph.node_phase)
+        self.nxt = _topology(graph.num_levels, graph.edges)[0]
 
     def pulse(self, a: int, b: int, theta: float, phi: float) -> None:
         """The pulse rule, for the pulse R(theta, phi) on levels a < b: swap
@@ -247,16 +249,16 @@ class PlacementWalk:
         phases[a], phases[b] = (phases[b] + dep_a) % _TWO_PI, (phases[a] + dep_b) % _TWO_PI
 
     def route(self, i: int, j: int) -> list:
-        """Pulse state j node by node along a shortest level path until it is
-        adjacent to state i (which stays put); returns the pulses."""
-        src, dst = self.levels[j], self.levels[i]
-        if self.start.is_adjacent(src, dst):
-            return []
-        path = self.start.shortest_level_path(src, dst)
-        pulses = [reorder_pulse(prev, nxt) for prev, nxt in zip(path, path[1:-1])]
-        for pulse in pulses:
-            self.pulse(pulse.level_low, pulse.level_high, pulse.theta, pulse.phi)
-        return pulses
+        """Pulse state j hop by hop along the next-hop table (the path of
+        :meth:`CouplingGraph.shortest_level_path`) until it is adjacent to
+        state i, which stays put; returns the pulsed (low, high) level pairs."""
+        nxt, dst, pairs = self.nxt, self.levels[i], []
+        cur, hop = self.levels[j], nxt[self.levels[j]][dst]
+        while hop != dst:
+            pairs.append((cur, hop) if cur < hop else (hop, cur))
+            self.pulse(*pairs[-1], PULSE_THETA, PULSE_PHI)
+            cur, hop = hop, nxt[hop][dst]
+        return pairs
 
     def graph(self, node_phase: tuple = ()) -> CouplingGraph:
         """The starting graph with the walk's placement, and node_phase or its phases."""
@@ -273,20 +275,22 @@ def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
     if la == lb:
         raise ValueError("cannot route a state to itself")
     walk = PlacementWalk(graph)
-    pulses = walk.route(walk.state[la], walk.state[lb])
-    return RoutingPlan(tuple(pulses), walk.graph())
+    pairs = walk.route(walk.state[la], walk.state[lb])
+    return RoutingPlan(tuple(reorder_pulse(a, b) for a, b in pairs), walk.graph())
 
 
 def routed_levels(graph: CouplingGraph, levels: list, i: int, j: int) -> list:
     """The tracked states' levels (levels[k] is state k's) after plan_routing
     brings state j next to state i: each level between them hands its content
-    back one hop, and j lands next to i.  Builds no pulse and no graph."""
-    path = graph.shortest_level_path(levels[j], levels[i])
-    moved = list(levels)
-    for back, lv in zip(path, path[1:-1]):
+    back one hop, and j lands next to i.  Walks the next-hop table as
+    PlacementWalk.route does; builds no pulse and no graph."""
+    nxt, dst, moved = _topology(graph.num_levels, graph.edges)[0], levels[i], list(levels)
+    back, lv = levels[j], nxt[levels[j]][dst]
+    while lv != dst:
         if lv in levels:
             moved[levels.index(lv)] = back
-    moved[j] = path[-2]
+        back, lv = lv, nxt[lv][dst]
+    moved[j] = back
     return moved
 
 

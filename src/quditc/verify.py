@@ -42,9 +42,8 @@ def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phas
             if isinstance(gate, VirtualZGate):
                 lhs[gate.level] *= cmath.exp(1j * gate.phi)
             else:
-                i, j = gate.level_low, gate.level_high
-                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], gate.theta, gate.phi,
-                                                     scratch)
+                i, j, theta, phi, _ = gate
+                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], theta, phi, scratch)
     except IndexError:  # gate levels are non-negative, so none wraps around
         raise ValueError(f"a gate level is out of range for {num_levels} levels") from None
     rhs = placement_embedding(final_map, num_levels, dim) @ u

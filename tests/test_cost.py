@@ -110,6 +110,22 @@ class TestModelContract:
         with pytest.raises(ValueError, match="finite and >= 0"):
             compile_with(haar_unitary(4, 41), path_architecture(4), params=params)
 
+    # A cost that is not a real number once raised TypeError from a
+    # comparison, or, as a bool or a complex, compiled to a result whose
+    # total_cost was 6.0 or (6+0j).
+    @pytest.mark.parametrize("value", [1j, None, "1", True, np.bool_(True), np.complex128(1)],
+                             ids=repr)
+    @pytest.mark.parametrize("compile_with", [adaptive_compile, qr_decompose, qr_cost_bound])
+    def test_every_entry_point_rejects_non_real(self, compile_with, value):
+        params = CostParams(model=lambda theta, dist, p: value)
+        with pytest.raises(ValueError, match="a real number"):
+            compile_with(haar_unitary(4, 41), path_architecture(4), params=params)
+
+    @pytest.mark.parametrize("value", [1, np.float32(1e-4), np.int64(2)], ids=repr)
+    def test_real_number_types_accepted(self, value):
+        params = CostParams(model=lambda theta, dist, p: value)
+        assert rotation_cost(1.0, 1, params) == value
+
     def test_zero_cost_accepted(self):
         params = CostParams(model=lambda theta, dist, p: 0.0)
         result = adaptive_compile(haar_unitary(4, 41), path_architecture(4), params=params)

@@ -2,7 +2,6 @@
 exponential oracle, and the rotation phase rule checked against direct
 matrix products."""
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -174,7 +173,7 @@ class TestGateCopy:
     def test_slotted_frozen_value(self):
         gate = conjugated(RotationGate(3, 1, 0.8, 0.2, routing=True), [0.1, 0.2, 0.3, 0.4])
         assert not hasattr(gate, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             gate.phi = 0.0
         for twin in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate), copy.copy(gate)):
             assert twin == gate and hash(twin) == hash(gate) and repr(twin) == repr(gate)

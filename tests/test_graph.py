@@ -281,6 +281,20 @@ class TestPlacementWalk:
         if undo:
             assert g_final.logical_map == g.logical_map
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=routing_cases())
+    def test_route_walks_the_public_path(self, case):
+        # The walk reads the next-hop table, not shortest_level_path; it must
+        # pulse exactly that path's hops short of state i, move the tracked
+        # states as routed_levels does, and leave j adjacent to i.
+        g, states, i, j = case
+        walk = PlacementWalk(g)
+        levels = walk.levels[:len(states)]
+        path = g.shortest_level_path(levels[j], levels[i])
+        assert walk.route(i, j) == [(min(a, b), max(a, b)) for a, b in zip(path, path[1:-1])]
+        assert walk.levels[:len(states)] == routed_levels(g, levels, i, j)
+        assert walk.route(i, j) == []
+
     @settings(max_examples=200, deadline=None)
     @given(edges=connected_edges(), data=st.data())
     def test_route_between_adjacent_states_is_empty(self, edges, data):
