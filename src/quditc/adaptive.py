@@ -31,19 +31,19 @@ children use:
     can differ from them in the last ulp, which changes costs and
     tie-breaks.  A node's two phase rows are computed when it yields its
     first child, so a dead end computes none.
-  * Children come column by column.  While the incumbent is the bare limit
-    a column is priced lazily in (row, row2) order, one candidate per yield;
-    once it has steps, each live entry (row2, c) of a column is read once,
-    its pivots are priced and the passing candidates are sorted by step
-    cost, so a node first tries the cheapest rotation of its lowest
+  * Children come column by column, and within a column unit by unit
+    (``_columns``): one loop prices a unit's candidates, sorts them by step
+    cost and yields each that still passes the incumbent current when it is
+    yielded.  While the incumbent is the bare limit a column takes its cold
+    units, one (row, row2) pair each in row order, so pricing stays lazy;
+    once it has steps, its one warm unit, which reads each live entry (row2,
+    c) once, so a node first tries the cheapest rotation of its lowest
     uncleared column.  Sorted from the start, a cold first-solution search
-    of ``haar_unitary(16, 16)`` on star-16 dives by tiny rotations and
-    finds no solution in 20000 nodes, where (row, row2) order finds one in
-    120; priced eagerly, a cold star-48 search peaks at 5x the memory.  Each
-    child is checked against the incumbent current when it is yielded.  A
-    candidate whose routing pulses alone reach the incumbent's cost is
-    dropped before its angle is taken or priced, which is exact because a
-    rotation costs >= 0 (``cost.rotation_cost`` checks it).
+    of ``haar_unitary(16, 16)`` on star-16 finds no solution in 20000 nodes,
+    where row order finds one in 120.  A candidate whose routing pulses
+    alone reach the incumbent's cost is dropped before its angle is taken or
+    priced, which is exact because a rotation costs >= 0
+    (``cost.rotation_cost`` checks it).
   * Each distinct angle is priced once per search: the registered
     ``rotation_cost`` (a pure function of its arguments) is memoised.
   * A child is terminal when its two new rows are diagonal within
@@ -63,6 +63,7 @@ children use:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,7 +80,7 @@ from ._compile import (
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_scratch,
 )
-from .cost import CostParams, pulse_cost, rotation_cost
+from .cost import CostParams, is_real, pulse_cost, rotation_cost
 from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
@@ -98,12 +99,22 @@ class SearchConfig:
     warm_start: bool = True             # seed the incumbent with the fixed ladder
 
     def __post_init__(self):
-        if not self.cost_limit_factor > 0:
-            raise ValueError("cost_limit_factor must be > 0 (inf means no limit)")
-        if self.max_nodes < 0:
-            raise ValueError("max_nodes must be >= 0")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not (is_real(self.cost_limit_factor) and self.cost_limit_factor > 0):
+            raise ValueError("cost_limit_factor must be a real number > 0 (inf means no limit)")
+        if not (_is_count(self.max_nodes) and self.max_nodes >= 0):
+            raise ValueError("max_nodes must be an integer >= 0")
+        if not (self.max_depth is None or _is_count(self.max_depth) and self.max_depth >= 1):
+            raise ValueError("max_depth must be None or an integer >= 1")
+        if not (isinstance(self.return_first, bool) and isinstance(self.warm_start, bool)):
+            raise ValueError("return_first and warm_start must be booleans")
+
+    def depth_cap(self, dim: int) -> int:
+        """The most steps a solution may take: max_depth, or d(d-1)/2 + d."""
+        return self.max_depth if self.max_depth is not None else dim * (dim - 1) // 2 + dim
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class NoSolutionError(RuntimeError):
@@ -119,14 +130,14 @@ def _ladder_replay(m0, graph, levels, params, config):
     uses: the cost limit (config's factor times the fixed sequence's cost)
     and, with warm start, an incumbent (cost, the ladder's steps, final
     matrix, undo), None if it costs more than the limit or has more steps
-    than config.max_depth.  The incumbent is the cheaper complete form: the
+    than the depth cap.  The incumbent is the cheaper complete form: the
     steps replayed with one-way routing, or the fixed sequence (undo True)
     where that costs less than the replay.  Each rotation is priced once,
     and the replay only where the warm start is used."""
     steps, m = ladder(m0)
     fixed, rotations = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
-    if not config.warm_start or (config.max_depth is not None and len(steps) > config.max_depth):
+    if not config.warm_start or len(steps) > config.depth_cap(len(m0)):
         return limit, None
     one_way = replay_cost(steps, rotations, graph, levels, params)
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
@@ -137,11 +148,14 @@ def _ladder_replay(m0, graph, levels, params, config):
 
 @lru_cache(maxsize=8)
 def _columns(dim: int) -> tuple:
-    """(c, pairs, entries) per column, where entry (r2, c) rotates into
-    (r, c): the cold path's (r, r2) pairs in order, and each entry r2 > c
-    with its pivots r, c <= r < r2."""
-    return tuple((c, tuple((r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)),
-                  tuple((r2, tuple(range(c, r2))) for r2 in range(c + 1, dim)))
+    """(c, cold, warm) per column, lists of units: a unit is a tuple of
+    entries (r2, pivots), each pivot r rotating entry (r2, c) into (r, c).
+    cold holds one single-pivot unit per pair c <= r < r2 in (r, r2) order,
+    each one object in every column (column c's list is a suffix of column
+    0's); warm is one unit that holds each entry r2 > c once."""
+    cold = tuple(((r2, (r,)),) for r in range(dim) for r2 in range(r + 1, dim))
+    return tuple((c, cold[c * dim - c * (c + 1) // 2:],
+                  (tuple((r2, tuple(range(c, r2))) for r2 in range(c + 1, dim)),))
                  for c in range(dim))
 
 
@@ -163,24 +177,23 @@ class _Search:
         self.best = warm or (limit, None, None, False)
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
         dim = len(levels)
-        self.depth_cap = config.max_depth if config.max_depth is not None \
-            else dim * (dim - 1) // 2 + dim
+        self.depth_cap = config.depth_cap(dim)
         self.costs = {}  # theta -> rotation_cost(theta, 1, params)
         self.dist = _topology(graph.num_levels, graph.edges)[1]  # level distances
         self.columns = _columns(dim)
         self.pulses = _pulse_costs(graph.num_levels, graph.edges, self.pulse_cost)
 
     def children(self, node):
-        """Children of a node as (step, c, r, r2, theta, phi): one per
-        candidate entry above the zero tolerance whose step keeps the path
-        under the incumbent's cost, column by column.  While the incumbent
-        is the bare limit a column's candidates are priced lazily in (r, r2)
-        order; once it has steps, each live entry (r2, c) is read once, its
-        pivots r are priced and the passing candidates are sorted by step
-        cost.  A candidate whose routing alone reaches the incumbent's cost
-        is dropped unpriced: a rotation costs >= 0.  Each child is checked
-        against the incumbent current when it is yielded: the incumbent only
-        improves while the caller searches a yielded child's subtree.
+        """Children of a node as (step, c, r, r2, theta, phi), column by
+        column and unit by unit (``_columns``): a column's cold units while
+        the incumbent is the bare limit, its warm unit once it has steps.  A
+        unit's candidates above the zero tolerance are priced against the
+        incumbent's cost at the unit's start and sorted by (step, r, r2,
+        theta); each is rechecked against the incumbent current when it is
+        yielded, and the first that fails ends the unit: the incumbent only
+        improves while the caller searches a yielded child's subtree.  A
+        candidate whose routing alone reaches the incumbent's cost is dropped
+        unpriced: a rotation costs >= 0.
 
         The node is (step, rows, pair, mag, ang, dirty, levels, cost).  Its
         phase rows ang start as a copy of its parent's: the two rows its step
@@ -188,56 +201,37 @@ class _Search:
         without children computes none.  At the root pair is None."""
         made, _, pair, mag, ang, _, levels, cost = node
         pulses, costs, params, tol = self.pulses, self.costs, self.params, DEFAULT_TOL
-        for c, pairs, entries in self.columns:
-            best = self.best
-            limit = best[0]
-            if best[1] is None:
-                for r, r2 in pairs:
+        found = []  # a unit's passing candidates, emptied once it is done
+        for c, cold, warm in self.columns:
+            for unit in cold if self.best[1] is None else warm:
+                limit = self.best[0]
+                for r2, pivots in unit:
                     low = mag[r2][c]
                     if low <= tol:
                         continue
-                    routing = pulses[levels[r]][levels[r2]]
-                    if cost + routing >= limit:
-                        continue
-                    theta = 2.0 * math.atan2(low, mag[r][c])
-                    rot = costs.get(theta)
-                    if rot is None:
-                        rot = costs[theta] = rotation_cost(theta, 1, params)
-                    step = routing + rot
-                    if cost + step < limit:
-                        if pair is not None:  # the node's first child
-                            ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
-                            pair = None
-                        yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
-                        limit = self.best[0]
-                continue
-            column = []
-            for r2, pivots in entries:
-                low = mag[r2][c]
-                if low <= tol:
+                    near = pulses[levels[r2]]
+                    for r in pivots:
+                        routing = near[levels[r]]
+                        if cost + routing >= limit:
+                            continue
+                        theta = 2.0 * math.atan2(low, mag[r][c])
+                        rot = costs.get(theta)
+                        if rot is None:
+                            rot = costs[theta] = rotation_cost(theta, 1, params)
+                        step = routing + rot
+                        if cost + step < limit:
+                            found.append((step, r, r2, theta))
+                if not found:
                     continue
-                near = pulses[levels[r2]]
-                for r in pivots:
-                    routing = near[levels[r]]
-                    if cost + routing >= limit:
-                        continue
-                    theta = 2.0 * math.atan2(low, mag[r][c])
-                    rot = costs.get(theta)
-                    if rot is None:
-                        rot = costs[theta] = rotation_cost(theta, 1, params)
-                    step = routing + rot
-                    if cost + step < limit:
-                        column.append((step, r, r2, theta))
-            if not column:
-                continue
-            column.sort()
-            for step, r, r2, theta in column:
-                if cost + step >= self.best[0]:
-                    break  # the rest of the column costs at least as much
-                if pair is not None:  # the node's first child
-                    ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
-                    pair = None
-                yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+                found.sort()
+                for step, r, r2, theta in found:
+                    if cost + step >= self.best[0]:
+                        break  # the rest of the unit costs at least as much
+                    if pair is not None:  # the node's first child
+                        ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
+                        pair = None
+                    yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+                found.clear()
 
     def enter(self, stack, node) -> bool:
         """Expand a node (step, rows, pair, mag, ang, dirty, levels, cost)

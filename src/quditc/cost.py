@@ -43,10 +43,17 @@ class CostParams:
     model: Callable[[float, int, CostParams], float] = _calibrated_linear
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.base_factor, self.calibrated_angle)):
-            raise ValueError("cost parameters must be finite and positive")
+        if not all(is_real(v) and 0 < v < math.inf
+                   for v in (self.base_factor, self.calibrated_angle)):
+            raise ValueError("cost parameters must be real numbers, finite and positive")
         if not callable(self.model):
             raise ValueError(f"cost model {self.model!r} is not callable")
+
+
+def is_real(value) -> bool:
+    """True for a numbers.Real that is not a bool (np.bool_ is not a
+    numbers.Real)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) -> float:
@@ -56,9 +63,7 @@ def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) ->
     if dist < 1:
         raise ValueError("distance must be >= 1")
     cost = params.model(theta, dist, params)
-    # a float first, the common case; np.bool_ is not a numbers.Real
-    real = type(cost) is float or isinstance(cost, numbers.Real) and not isinstance(cost, bool)
-    if not (real and 0.0 <= cost < math.inf):
+    if not ((type(cost) is float or is_real(cost)) and 0.0 <= cost < math.inf):
         raise ValueError(f"cost model returned {cost!r} for theta {theta!r}; "
                          "a cost must be a real number, finite and >= 0")
     return cost

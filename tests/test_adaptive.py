@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, cost as cost_module
 from quditc._compile import annihilation_angles, compile_levels
-from quditc.adaptive import NoSolutionError, SearchConfig, _Search, adaptive_compile
+from quditc.adaptive import NoSolutionError, SearchConfig, _columns, _Search, adaptive_compile
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
@@ -435,6 +435,13 @@ class TestErrors:
         {"cost_limit_factor": math.nan}, {"cost_limit_factor": 0.0},
         {"cost_limit_factor": -1.0}, {"cost_limit_factor": -math.inf},
         {"max_nodes": -1}, {"max_depth": 0}, {"max_depth": -2},
+        # each of the right type only: NaN, a string, None, a bool or a
+        # fractional count would otherwise be read as a limit it cannot mean
+        {"max_depth": math.nan}, {"max_depth": "3"}, {"max_depth": 2.0},
+        {"max_nodes": math.nan}, {"max_nodes": None}, {"max_nodes": True},
+        {"max_nodes": 1000.0}, {"cost_limit_factor": "2"}, {"cost_limit_factor": True},
+        {"return_first": "no"}, {"return_first": 1}, {"warm_start": "no"},
+        {"warm_start": None},
     ])
     def test_invalid_config_rejected(self, fields):
         with pytest.raises(ValueError):
@@ -442,7 +449,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("fields", [
         {"cost_limit_factor": math.inf}, {"cost_limit_factor": 0.5},
-        {"max_nodes": 0}, {"max_depth": 1},
+        {"max_nodes": 0}, {"max_depth": 1}, {"cost_limit_factor": 2},
+        {"max_nodes": np.int64(10)}, {"max_depth": np.int64(3)},
     ])
     def test_limits_at_the_boundary_accepted(self, fields):
         SearchConfig(**fields)
@@ -535,6 +543,26 @@ def reference_children(search, m, graph, cost):
             column.sort()
         children.extend(column)
     return children
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_column_units_enumerate_one_pair_set(dim):
+    # Both child orders enumerate one candidate set: a column's cold units
+    # are its pairs c <= r < r2 in (r, r2) order, one pivot each, and its
+    # warm unit holds the same pairs, reading each entry r2 > c once.  A
+    # pair's cold unit is one object in every column, so the cold lists
+    # share their units.
+    shared = {}
+    columns = _columns(dim)
+    assert [c for c, _, _ in columns] == list(range(dim))
+    for c, cold, warm in columns:
+        pairs = [(r, r2) for r in range(c, dim) for r2 in range(r + 1, dim)]
+        assert [(r, r2) for unit in cold for r2, pivots in unit for r in pivots] == pairs
+        assert all(len(unit) == 1 and len(unit[0][1]) == 1 for unit in cold)
+        assert len(warm) == 1 and [r2 for r2, _ in warm[0]] == list(range(c + 1, dim))
+        assert sorted((r, r2) for unit in warm for r2, pivots in unit for r in pivots) == pairs
+        for pair, unit in zip(pairs, cold):
+            assert shared.setdefault(pair, unit) is unit
 
 
 @st.composite

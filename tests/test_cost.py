@@ -66,6 +66,10 @@ def test_params_must_be_positive():
 @pytest.mark.parametrize("field,value", [
     ("base_factor", math.nan), ("base_factor", math.inf),
     ("calibrated_angle", math.nan), ("calibrated_angle", math.inf),
+    # a real number, as rotation_cost requires of a model's cost: a bool,
+    # a string, None or a complex number is rejected, not read as 1.0
+    ("base_factor", True), ("base_factor", "1"), ("base_factor", None), ("base_factor", 1j),
+    ("calibrated_angle", True),
 ])
 def test_params_must_be_finite(field, value):
     with pytest.raises(ValueError):
