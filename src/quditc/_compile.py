@@ -41,6 +41,7 @@ class SearchStats:
     # "node_budget" or "first_solution"
     stop_reason: str = "exhausted"
     beat_warm_start: bool = False  # a search incumbent replaced the ladder's
+    dead_at_cap: int = 0  # nodes one step from the depth cap with > 2 dirty rows
 
 
 @dataclass(frozen=True, eq=False)

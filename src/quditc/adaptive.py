@@ -50,8 +50,11 @@ children use:
     ``linalg.DEFAULT_TOL`` and every other row already was (one dirty bit
     per row).  The same tolerance filters the candidates: an entry at most
     it is zero, so it is neither rotated nor keeps a node from being
-    terminal.  At the depth cap only a terminal child is kept, so a child
-    that leaves a third row dirty is dropped before it is routed or rotated.
+    terminal.  The depth cap is applied where children are made: a child at
+    the cap is kept only if terminal, and a step cleans at most its two
+    rows, so a node one step from the cap yields only children whose rows
+    cover its dirty rows, and with more than two does no work at all
+    (``SearchStats.dead_at_cap`` counts it).
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
@@ -183,7 +186,7 @@ class _Search:
         self.columns = _columns(dim)
         self.pulses = _pulse_costs(graph.num_levels, graph.edges, self.pulse_cost)
 
-    def children(self, node):
+    def children(self, node, last=False):
         """Children of a node as (step, c, r, r2, theta, phi), column by
         column and unit by unit (``_columns``): a column's cold units while
         the incumbent is the bare limit, its warm unit once it has steps.  A
@@ -195,11 +198,19 @@ class _Search:
         candidate whose routing alone reaches the incumbent's cost is dropped
         unpriced: a rotation costs >= 0.
 
+        A last node's children sit at the depth cap, so only a terminal one
+        is kept.  A step cleans at most rows r and r2: with more than two
+        dirty rows the node does no work, else it yields only the children
+        whose pair covers every dirty row.
+
         The node is (step, rows, pair, mag, ang, dirty, levels, cost).  Its
         phase rows ang start as a copy of its parent's: the two rows its step
         made, pair, get their phases in place at the first yield, so a node
         without children computes none.  At the root pair is None."""
-        made, _, pair, mag, ang, _, levels, cost = node
+        made, _, pair, mag, ang, dirty, levels, cost = node
+        if last and dirty.bit_count() > 2:
+            self.stats.dead_at_cap += 1
+            return  # a step cleans at most two rows: no child can be terminal
         pulses, costs, params, tol = self.pulses, self.costs, self.params, DEFAULT_TOL
         found = []  # a unit's passing candidates, emptied once it is done
         for c, cold, warm in self.columns:
@@ -227,6 +238,8 @@ class _Search:
                 for step, r, r2, theta in found:
                     if cost + step >= self.best[0]:
                         break  # the rest of the unit costs at least as much
+                    if last and dirty & ~(1 << r | 1 << r2):
+                        continue  # at the cap only a terminal child is kept
                     if pair is not None:  # the node's first child
                         ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
                         pair = None
@@ -243,7 +256,7 @@ class _Search:
         self.stats.nodes_expanded += 1
         if len(stack) > self.stats.max_depth:
             self.stats.max_depth = len(stack)
-        stack.append((self.children(node),) + node)
+        stack.append((self.children(node, len(stack) + 1 >= self.depth_cap),) + node)
         return True
 
     def run(self, m0) -> None:
@@ -270,8 +283,6 @@ class _Search:
             children, _, rows, _, mag, ang, dirty, levels, cost = stack[-1]
             depth = len(stack)  # a child's
             for _, _, r, r2, theta, phi in children:
-                if depth >= cap and dirty & ~(1 << r | 1 << r2):
-                    continue  # at the cap, only a terminal child is kept
                 hops = dist[levels[r]][levels[r2]] - 1
                 levels2 = routed_levels(graph, levels, r, r2) if hops else levels
                 cost2 = cost + costs[theta] + hops * pulse
@@ -290,7 +301,7 @@ class _Search:
                     if self.config.return_first:
                         self.stats.stop_reason = "first_solution"
                         return
-                elif depth < cap:
+                elif depth < cap:  # a covering child can still leave row r or r2 dirty
                     mag2 = mag.copy()
                     mag2[r], mag2[r2] = mag_r, mag_r2
                     node = ((r, r2, theta, phi), rows2, pair, mag2, ang.copy(), dirty2,

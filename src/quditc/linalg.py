@@ -73,7 +73,7 @@ def as_matrix(data, min_dim: int = 2) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] < min_dim:
         raise ValueError(f"matrix dimension must be >= {min_dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix entries must be finite")
     return m
 

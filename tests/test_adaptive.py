@@ -132,13 +132,24 @@ class TestCostLimit:
 
 
 class TestSmallInstanceOptimality:
-    def test_matches_exhaustive_enumeration(self, path3):
-        cfg = SearchConfig(max_nodes=10_000_000, max_depth=4)
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+    def test_matches_exhaustive_enumeration(self, path3, max_depth):
+        # Under every depth cap, down to the one where the root is the last
+        # level, the search finds the enumeration's optimum, and finds
+        # nothing exactly where the enumeration finds nothing.  Without the
+        # warm start every solution is the search's own.
         for seed in range(8):
             u = haar_unitary(3, 500 + seed)
-            oracle = exhaustive_min_cost(u, path3)
-            result = adaptive_compile(u, path3, cfg)
-            assert result.total_cost == pytest.approx(oracle, abs=1e-9)
+            oracle = exhaustive_min_cost(u, path3, max_depth=max_depth)
+            for warm_start in (True, False):
+                cfg = SearchConfig(max_nodes=10_000_000, max_depth=max_depth,
+                                   warm_start=warm_start)
+                if oracle == math.inf:
+                    with pytest.raises(NoSolutionError):
+                        adaptive_compile(u, path3, cfg)
+                    continue
+                result = adaptive_compile(u, path3, cfg)
+                assert result.total_cost == pytest.approx(oracle, abs=1e-9)
 
 
 @st.composite
@@ -238,6 +249,21 @@ class TestSearchControls:
             assert first.stats.nodes_expanded == 0 and first.rotation_count == 3
             assert verify_result(u, first)
 
+    def test_dead_at_cap_counts_the_root(self):
+        # Under a depth cap of one the root is the last level: its children
+        # sit at the cap, so only a terminal one could be kept.  A step
+        # rewrites two rows and all three rows of this input are dirty, so
+        # the root ends without a child, and it is the one dead node.
+        u = haar_unitary(3, 1)
+        m = u.conj().T
+        assert all(np.abs(m - np.diag(np.diag(m))).max(axis=1) > DEFAULT_TOL)
+        for _, g in architectures_for_dim(3):
+            with pytest.raises(NoSolutionError) as info:
+                adaptive_compile(u, g, SearchConfig(max_depth=1))
+            stats = info.value.stats
+            assert (stats.nodes_expanded, stats.dead_at_cap) == (1, 1)
+            assert stats.stop_reason == "exhausted"
+
     @pytest.mark.parametrize("warm_start", [False, True])
     @settings(max_examples=100, deadline=None)
     @given(dim=st.integers(3, 5), cap=st.integers(1, 8), arch=st.integers(0, 2),
@@ -259,6 +285,7 @@ class TestSearchControls:
             assert result.rotation_count <= cap
             assert verify_result(u, result)
         assert stats.max_depth <= cap - 1
+        assert 0 <= stats.dead_at_cap <= stats.nodes_expanded
 
     def test_stats_populated(self, path3):
         u = haar_unitary(3, 7)
@@ -510,9 +537,11 @@ class TestDeepSearch:
 def root_node(search, m, cost):
     """The node (step, rows, pair, mag, ang, dirty, levels, cost) of a root
     given as a full matrix and reached at cost, as _Search.run builds it;
-    children reads neither its rows nor its dirty bits."""
-    return (None, list(m), None, np.hypot(m.real, m.imag).tolist(),
-            np.arctan2(m.imag, m.real).tolist(), None, search.levels, cost)
+    children does not read its rows."""
+    mag = np.hypot(m.real, m.imag).tolist()
+    dirty = sum(1 << k for k, row in enumerate(mag) if max(row[:k] + row[k + 1:]) > DEFAULT_TOL)
+    return (None, list(m), None, mag, np.arctan2(m.imag, m.real).tolist(), dirty,
+            search.levels, cost)
 
 
 def reference_children(search, m, graph, cost):
@@ -652,6 +681,46 @@ class TestNodeScoring:
             if len(yielded) == after:
                 search.best = (improved, [], None, False)
         assert yielded == expected
+
+    @pytest.mark.parametrize("incumbent", [False, True])
+    @settings(max_examples=80, deadline=None)
+    @given(case=scoring_cases(), block=st.one_of(
+        st.none(), st.sets(st.integers(0, 6), min_size=2, max_size=4)))
+    # rows 0 and 3 of path-5: the covering pivot 0 needs two pulses, and the
+    # pivot 2 of the same entry, which leaves row 0 dirty, none, so once the
+    # incumbent has steps a child that must be skipped sorts first
+    @example(case=(haar_unitary(5, 0), path_architecture(5), 0.0), block={0, 3})
+    def test_last_level_keeps_only_covering_children(self, incumbent, case, block):
+        # A node one step from the depth cap yields only children that can
+        # be terminal: a step rewrites rows r and r2 only, so those must
+        # cover every dirty row.  With more than two dirty rows none can,
+        # and the node yields nothing.  The node is the case's matrix, or
+        # one that is diagonal outside a unitary block on the rows in
+        # block, so that it has two, three or four dirty rows; the rows a
+        # block leaves clean are pivots that no covering child can take.
+        u, g, spent = case
+        m = u.conj().T.copy()
+        dim = m.shape[0]
+        if block is not None:
+            rows = sorted({k % dim for k in block})
+            inner, _ = np.linalg.qr(m[np.ix_(rows, rows)])
+            m = np.diag(np.exp(1j * np.arange(dim)))
+            m[np.ix_(rows, rows)] = inner
+        limit = spent + 1.1 * qr_cost_bound(m.conj().T, g)
+        levels = compile_levels(g, dim)
+        search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
+        if incumbent:
+            search.best = (limit, [], None, False)
+        node = root_node(search, m, spent)
+        dirty = node[5]
+        children = list(search.children(node, last=True))
+        covering = [ch for ch in reference_children(search, m, g, spent)
+                    if not dirty & ~(1 << ch[2] | 1 << ch[3])]
+        assert children == covering
+        if dirty.bit_count() > 2:
+            assert children == [] and search.stats.dead_at_cap == 1
+        else:
+            assert search.stats.dead_at_cap == 0
 
 
     def test_cold_root_prices_lazily(self):

@@ -92,6 +92,7 @@ class TestCompile:
         summary = json.loads(capsys.readouterr().out)
         assert summary["stop_reason"] == "first_solution"
         assert summary["beat_warm_start"] is False
+        assert summary["dead_at_cap"] == 0
 
     @pytest.mark.parametrize("command", ["compile", "bench"])
     def test_sort_children_flag_removed(self, workdir, capsys, command):

@@ -145,6 +145,17 @@ class TestFileFormat:
             load_unitary(path)
 
 
+def test_as_matrix_takes_any_memory_layout():
+    # a transposed or strided view is a matrix like its copy
+    m = np.arange(9, dtype=np.complex128).reshape(3, 3) * (1 + 2j)
+    for view in (m.T, m.conj().T, m[::-1, ::-1]):
+        assert np.array_equal(as_matrix(view), view)
+    bad = m.copy()
+    bad[0, 1] = complex(0, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix(bad.T)
+
+
 def test_as_matrix_rejects_tiny():
     with pytest.raises(ValueError):
         as_matrix(np.array([[1.0]]))
