@@ -42,6 +42,7 @@ class SearchStats:
     stop_reason: str = "exhausted"
     beat_warm_start: bool = False  # a search incumbent replaced the ladder's
     dead_at_cap: int = 0  # nodes one step from the depth cap with > 2 dirty rows
+    cut_by_bound: int = 0  # children whose angle bound reached the incumbent's cost
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,6 +55,16 @@ children use:
     rows, so a node one step from the cap yields only children whose rows
     cover its dirty rows, and with more than two does no work at all
     (``SearchStats.dead_at_cap`` counts it).
+  * A yielded child is decided before it is built, from its parent's
+    moduli, its cost so far and cos, sin of half its angle.  It is cut if
+    it is dead at the cap (one step from it with more than two dirty rows
+    for certain) or if its angle bound, which needs no routing, shows that
+    no solution below it can beat the incumbent.  A cut child counts as one
+    expanded node and is never built; the bound's cuts are
+    ``SearchStats.cut_by_bound``.  A cut subtree holds no solution that
+    would replace the incumbent, so the search visits the same nodes in the
+    same order less whole subtrees: an exhausted search returns the same
+    gates, and a budget-bound one reaches at least as far per node.
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
@@ -83,7 +93,7 @@ from ._compile import (
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_scratch,
 )
-from .cost import CostParams, is_real, pulse_cost, rotation_cost
+from .cost import CostParams, is_real, min_cost_per_radian, pulse_cost, rotation_cost
 from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from .linalg import DEFAULT_TOL, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
@@ -91,6 +101,9 @@ from .qr import _validated, emit_steps, ladder, ladder_cost, replay_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
+# Taken off each column's angle: it covers float drift and a terminal
+# node's off-diagonal entries (each at most DEFAULT_TOL).
+_ANGLE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -169,6 +182,48 @@ def _pulse_costs(num_levels: int, edges: frozenset, pulse: float) -> tuple:
     return tuple(tuple((n - 1) * pulse for n in row) for row in _topology(num_levels, edges)[1])
 
 
+def _angle(diag: float, norm: float) -> float:
+    """A column's angle from its diagonal, acos(|m[c][c]| / norm), less the
+    margin and at least 0; an upper bound on the modulus gives a lower bound
+    on the angle."""
+    return max(0.0, math.acos(min(1.0, diag / norm)) - _ANGLE_MARGIN)
+
+
+def _angle_floor(angles, mag, norms, r, r2, co, si) -> float:
+    """A lower bound on the rotation angle still needed below the child that
+    rotates rows r and r2 by theta = 2 atan2(si, co): the sum of its column
+    angles.  Its angles at r and r2 come from upper bounds on its new
+    diagonal moduli; the rest are the node's (angles: its list and sum)."""
+    alphas, total = angles
+    return total - alphas[r] - alphas[r2] + _angle(co * mag[r][r] + si * mag[r2][r], norms[r]) \
+        + _angle(si * mag[r][r2] + co * mag[r2][r2], norms[r2])
+
+
+def _stays_dirty(own, other, co, si, k) -> bool:
+    """Whether row k, which a step writes as co * own + s * other with
+    |s| = si from rows of moduli own and other, is dirty for certain: some
+    off-diagonal |co own[j] - si other[j]| (the triangle inequality), less
+    a rounding margin, is above DEFAULT_TOL."""
+    for j, (x, y) in enumerate(zip(own, other)):
+        if j != k and abs(co * x - si * y) - 1e-12 * (co * x + si * y) > DEFAULT_TOL:
+            return True
+    return False
+
+
+def _dead_child(mag, dirty, r, r2, co, si) -> bool:
+    """Whether the child that rotates rows r and r2 of a node (moduli mag,
+    dirty bits) by theta = 2 atan2(si, co) has more than two dirty rows for
+    certain: the node's dirty rows outside the pair, plus those of rows r
+    and r2 that _stays_dirty proves."""
+    n = (dirty & ~(1 << r | 1 << r2)).bit_count()
+    if n == 0 or n > 2:
+        return n > 2
+    # dead when n plus the rows of the pair that stay dirty reaches 3
+    if _stays_dirty(mag[r], mag[r2], co, si, r):
+        return n == 2 or _stays_dirty(mag[r2], mag[r], co, si, r2)
+    return n == 2 and _stays_dirty(mag[r2], mag[r], co, si, r2)
+
+
 class _Search:
     def __init__(self, graph, levels, config, params, limit, warm):
         self.graph = graph  # the edges routing follows; routing never changes them
@@ -176,6 +231,7 @@ class _Search:
         self.config = config
         self.params = params
         self.pulse_cost = pulse_cost(params)
+        self.floor = min_cost_per_radian(params)  # 0: no angle bound
         # (cost, steps, matrix, undo); the limit is an incumbent with no steps
         self.best = warm or (limit, None, None, False)
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
@@ -201,20 +257,32 @@ class _Search:
         A last node's children sit at the depth cap, so only a terminal one
         is kept.  A step cleans at most rows r and r2: with more than two
         dirty rows the node does no work, else it yields only the children
-        whose pair covers every dirty row.
+        whose pair covers every dirty row.  The root, and any node that run
+        could not prove dead before building it, meets this rule here.
 
-        The node is (step, rows, pair, mag, ang, dirty, levels, cost).  Its
-        phase rows ang start as a copy of its parent's: the two rows its step
-        made, pair, get their phases in place at the first yield, so a node
-        without children computes none.  At the root pair is None."""
-        made, _, pair, mag, ang, dirty, levels, cost = node
+        While the incumbent is the bare limit, a column none of whose
+        entries below the diagonal is above the tolerance is skipped whole:
+        each of its cold units would skip its one entry.
+
+        The node is (step, rows, pair, mag, ang, dirty, levels, cost,
+        angles); only run reads its angles.  Its phase rows ang start as a
+        copy of its parent's: the two rows its step made, pair, get their
+        phases in place at the first yield, so a node without children
+        computes none.  At the root pair is None."""
+        made, _, pair, mag, ang, dirty, levels, cost, _ = node
         if last and dirty.bit_count() > 2:
             self.stats.dead_at_cap += 1
             return  # a step cleans at most two rows: no child can be terminal
         pulses, costs, params, tol = self.pulses, self.costs, self.params, DEFAULT_TOL
         found = []  # a unit's passing candidates, emptied once it is done
         for c, cold, warm in self.columns:
-            for unit in cold if self.best[1] is None else warm:
+            if self.best[1] is not None:
+                units = warm
+            elif any(row[c] > tol for row in mag[c + 1:]):
+                units = cold
+            else:
+                continue  # every cold unit of a cleared column would skip its entry
+            for unit in units:
                 limit = self.best[0]
                 for r2, pivots in unit:
                     low = mag[r2][c]
@@ -246,16 +314,25 @@ class _Search:
                     yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
                 found.clear()
 
-    def enter(self, stack, node) -> bool:
-        """Expand a node (step, rows, pair, mag, ang, dirty, levels, cost)
-        onto the stack at depth len(stack); False once the node budget is
+    def count(self, depth) -> bool:
+        """Count one expanded node at depth; False once the node budget is
         spent."""
-        if self.stats.nodes_expanded >= self.config.max_nodes:
-            self.stats.stop_reason = "node_budget"
+        stats = self.stats
+        if stats.nodes_expanded >= self.config.max_nodes:
+            stats.stop_reason = "node_budget"
             return False
-        self.stats.nodes_expanded += 1
-        if len(stack) > self.stats.max_depth:
-            self.stats.max_depth = len(stack)
+        stats.nodes_expanded += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        return True
+
+    def enter(self, stack, node) -> bool:
+        """Expand a node (step, rows, pair, mag, ang, dirty, levels, cost,
+        angles) onto the stack at depth len(stack); False once the node
+        budget is spent.  angles is (column angles, their sum) under a model
+        with a floor, else None."""
+        if not self.count(len(stack)):
+            return False
         stack.append((self.children(node, len(stack) + 1 >= self.depth_cap),) + node)
         return True
 
@@ -265,27 +342,82 @@ class _Search:
         searched in full before its next sibling, as a recursive search
         would.  The stack is the path: a frame's step made its node (None at
         the root).  A first-solution search holding a warm start expands
-        none."""
+        none.
+
+        Each yielded child below the cap is decided before it is routed or
+        rotated.  A cut child counts as one expanded node, as ``enter``
+        counts one (the budget first), and the loop takes its next sibling.
+
+        Dead at the cap: one step from the cap, a child with more than two
+        dirty rows has no child (``_dead_child``).  The node's dirty rows
+        outside the pair stay dirty; row r2 becomes b x + co y from rows x,
+        y (|b| = si), so it stays dirty if some off-diagonal j has
+        |co |y_j| - si |x_j||, less a rounding margin, above DEFAULT_TOL,
+        and row r likewise with the roles swapped.
+
+        The angle bound, under a model with a floor k > 0
+        (``cost.min_cost_per_radian``): every rotation by theta costs at
+        least k theta.  Column c's angle is alpha_c = acos(|m[c][c]| / n_c),
+        with n_c its norm at the root, which a rotation keeps (so an input
+        unitary only to within the tolerance is covered).  A rotation U of
+        rows r and r2 by theta changes no diagonal entry but m[r][r] and
+        m[r2][r2].  It turns a column v into U v with |<v, U v>| >=
+        cos(theta / 2) |v|^2, so by the triangle inequality of the angle
+        between rays, alpha_r and alpha_r2 each move by at most theta / 2.  A
+        terminal node has every alpha_c below the margin, so the rotations
+        still to come sum to at least sum alpha; routing pulses leave the
+        matrix as it is and cost >= 0.  Each angle is kept less a margin of
+        1e-6 (float drift, and a terminal node's entries of up to
+        DEFAULT_TOL) and at least 0.  A child is cut when its cost so far
+        plus k sum alpha reaches the incumbent's cost; its angles at r and
+        r2 come from the upper bounds co |m[r][r]| + si |m[r2][r]| and
+        si |m[r][r2]| + co |m[r2][r2]| on its new diagonal moduli.  Each
+        node keeps its angles and their sum, so the test is O(1) in d per
+        child.  Twice the largest angle is a lower bound too, but on a
+        unitary it is never the larger: |m[j][c]| <= sin alpha_j for j != c
+        (row j's norm), the squares of those entries sum to sin^2 alpha_c,
+        and asin x + asin y >= asin sqrt(x^2 + y^2), so the other angles
+        sum to at least alpha_c."""
         if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
         pulse, costs, graph, dist = self.pulse_cost, self.costs, self.graph, self.dist
-        cap, tol = self.depth_cap, DEFAULT_TOL
+        cap, tol, floor, stats = self.depth_cap, DEFAULT_TOL, self.floor, self.stats
         scratch = rotation_scratch(len(m0))  # apply_rotation_rows' buffers
         mag0 = np.hypot(m0.real, m0.imag).tolist()
         ang0 = np.arctan2(m0.imag, m0.real).tolist()
         # row k is dirty when an off-diagonal modulus is above the tolerance
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if max(row[:k] + row[k + 1:]) > tol)
+        angles0 = None
+        if floor:
+            norms = [math.hypot(*col) for col in zip(*mag0)]  # a rotation keeps each column's
+            alphas = [_angle(mag0[c][c], norms[c]) for c in range(len(m0))]
+            angles0 = (alphas, sum(alphas))
         stack = []
-        if not self.enter(stack, (None, list(m0), None, mag0, ang0, dirty0, self.levels, 0.0)):
+        if not self.enter(stack, (None, list(m0), None, mag0, ang0, dirty0, self.levels, 0.0,
+                                  angles0)):
             return
         while stack:
-            children, _, rows, _, mag, ang, dirty, levels, cost = stack[-1]
+            children, _, rows, _, mag, ang, dirty, levels, cost, angles = stack[-1]
             depth = len(stack)  # a child's
             for _, _, r, r2, theta, phi in children:
                 hops = dist[levels[r]][levels[r2]] - 1
-                levels2 = routed_levels(graph, levels, r, r2) if hops else levels
                 cost2 = cost + costs[theta] + hops * pulse
+                if depth < cap and (angles or depth + 1 == cap):
+                    # decided before the child is built; a cut child is one node
+                    co, si = math.cos(theta / 2), math.sin(theta / 2)
+                    if depth + 1 == cap and _dead_child(mag, dirty, r, r2, co, si):
+                        if not self.count(depth):
+                            return
+                        stats.dead_at_cap += 1
+                        continue
+                    if angles and cost2 + floor * _angle_floor(angles, mag, norms, r, r2, co, si) \
+                            >= self.best[0]:
+                        if not self.count(depth):
+                            return
+                        stats.cut_by_bound += 1
+                        continue
+                levels2 = routed_levels(graph, levels, r, r2) if hops else levels
                 pair = apply_rotation_rows(rows[r], rows[r2], theta, phi, scratch)
                 mag_r, mag_r2 = np.hypot(pair.real, pair.imag).tolist()
                 dirty2 = dirty & ~((1 << r) | (1 << r2)) \
@@ -294,18 +426,24 @@ class _Search:
                 rows2 = rows.copy()
                 rows2[r], rows2[r2] = pair
                 if not dirty2:
-                    self.stats.solutions_found += 1
+                    stats.solutions_found += 1
                     if cost2 < self.best[0]:
                         steps = [frame[1] for frame in stack[1:]] + [(r, r2, theta, phi)]
                         self.best = (cost2, steps, np.array(rows2), False)
                     if self.config.return_first:
-                        self.stats.stop_reason = "first_solution"
+                        stats.stop_reason = "first_solution"
                         return
                 elif depth < cap:  # a covering child can still leave row r or r2 dirty
                     mag2 = mag.copy()
                     mag2[r], mag2[r2] = mag_r, mag_r2
+                    angles2 = None
+                    if angles:
+                        alphas = angles[0].copy()
+                        alphas[r], alphas[r2] = _angle(mag_r[r], norms[r]), \
+                            _angle(mag_r2[r2], norms[r2])
+                        angles2 = (alphas, sum(alphas))
                     node = ((r, r2, theta, phi), rows2, pair, mag2, ang.copy(), dirty2,
-                            levels2, cost2)
+                            levels2, cost2, angles2)
                     if not self.enter(stack, node):
                         return
                     break

@@ -18,6 +18,14 @@ and >= 0, or rotation_cost raises ValueError: the search prunes a path as
 soon as its cost so far, or a candidate's routing alone, reaches the
 incumbent's, which is exact only because no later rotation lowers the
 total.
+
+The search also cuts a child whose cost so far plus a floor on what its
+completion must cost reaches the incumbent's.  ``min_cost_per_radian``
+gives the floor's rate k: a model that costs at least k * theta for every
+rotation by theta in [0, pi] (the search's angles) at distance 1.  The
+default model costs base_factor * (4t + penalty) with t = theta / pi and
+a penalty >= 0, so its k is 4 * base_factor / pi; any other model gets 0,
+and a search under it cuts nothing by the floor.
 """
 from __future__ import annotations
 
@@ -67,6 +75,12 @@ def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) ->
         raise ValueError(f"cost model returned {cost!r} for theta {theta!r}; "
                          "a cost must be a real number, finite and >= 0")
     return cost
+
+
+def min_cost_per_radian(params: CostParams = CostParams()) -> float:
+    """k with rotation_cost(theta, 1, params) >= k * theta for theta in
+    [0, pi]: 4 * base_factor / pi for the default model, 0 for any other."""
+    return 4.0 * params.base_factor / math.pi if params.model is _calibrated_linear else 0.0
 
 
 def pulse_cost(params: CostParams = CostParams()) -> float:

@@ -14,8 +14,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, cost as cost_module
-from quditc._compile import annihilation_angles, compile_levels
-from quditc.adaptive import NoSolutionError, SearchConfig, _columns, _Search, adaptive_compile
+from quditc._compile import (
+    annihilation_angles,
+    apply_rotation_rows,
+    compile_levels,
+    rotation_scratch,
+)
+from quditc.adaptive import (
+    NoSolutionError,
+    SearchConfig,
+    _angle,
+    _columns,
+    _dead_child,
+    _Search,
+    adaptive_compile,
+)
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
@@ -535,13 +548,13 @@ class TestDeepSearch:
 
 
 def root_node(search, m, cost):
-    """The node (step, rows, pair, mag, ang, dirty, levels, cost) of a root
-    given as a full matrix and reached at cost, as _Search.run builds it;
-    children does not read its rows."""
+    """The node (step, rows, pair, mag, ang, dirty, levels, cost, angles) of
+    a root given as a full matrix and reached at cost, as _Search.run builds
+    it; children reads neither its rows nor its angles."""
     mag = np.hypot(m.real, m.imag).tolist()
     dirty = sum(1 << k for k, row in enumerate(mag) if max(row[:k] + row[k + 1:]) > DEFAULT_TOL)
     return (None, list(m), None, mag, np.arctan2(m.imag, m.real).tolist(), dirty,
-            search.levels, cost)
+            search.levels, cost, None)
 
 
 def reference_children(search, m, graph, cost):
@@ -765,6 +778,213 @@ class TestNodeScoring:
         assert rejected > 0 and unrouted > 0
 
 
+def unbounded(params=CostParams()):
+    """params' default model behind a wrapper: the same costs bit for bit,
+    but a model without a floor, so a search under it cuts nothing by the
+    angle bound."""
+    return CostParams(params.base_factor, params.calibrated_angle,
+                      lambda theta, dist, p: cost_module._calibrated_linear(theta, dist, p))
+
+
+def permutation_like(dim, seed):
+    """A permutation matrix with random phases: zero diagonals put the
+    annihilation angles at their pi limit."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[rng.permutation(dim), np.arange(dim)] = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    return u
+
+
+def perturbed(dim, seed):
+    """A Haar unitary with every entry moved by about 1e-10, unitary only to
+    within DEFAULT_TOL."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return haar_unitary(dim, seed) + 1e-10 * noise
+
+
+def block_node(dim, seed, blocks):
+    """A unitary, diagonal outside one Haar block on each of the disjoint row
+    sets in blocks, so that exactly those rows are dirty."""
+    m = np.diag(np.exp(1j * np.arange(dim)))
+    for i, rows in enumerate(blocks):
+        m[np.ix_(rows, rows)] = haar_unitary(len(rows), seed + i)
+    return m
+
+
+def dirty_bits(mag):
+    return sum(1 << k for k, row in enumerate(mag) if max(row[:k] + row[k + 1:]) > DEFAULT_TOL)
+
+
+class TestAngleBound:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), theta=st.floats(0.0, math.pi),
+           phi=st.floats(-math.pi, math.pi), data=st.data())
+    def test_one_rotation_moves_a_column_angle_by_at_most_half_its_angle(self, dim, seed,
+                                                                       theta, phi, data):
+        # Column c's angle acos(|m[c][c]| / |column|) changes only where c is
+        # one of the rotated rows, and then by at most theta / 2; the bound's
+        # angle, from the upper bound co |m[r][c]| + si |m[r2][c]| on the new
+        # modulus, is at most the true new angle.
+        r, r2 = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2,
+                                   unique=True))
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m /= np.linalg.norm(m, axis=0)  # unit columns
+        new = rotation_matrix(RotationGate(r, r2, theta, phi), dim) @ m
+        norms = np.linalg.norm(m, axis=0)
+        co, si = math.cos(theta / 2), math.sin(theta / 2)
+        for c in range(dim):
+            before = math.acos(min(1.0, abs(m[c, c]) / norms[c]))
+            after = math.acos(min(1.0, abs(new[c, c]) / norms[c]))
+            if c in (r, r2):
+                assert abs(after - before) <= theta / 2 + 1e-7
+                other = r2 if c == r else r
+                upper = co * abs(m[c, c]) + si * abs(m[other, c])
+                assert _angle(upper, norms[c]) <= after
+            else:
+                assert after == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**31),
+           kind=st.sampled_from([haar_unitary, permutation_like, perturbed]))
+    def test_largest_angle_never_exceeds_the_others_sum(self, dim, seed, kind):
+        # Why the bound takes the angles' sum alone: on a unitary, twice the
+        # largest angle (the other lower bound) is never more.
+        u = kind(dim, seed)
+        alphas = [math.acos(min(1.0, abs(u[c, c]) / np.linalg.norm(u[:, c])))
+                  for c in range(dim)]
+        assert 2 * max(alphas) <= sum(alphas) + 1e-9
+
+    @pytest.mark.parametrize("kind", ["haar", "permutation", "perturbed"])
+    def test_exhausted_search_matches_unbounded_reference(self, kind):
+        # A cut subtree holds no solution below the incumbent, so an
+        # exhausted search returns the reference's gates bit for bit, in no
+        # more nodes, for either set of cost parameters.
+        # d=4 inputs whose unbounded searches take under 40000 nodes
+        make, quick = {"haar": (haar_unitary, (901, 902)),
+                       "permutation": (permutation_like, (900, 904)),
+                       "perturbed": (perturbed, (901, 902))}[kind]
+        cfg = SearchConfig(max_nodes=10_000_000)
+        cut = 0
+        for params in (CostParams(), CostParams(base_factor=3e-4, calibrated_angle=0.25)):
+            for dim, seed in [(3, seed) for seed in range(900, 906)] + [(4, s) for s in quick]:
+                u = make(dim, seed)
+                for name, g in architectures_for_dim(dim):
+                    if name == "star-4" and kind != "permutation":
+                        continue  # 87000 to 171000 unbounded nodes
+                    bounded = adaptive_compile(u, g, cfg, params)
+                    reference = adaptive_compile(u, g, cfg, unbounded(params))
+                    assert bounded.stats.stop_reason == reference.stats.stop_reason == "exhausted"
+                    assert result_digest([bounded]) == result_digest([reference])
+                    assert reference.stats.cut_by_bound == 0
+                    assert bounded.stats.nodes_expanded <= reference.stats.nodes_expanded
+                    cut += bounded.stats.cut_by_bound
+        assert cut > 0
+
+    @pytest.mark.parametrize("max_nodes", [30, 100, 300, 1000])
+    def test_budget_bound_search_costs_no_more_than_reference(self, max_nodes):
+        # The bound skips only subtrees without a cheaper solution, so the
+        # same budget reaches at least as far.
+        fell = 0
+        for _, g in architectures_for_dim(5):
+            for u in random_cliffords(5, 3, 2424):
+                cfg = SearchConfig(max_nodes=max_nodes)
+                bounded = adaptive_compile(u, g, cfg)
+                reference = adaptive_compile(u, g, cfg, unbounded())
+                assert bounded.total_cost <= reference.total_cost
+                assert bounded.stats.nodes_expanded <= max_nodes
+                fell += bounded.total_cost < reference.total_cost
+        assert max_nodes < 1000 or fell > 0
+
+    def test_other_models_cut_nothing(self, flat_cost_model):
+        for params in (flat_cost_model, unbounded()):
+            for _, g in architectures_for_dim(5):
+                for u in random_cliffords(5, 2, 2425):
+                    stats = adaptive_compile(u, g, SearchConfig(max_nodes=500), params).stats
+                    assert stats.cut_by_bound == 0 and stats.nodes_expanded > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(3, 7), seed=st.integers(0, 2**31), data=st.data())
+    def test_a_child_called_dead_is_dead_when_built(self, dim, seed, data):
+        # Every child that _dead_child proves to keep more than two dirty
+        # rows has them once apply_rotation_rows builds it.  Two-row blocks
+        # give children that clean both of their rows, which the proof must
+        # not count.
+        order = data.draw(st.permutations(range(dim)))
+        blocks = []
+        for size in data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)):
+            if len(order) >= size:
+                blocks.append(sorted(order[:size]))
+                order = order[size:]
+        m = block_node(dim, seed, blocks)
+        rows, mag = list(m), np.hypot(m.real, m.imag).tolist()
+        dirty, scratch = dirty_bits(mag), rotation_scratch(dim)
+        for c in range(dim):
+            for r in range(c, dim):
+                for r2 in range(r + 1, dim):
+                    if mag[r2][c] <= DEFAULT_TOL:
+                        continue
+                    theta, phi = annihilation_angles(m, r, r2, c)
+                    if _dead_child(mag, dirty, r, r2, math.cos(theta / 2), math.sin(theta / 2)):
+                        child = rows.copy()
+                        child[r], child[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi,
+                                                                  scratch)
+                        child = np.array(child)
+                        assert dirty_bits(np.hypot(child.real, child.imag).tolist()) \
+                            .bit_count() > 2
+
+    def test_dead_child_proof_covers_the_pair(self):
+        # With one or two dirty rows outside the pair, the proof must show
+        # that rows r and r2 stay dirty; it does so for some children of
+        # these nodes.
+        proven = Counter()
+        for seed in range(30):
+            for blocks in ([[0, 1, 2]], [[0, 1, 2, 3]], [[1, 3, 4]], [[0, 2], [1, 4]]):
+                m = block_node(5, seed, blocks)
+                mag = np.hypot(m.real, m.imag).tolist()
+                dirty = dirty_bits(mag)
+                for c in range(5):
+                    for r in range(c, 5):
+                        for r2 in range(r + 1, 5):
+                            if mag[r2][c] <= DEFAULT_TOL:
+                                continue
+                            theta = annihilation_angles(m, r, r2, c)[0]
+                            n = (dirty & ~(1 << r | 1 << r2)).bit_count()
+                            if _dead_child(mag, dirty, r, r2, math.cos(theta / 2),
+                                           math.sin(theta / 2)):
+                                proven[n] += 1
+        assert proven[1] > 0 and proven[2] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(3, 5), cap=st.integers(1, 9), arch=st.integers(0, 2),
+           warm_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_dead_child_test_changes_no_count(self, dim, cap, arch, warm_start, seed):
+        # Deciding at the parent that a child is dead saves building it and
+        # nothing else: without that test the child is entered, counted and
+        # found dead by its own node.  Under a model without a floor no
+        # child is cut by the bound, so every count matches.
+        u = haar_unitary(dim, seed)
+        g = architectures_for_dim(dim)[arch][1]
+        cfg = SearchConfig(max_nodes=300, max_depth=cap, warm_start=warm_start)
+
+        def run():
+            try:
+                result = adaptive_compile(u, g, cfg, unbounded())
+            except NoSolutionError as exc:
+                return None, exc.stats
+            return result_digest([result]), result.stats
+
+        digest, stats = run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adaptive_module, "_dead_child", lambda *args: False)
+            built_digest, built = run()
+        assert digest == built_digest
+        for field in ("nodes_expanded", "max_depth", "solutions_found", "dead_at_cap",
+                      "stop_reason"):
+            assert getattr(stats, field) == getattr(built, field)
+
+
 class TestCustomCostModel:
     def test_search_scores_with_selected_model(self, flat_cost_model):
         # A flat per-gate cost a hundred times below the default model's: its
@@ -849,7 +1069,7 @@ class TestGoldenGates:
                 for u in random_cliffords(dim, 2, 2022):
                     results.append(adaptive_compile(u, g, SearchConfig(max_nodes=300)))
         assert result_digest(results) == \
-            "834c37a6e40c7f6002938c130662976eee74d3d6cd8d4bd18bca26ecbca0f493"
+            "f0a71b5a6186a2b5e9eeecf84d803f229efce7519a6bcb388caed8e4e0ed5e35"
 
     def test_haar31_warm_start_replay_unchanged(self):
         # return_first accepts the warm start: the ladder's steps replayed

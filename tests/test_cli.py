@@ -85,6 +85,7 @@ class TestCompile:
         result = adaptive_compile(haar_unitary(3, 123), path_architecture(3))
         assert summary["total_cost"] == result.total_cost
         assert summary["nodes_expanded"] == result.stats.nodes_expanded
+        assert summary["cut_by_bound"] == result.stats.cut_by_bound
 
     def test_summary_says_why_the_search_stopped(self, workdir, capsys):
         assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
@@ -93,6 +94,7 @@ class TestCompile:
         assert summary["stop_reason"] == "first_solution"
         assert summary["beat_warm_start"] is False
         assert summary["dead_at_cap"] == 0
+        assert summary["cut_by_bound"] == 0  # the warm start is accepted: no node
 
     @pytest.mark.parametrize("command", ["compile", "bench"])
     def test_sort_children_flag_removed(self, workdir, capsys, command):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quditc.adaptive import adaptive_compile
 from quditc.bench import path_architecture
-from quditc.cost import CostParams, rotation_cost, sequence_cost
+from quditc.cost import CostParams, min_cost_per_radian, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, VirtualZGate
 from quditc.graph import CouplingGraph
 from quditc.qr import qr_cost_bound, qr_decompose
@@ -56,6 +57,23 @@ class TestRotationCost:
     def test_invalid_distance(self):
         with pytest.raises(ValueError):
             rotation_cost(1.0, 0)
+
+
+class TestCostFloor:
+    @given(theta=st.floats(0.0, math.pi), base=st.floats(1e-6, 1.0),
+           calibrated=st.floats(0.05, 2.0))
+    def test_default_model_costs_at_least_its_rate(self, theta, base, calibrated):
+        # the search's angles lie in [0, pi]; the penalty term is >= 0
+        params = CostParams(base_factor=base, calibrated_angle=calibrated)
+        k = min_cost_per_radian(params)
+        assert k == 4.0 * base / math.pi
+        assert rotation_cost(theta, 1, params) >= k * theta * (1 - 1e-12)
+
+    def test_other_models_have_no_floor(self, flat_cost_model):
+        # a wrapper around the default model is another model: no floor
+        wrapped = CostParams(model=lambda theta, dist, p: rotation_cost(theta, dist))
+        assert min_cost_per_radian(flat_cost_model) == 0.0
+        assert min_cost_per_radian(wrapped) == 0.0
 
 
 def test_params_must_be_positive():
