@@ -149,6 +149,9 @@ class CouplingGraph:
         comp = sorted(int(s) for s in cleaned.keys() - anc)
         if comp != list(range(len(comp))):
             raise ValueError("computational states must be 0..d-1 without gaps")
+        # the states never change (a placement moves them), so their order
+        # is sorted once; _clone keeps it
+        object.__setattr__(self, "_state_order", tuple(canonical_state_order(cleaned)))
 
         phases = tuple(float(p) for p in self.node_phase) or (0.0,) * self.num_levels
         if len(phases) != self.num_levels:
@@ -167,7 +170,7 @@ class CouplingGraph:
 
     def state_order(self) -> list[str]:
         """Canonical matrix-index order: computational states, then ancillas."""
-        return canonical_state_order(self.logical_map)
+        return list(self._state_order)
 
     @property
     def num_states(self) -> int:

@@ -91,10 +91,13 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_diagonal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-diagonal modulus <= tol."""
+    """True iff every off-diagonal modulus <= tol and no entry is NaN or
+    infinite: the moduli's diagonal is zeroed as x * 0, which is NaN for a
+    NaN or infinite x."""
     check_tol(tol)
-    off = m - np.diag(np.diag(m))
-    return max_norm(off) <= tol
+    a = np.abs(m, dtype=np.float64)
+    a.flat[::len(a) + 1] *= 0.0
+    return bool(a.max(initial=0.0) <= tol)
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

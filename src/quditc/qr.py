@@ -9,10 +9,13 @@ and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps without
 emitting a gate; :func:`replay_cost` prices the adaptive one-way replay
-from the same rotation costs.
+from the same rotation costs, on one placement that it moves in place.
 :func:`emit_steps` emits either form's gate records on one placement walk.
-:func:`ladder` holds the one check of an elimination's end, so every
-entry point rejects an input whose elimination does not end diagonal.
+:func:`ladder` runs the steps as a wavefront: 2d - 3 fronts of rotations
+on disjoint adjacent row pairs, one per active column, which give the
+sequential order's steps and final matrix bit for bit.  It holds the one
+check of an elimination's end, so every entry point rejects an input
+whose elimination does not end diagonal.
 """
 from __future__ import annotations
 
@@ -28,10 +31,9 @@ from ._compile import (
     compile_levels,
     emit_rotation,
     rotation_coefficients,
-    rotation_scratch,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
+from .graph import CouplingGraph, PlacementWalk, _topology
 from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
 # The ladder's skip: entries below this are treated as already annihilated
@@ -41,55 +43,79 @@ _HALF_PI = math.pi / 2
 
 
 def ladder(m0: np.ndarray):
-    """Run the fixed elimination in place on a complex128 copy of m0, the
-    conjugate transpose of the target (m0 is not modified).  Returns the
-    (r, r2, theta, phi) steps in order and the final matrix; ValueError
-    unless that matrix is diagonal, the one check of an elimination's end.
+    """Run the fixed elimination in place on a C-order complex128 copy of
+    m0, the conjugate transpose of the target (m0 is not modified).  Returns
+    the (r, r2, theta, phi) steps in column order and the final matrix;
+    ValueError unless that matrix is diagonal, the one check of an
+    elimination's end.
 
     The steps and the matrix are bit for bit those of annihilation_angles
-    and apply_rotation_rows on a list of rows:
+    and apply_rotation_rows on a list of rows, step after step, though the
+    steps run as a wavefront (Sameh and Kuck's schedule of a Givens chain):
 
-      * Column c's moduli (np.hypot) and phases (np.arctan2) are read once,
-        when the column starts, into one running column.  A step on rows
-        (r, r2) leaves row r2 done with the column and a new pivot in row r,
-        the next step's lower entry, so it writes only that pivot's abs and
-        scalar np.arctan2 back into the running column.  theta is 2
-        math.atan2 of the moduli, one step at a time: np.arctan2 can differ
+      * Column c's step on the adjacent rows (p, p + 1) runs at front
+        t = d - 2 - p + 2c, of 2d - 3.  A front's pairs p0, p0 + 2, ...
+        (one per active column) touch disjoint rows, and each row still
+        meets its rotations in the sequential order, so every step reads
+        the entries the sequential ladder would.
+      * A front reads the moduli (np.hypot) and phases (np.arctan2) of its
+        (p, c) and (p + 1, c) entries at once, on a strided view: they sit
+        2d + 1 entries apart in the flat matrix, which d spare entries
+        extend so that the last front's view has whole rows.  theta is 2
+        math.atan2 of the moduli and the coefficients are
+        rotation_coefficients', one step at a time: np.arctan2 can differ
         from math.atan2 in the last ulp.
-      * A step updates the two adjacent rows (r, r + 1) in place, with
-        apply_rotation_rows' arithmetic (c x + a y, b x + c y) and buffers:
-        one np.multiply of the 2x2 coefficients into the products, one
-        np.add into the rows.
+      * Each run of consecutive live pairs is one contiguous (k, 2, d)
+        view, updated with apply_rotation_rows' arithmetic (c x + a y,
+        b x + c y): one np.multiply of the (k, 2, 2) coefficients into the
+        products, one np.add into the rows.  A skipped pair (its lower
+        modulus below NEGLIGIBLE) ends a run, as an identity rotation
+        would flip the sign of a zero.
     """
-    m = np.array(m0, dtype=np.complex128)
-    dim = len(m)
-    steps = []
-    # the kernel's coefficients and products; the rows need no gathering
-    coef, weights, _, _, _, products, from_x, from_y = rotation_scratch(dim)
-    pairs = [m[r:r + 2] for r in range(dim - 1)]  # rows (r, r + 1), written in place
-    spread = [pair[:, None] for pair in pairs]    # the same rows as (2, 1, dim)
-    arctan2, multiply, add, entry = np.arctan2, np.multiply, np.add, m.item
-    for c in range(dim - 1):
-        column = m[:, c]
-        mods = np.hypot(column.real, column.imag).tolist()
-        angs = arctan2(column.imag, column.real).tolist()
-        for r2 in range(dim - 1, c, -1):
-            if mods[r2] < NEGLIGIBLE:
-                continue
-            r = r2 - 1
-            theta = 2.0 * math.atan2(mods[r2], mods[r])
-            phi = -(_HALF_PI + angs[r] - angs[r2])
-            steps.append((r, r2, theta, phi))
-            cos, a, b = rotation_coefficients(theta, phi)
-            weights[0], weights[1], weights[2], weights[3] = cos, b, a, cos
-            multiply(coef, spread[r], out=products)
-            add(from_x, from_y, out=pairs[r])
-            pivot = entry(r, c)
-            mods[r] = abs(pivot)
-            angs[r] = float(arctan2(pivot.imag, pivot.real))
+    dim = len(m0)
+    width = 2 * dim + 1  # flat distance from entry (p, c) to (p + 2, c + 1)
+    flat = np.empty(dim * dim + dim, dtype=np.complex128)
+    m = flat[:dim * dim].reshape(dim, dim)
+    m[...] = m0
+    columns = [[] for _ in range(dim)]
+    products = np.empty((dim // 2, 2, 2, dim), dtype=np.complex128)
+    hypot, arctan2, multiply, add = np.hypot, np.arctan2, np.multiply, np.add
+
+    def rotate(top, weights):
+        # rows top .. top + 2k - 1 as k pairs, by their (k, 2, 2) coefficients
+        k = len(weights) // 4
+        rows = m[top:top + 2 * k]
+        out = products[:k]
+        multiply(np.array(weights, dtype=np.complex128).reshape(k, 2, 2, 1),
+                 rows.reshape(k, 2, 1, dim), out=out)
+        add(out[:, 0], out[:, 1], out=rows.reshape(k, 2, dim))
+
+    for t in range(2 * dim - 3):
+        first, last = max(0, t - dim + 2), min(t // 2, dim - 2)  # active columns
+        p = top = dim - 2 + 2 * first - t
+        start, n = top * dim + first, last - first + 1
+        entries = flat[start:start + n * width].reshape(n, width)[:, :dim + 1:dim]
+        mods = hypot(entries.real, entries.imag).tolist()
+        angs = arctan2(entries.imag, entries.real).tolist()
+        weights = []
+        for column, (mod_r, mod_r2), (ang_r, ang_r2) in zip(columns[first:], mods, angs):
+            if mod_r2 < NEGLIGIBLE:
+                if weights:
+                    rotate(top, weights)
+                    weights = []
+                top = p + 2
+            else:
+                theta = 2.0 * math.atan2(mod_r2, mod_r)
+                phi = -(_HALF_PI + ang_r - ang_r2)
+                column.append((p, p + 1, theta, phi))
+                cos, a, b = rotation_coefficients(theta, phi)
+                weights += (cos, b, a, cos)
+            p += 2
+        if weights:
+            rotate(top, weights)
     if not is_diagonal(m):
         raise ValueError("elimination did not terminate in a diagonal")
-    return steps, m
+    return [step for column in columns for step in column], m
 
 
 def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
@@ -112,15 +138,29 @@ def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
 def replay_cost(steps, rotations, graph: CouplingGraph, levels, params: CostParams) -> float:
     """The cost of the steps as emit_steps emits them without undo, from
     ladder_cost's rotation costs: each rotation plus its n pulses at the
-    current placement, which moves on as routed_levels moves a copy."""
-    dist = _topology(graph.num_levels, graph.edges)[1]
+    current placement.  One placement moves on in place, as
+    PlacementWalk.route moves it: a copy of levels (state -> level) and its
+    inverse (level -> state, None if unmapped), walked hop by hop along the
+    next-hop table; each level on the way hands its state back one hop."""
+    nxt, dist = _topology(graph.num_levels, graph.edges)
     pulse = pulse_cost(params)
+    levels = list(levels)
+    state = [None] * graph.num_levels
+    for k, lv in enumerate(levels):
+        state[lv] = k
     one_way = 0.0
     for (r, r2, _, _), rot in zip(steps, rotations):
-        n = dist[levels[r]][levels[r2]] - 1
+        dst, cur = levels[r], levels[r2]
+        n = dist[dst][cur] - 1
         one_way += rot + n * pulse
         if n:
-            levels = routed_levels(graph, levels, r, r2)
+            hop = nxt[cur][dst]
+            while hop != dst:
+                k = state[cur] = state[hop]
+                if k is not None:
+                    levels[k] = cur
+                cur, hop = hop, nxt[hop][dst]
+            state[cur], levels[r2] = r2, cur
     return one_way
 
 

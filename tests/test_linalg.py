@@ -59,6 +59,31 @@ class TestIsDiagonal:
         m[0, 1] = tol / 2
         assert is_diagonal(m, tol)
 
+    def test_boundary_just_above_tolerance(self):
+        tol = 1e-6
+        m = np.diag([1.0 + 0j, 1.0, 1.0])
+        m[2, 0] = math.nextafter(tol, math.inf)
+        assert not is_diagonal(m, tol)
+        m[2, 0] = tol
+        assert is_diagonal(m, tol)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                       complex(math.inf, 1.0)])
+    def test_non_finite_diagonal_is_not(self, value):
+        # the diagonal is zeroed as x * 0, which keeps NaN and turns an
+        # infinity into NaN, so the check fails as the difference x - x did;
+        # numpy flags inf * 0 as invalid, as it flagged inf - inf
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = value
+        with np.errstate(invalid="ignore"):
+            assert not is_diagonal(m)
+
+    def test_layouts_and_real_inputs(self):
+        m = np.diag([1.0 + 0j, 2.0, 3.0])
+        m[0, 2] = 0.1
+        assert not is_diagonal(m.T) and not is_diagonal(np.asfortranarray(m))
+        assert is_diagonal(np.diag([1, 2, 3])) and is_diagonal(np.eye(3)[::-1, ::-1])
+
 
 BAD_TOLS = [math.inf, math.nan, -1.0, 0.0]
 

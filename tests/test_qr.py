@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc import qr as qr_module
+from quditc import adaptive as adaptive_module, qr as qr_module
 from quditc._compile import (annihilation_angles, apply_rotation_rows, compile_levels,
                               rotation_scratch)
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.bench import architectures_for_dim, star_architecture
 from quditc.clifford import random_cliffords
-from quditc.cost import CostParams, rotation_cost, sequence_cost
+from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
-from quditc.graph import CouplingGraph
+from quditc.graph import CouplingGraph, _topology, routed_levels
 from quditc.linalg import DEFAULT_TOL, max_norm
 from quditc.qr import (NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose,
                        replay_cost)
@@ -104,6 +104,20 @@ class TestRoutingPairs:
         assert verify_result(u, result)
 
 
+def reference_replay_cost(steps, rotations, graph, levels, params):
+    """The one-way replay's earlier pricing: a routed_levels copy of the
+    level list after every routed step."""
+    dist = _topology(graph.num_levels, graph.edges)[1]
+    pulse = pulse_cost(params)
+    one_way = 0.0
+    for (r, r2, _, _), rot in zip(steps, rotations):
+        n = dist[levels[r]][levels[r2]] - 1
+        one_way += rot + n * pulse
+        if n:
+            levels = routed_levels(graph, levels, r, r2)
+    return one_way
+
+
 class TestCostBound:
     def test_identity_is_free(self, path3):
         assert qr_cost_bound(np.eye(3, dtype=complex), path3) == 0.0
@@ -160,21 +174,35 @@ class TestCostBound:
 
     def test_fixed_cost_replays_no_routing(self, monkeypatch):
         # Only a warm start needs the one-way replay: the fixed back-end and
-        # its cost bound move no placement.
-        moves = []
-        routed_levels = qr_module.routed_levels
+        # its cost bound run none, and a warm-started first solution one.
+        replays = []
 
-        def counted(graph, levels, i, j):
-            moves.append((i, j))
-            return routed_levels(graph, levels, i, j)
+        def counted(*args):
+            replays.append(args[0])
+            return replay_cost(*args)
 
-        monkeypatch.setattr(qr_module, "routed_levels", counted)
+        monkeypatch.setattr(qr_module, "replay_cost", counted)
+        monkeypatch.setattr(adaptive_module, "replay_cost", counted)
         u, g = haar_unitary(7, 1500), star_architecture(7)
         qr_decompose(u, g)
         qr_cost_bound(u, g)
-        assert moves == []
+        assert replays == []
         adaptive_compile(u, g, SearchConfig(return_first=True))
-        assert moves  # the star's ladder routes, so the warm start replays it
+        assert len(replays) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=walk_cases(), costs=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+    def test_replay_walk_matches_level_list_copies(self, case, costs):
+        # the in-place placement prices every step as a fresh routed_levels
+        # copy of the level list would, bit for bit
+        g, steps = case
+        levels = compile_levels(g, g.num_states)
+        before = list(levels)
+        rotations = costs[:len(steps)]
+        one_way = replay_cost(steps, rotations, g, levels, CostParams())
+        assert levels == before
+        assert one_way.hex() == reference_replay_cost(steps, rotations, g, levels,
+                                                      CostParams()).hex()
 
     def test_diagonal_is_free(self, path3):
         u = np.diag(np.exp(1j * np.array([1.0, 2.0, 3.0])))
@@ -283,6 +311,30 @@ class TestLadder:
         # a zero entry is skipped, and the step after a skip reads its
         # lower entry from the column start
         self.assert_matches_reference(form(dim, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 31), seed=st.integers(0, 2**32 - 1))
+    def test_permuted_blocks_bit_identical_to_row_list_form(self, dim, seed):
+        # exact zeros scattered over rows and columns: a front's live pairs
+        # split into several runs around its skipped ones
+        rng = np.random.default_rng(seed)
+        u = block_diagonal(dim, seed)[rng.permutation(dim)][:, rng.permutation(dim)]
+        self.assert_matches_reference(u)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([2, 3, 7, 31, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_memory_layout_gives_the_same_bits(self, dim, seed):
+        # qr_decompose passes u.conj().T, a Fortran-order view; it, a view
+        # with negative strides and a strided view of the same matrix give
+        # a C-order copy's bits
+        m0 = haar_unitary(dim, seed).conj().T
+        steps, m = ladder(np.ascontiguousarray(m0))
+        padded = np.zeros((2 * dim, 3 * dim), dtype=complex)
+        padded[::2, ::3] = m0
+        for view in (m0, np.ascontiguousarray(m0[::-1, ::-1])[::-1, ::-1], padded[::2, ::3]):
+            view_steps, view_m = ladder(view)
+            assert step_bits(view_steps) == step_bits(steps)
+            assert view_m.tobytes() == m.tobytes()
 
     def test_cliffords_bit_identical_to_row_list_form(self):
         skipped = 0
