@@ -3,12 +3,12 @@ the elimination primitives, routed emission and the final assembly.
 
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
-order multiply to (diagonal) . U.  Emission keeps each gate as a record
-(low, high, theta, phi, routing), the tuple a RotationGate is, with the
-walk's stored phases already in phi; it writes the pulse records straight
-from the walk's routed level pairs.  The final assembly reads the
-emitter's walk: it folds every remaining tracked phase (node deposits plus
-the terminal diagonal) into the records' phi, builds each gate once and
+order multiply to (diagonal) . U.  Emission (qr.emit_steps, one loop over
+the steps) keeps each gate as a record (low, high, theta, phi, routing),
+the tuple a RotationGate is, with the walk's stored phases already in phi.
+The final assembly reads the emitter's walk: it folds every remaining
+tracked phase (node deposits plus the terminal diagonal) into the records'
+phi in one comprehension, checks every theta and phi finite once, and
 builds the final graph once from the walk's placement, leaving the
 reconstruction identity
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .gates import PULSE_PHI, PULSE_THETA, conjugated, shifted_phi, stored_order
+from .gates import PULSE_PHI, PULSE_THETA, RotationGate, shifted_phi, stored_order
+from .gates import conjugated  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .graph import CouplingGraph, PlacementWalk
 from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
@@ -130,8 +131,8 @@ def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float,
 def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float) -> list:
     """Route state j adjacent to state i on the walk, then emit the rotation
     with the walk's phases.  Returns the records (low, high, theta, phi,
-    routing) of the routing pulses, then of the rotation; assemble builds
-    their gates."""
+    routing) of the routing pulses, then of the rotation.  The scalar form
+    of one step of qr.emit_steps, which the tests hold it to."""
     records = [(low, high, PULSE_THETA, PULSE_PHI, True) for low, high in walk.route(i, j)]
     low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
     records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
@@ -145,13 +146,25 @@ def assemble(walk: PlacementWalk, records, remaining: np.ndarray, initial: list)
     Returns (sequence, residual_phases, final graph) satisfying the
     reconstruction identity exactly: the final graph is built once, with
     the walk's placement and no stored phase.
+
+    Each gate is gates.conjugated of its record under the shifts s, bit for
+    bit (the tests hold it to that): phi + (s[high] - s[low]), the rotation
+    phase rule, inline in one comprehension, then one check, after all the
+    gates, that every theta and phi is finite, with conjugated's ValueError.
     """
     start = walk.start
     delta = np.angle(np.diag(remaining))
     dphase = np.array(walk.phases, dtype=np.float64)
     for k in range(len(initial)):
         dphase[walk.levels[k]] += delta[k]
-    shifts = (-dphase).tolist()
-    sequence = tuple(conjugated(record, shifts) for record in records)
+    s, new, gate = (-dphase).tolist(), tuple.__new__, RotationGate
+    sequence = tuple([new(gate, (lo, hi, th, ph + (s[hi] - s[lo]), ro))
+                      for lo, hi, th, ph, ro in records])
+    if sequence:
+        # a sum of floats is finite only if every term is; a sum of finite
+        # terms that overflows falls to the termwise test
+        _, _, thetas, phis, _ = zip(*sequence)
+        if not (math.isfinite(sum(thetas) + sum(phis)) or all(map(math.isfinite, thetas + phis))):
+            raise ValueError("theta and phi must be finite")
     theta = np.angle(np.exp(1j * (np.array(start.node_phase)[initial] - dphase[initial])))
     return sequence, theta, walk.graph((0.0,) * start.num_levels)

@@ -25,7 +25,11 @@ gives the floor's rate k: a model that costs at least k * theta for every
 rotation by theta in [0, pi] (the search's angles) at distance 1.  The
 default model costs base_factor * (4t + penalty) with t = theta / pi and
 a penalty >= 0, so its k is 4 * base_factor / pi; any other model gets 0,
-and a search under it cuts nothing by the floor.
+and a search under it cuts nothing by the floor.  The floor holds, up to
+rounding, for theta = 0 and for theta at or above a normal bound such as
+1e-300, not at subnormal angles: theta = 5e-324 costs 0.0.  The search
+never prices such an angle, as it rotates only entries above
+``linalg.DEFAULT_TOL``.
 """
 from __future__ import annotations
 
@@ -78,8 +82,9 @@ def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) ->
 
 
 def min_cost_per_radian(params: CostParams = CostParams()) -> float:
-    """k with rotation_cost(theta, 1, params) >= k * theta for theta in
-    [0, pi]: 4 * base_factor / pi for the default model, 0 for any other."""
+    """k with rotation_cost(theta, 1, params) >= k * theta, up to rounding,
+    for theta = 0 and for theta in [1e-300, pi] (a subnormal theta can cost
+    0.0): 4 * base_factor / pi for the default model, 0 for any other."""
     return 4.0 * params.base_factor / math.pi if params.model is _calibrated_linear else 0.0
 
 

@@ -74,7 +74,9 @@ def shifted_phi(phi: float, phases, low: int, high: int) -> float:
     """The rotation phase rule: under D = diag(e^{i phases}) a rotation on
     (low, high) gains phases[high] - phases[low], so that D . R(theta, phi)
     = R(theta, shifted_phi(phi, ...)) . D.  Its one definition, for
-    :func:`conjugated` and for emission, which applies it to a record."""
+    :func:`conjugated` and for emission's scalar form; qr.emit_steps and
+    _compile.assemble write it inline, and the tests hold each to it bit
+    for bit."""
     return phi + (float(phases[high]) - float(phases[low]))
 
 

@@ -23,9 +23,10 @@ per level in ``node_phase`` and consumed by later gates:
     level; pulses with other phi values deposit phi-dependent phases
     (:meth:`PlacementWalk.pulse` is the one implementation),
   * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
-    stored phases psi; :func:`gates.shifted_phi` is the one implementation
-    (a gate written high->low is already stored low->high, phi negated, by
-    :func:`gates.stored_order`).
+    stored phases psi; :func:`gates.shifted_phi` is the one definition,
+    which emission and assembly write inline and the tests hold them to
+    (a gate written high->low is already stored low->high, phi negated, as
+    :func:`gates.stored_order` states).
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .gates import PULSE_PHI, PULSE_THETA, Gate, VirtualZGate, conjugated, reord
 from .linalg import as_int, as_real, check_size
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = math.pi / 2
 _ANCILLA_RE = re.compile(r"^a(\d+)$")
 
 
@@ -238,10 +240,9 @@ class PlacementWalk:
     def pulse(self, a: int, b: int, theta: float, phi: float) -> None:
         """The pulse rule, for the pulse R(theta, phi) on levels a < b: swap
         the two levels' logical content and stored phases, then add the
-        pulse's deposits."""
-        sign = 1.0 if theta > 0 else -1.0
-        dep_a = -phi - sign * math.pi / 2
-        dep_b = phi - sign * math.pi / 2
+        pulse's deposits, -phi - h at a and phi - h at b, with h = pi / 2 for
+        theta > 0 and -pi / 2 otherwise."""
+        half = _HALF_PI if theta > 0 else -_HALF_PI
         state, levels, phases = self.state, self.levels, self.phases
         sa, sb = state[a], state[b]
         state[a], state[b] = sb, sa
@@ -249,7 +250,8 @@ class PlacementWalk:
             levels[sa] = b
         if sb is not None:
             levels[sb] = a
-        phases[a], phases[b] = (phases[b] + dep_a) % _TWO_PI, (phases[a] + dep_b) % _TWO_PI
+        phases[a], phases[b] = (phases[b] + (-phi - half)) % _TWO_PI, \
+            (phases[a] + (phi - half)) % _TWO_PI
 
     def route(self, i: int, j: int) -> list:
         """Pulse state j hop by hop along the next-hop table (the path of

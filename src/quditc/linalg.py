@@ -92,11 +92,13 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def is_diagonal(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-diagonal modulus <= tol and no entry is NaN or
-    infinite: the moduli's diagonal is zeroed as x * 0, which is NaN for a
-    NaN or infinite x."""
+    infinite: the moduli's diagonal is scaled by 2**-2100, which takes every
+    finite modulus (below 2**1024) to 0 and keeps NaN and inf, with no
+    invalid operation, as x * 0 would be for an infinite x."""
     check_tol(tol)
-    a = np.abs(m, dtype=np.float64)
-    a.flat[::len(a) + 1] *= 0.0
+    a = np.abs(m, dtype=np.float64, order="C")
+    diagonal = a.reshape(-1)[::len(a) + 1]
+    np.ldexp(diagonal, -2100, out=diagonal)
     return bool(a.max(initial=0.0) <= tol)
 
 

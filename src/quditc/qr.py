@@ -10,7 +10,8 @@ restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps without
 emitting a gate; :func:`replay_cost` prices the adaptive one-way replay
 from the same rotation costs, on one placement that it moves in place.
-:func:`emit_steps` emits either form's gate records on one placement walk.
+:func:`emit_steps` emits either form's gate records on one placement walk,
+in one loop over the steps with a call per pulse and none per step.
 :func:`ladder` runs the steps as a wavefront: 2d - 3 fronts of rotations
 on disjoint adjacent row pairs, one per active column, which give the
 sequential order's steps and final matrix bit for bit.  It holds the one
@@ -29,10 +30,11 @@ from ._compile import (
     apply_rotation_rows,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     assemble,
     compile_levels,
-    emit_rotation,
+    emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_coefficients,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
+from .gates import PULSE_PHI, PULSE_THETA
 from .graph import CouplingGraph, PlacementWalk, _topology
 from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
@@ -168,18 +170,37 @@ def emit_steps(graph: CouplingGraph, steps, undo: bool):
     """(records, walk) of the (r, r2, theta, phi) steps on the states of
     graph.state_order(), routed on one placement walk from graph.  With
     undo each rotation's routing is inverted right after it (the fixed
-    sequence); without it the placement moves on.  Each gate is an
-    emit_rotation record (low, high, theta, phi, routing); assemble builds
-    the gates and the final graph from the records and the walk."""
+    sequence); without it the placement moves on.  Each gate is a record
+    (low, high, theta, phi, routing); assemble builds the gates and the
+    final graph from the records and the walk.
+
+    One loop over the steps, bit for bit emit_rotation's records and walk
+    (the tests keep it as the reference): state r2 is pulsed hop by hop
+    along walk.nxt towards state r, each hop by walk.pulse, the one pulse
+    rule; the rotation is written in stored order (gates.stored_order)
+    with the walk's phase shift inline (gates.shifted_phi: the walk's
+    phases are floats already); with undo the same hops are pulsed back,
+    last first, by -PULSE_THETA."""
     walk = PlacementWalk(graph)
+    nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
     records = []
+    append = records.append
     for r, r2, theta, phi in steps:
-        step = emit_rotation(walk, r, r2, theta, phi)
-        records += step
+        dst, cur = levels[r], levels[r2]
+        hop, first = nxt[cur][dst], len(records)
+        while hop != dst:
+            a, b = (cur, hop) if cur < hop else (hop, cur)
+            pulse(a, b, PULSE_THETA, PULSE_PHI)
+            append((a, b, PULSE_THETA, PULSE_PHI, True))
+            cur, hop = hop, nxt[hop][dst]
+        if dst < cur:
+            append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
+        else:
+            append((cur, dst, theta, -phi + (phases[dst] - phases[cur]), False))
         if undo:
-            for low, high, p_theta, p_phi, _ in reversed(step[:-1]):
-                walk.pulse(low, high, -p_theta, p_phi)
-                records.append((low, high, -p_theta, p_phi, True))
+            for a, b, _, _, _ in reversed(records[first:-1]):
+                pulse(a, b, -PULSE_THETA, PULSE_PHI)
+                append((a, b, -PULSE_THETA, PULSE_PHI, True))
     return records, walk
 
 

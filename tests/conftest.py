@@ -41,8 +41,7 @@ def ring4() -> CouplingGraph:
     )
 
 
-@pytest.fixture
-def bridged_graph() -> CouplingGraph:
+def make_bridged_graph() -> CouplingGraph:
     """Eight physical levels, six mapped (one ancilla bridging two states),
     two levels unused.  Edge set is a tree on the mapped levels:
 
@@ -52,6 +51,12 @@ def bridged_graph() -> CouplingGraph:
     edges = frozenset({(0, 2), (0, 3), (1, 3), (1, 4), (1, 5)})
     mapping = {"2": 0, "1": 1, "0": 2, "a0": 3, "4": 4, "3": 5}
     return CouplingGraph(8, edges, mapping, frozenset({"a0"}))
+
+
+@pytest.fixture
+def bridged_graph() -> CouplingGraph:
+    """make_bridged_graph(), as a fixture."""
+    return make_bridged_graph()
 
 
 @pytest.fixture

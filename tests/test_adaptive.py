@@ -35,7 +35,7 @@ from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
-from quditc.qr import ladder, qr_cost_bound, qr_decompose
+from quditc.qr import emit_steps, ladder, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
@@ -1106,6 +1106,7 @@ class TestWorkCounts:
             return out
 
         monkeypatch.setattr(adaptive_module, "ladder", counted_ladder)
+        emitted = counted_emission(monkeypatch)
         tracer = tracing.Tracer()
         with tracing.installed(tracer):
             # through the module, so that the call is the tracer's root span
@@ -1116,19 +1117,29 @@ class TestWorkCounts:
         assert tracer.calls(top, "compile.assemble") == 1
         assert steps > 0
         assert ladder_steps == [steps]  # the ladder runs once per compile
-        # assembly builds each gate once, through the quditc._compile binding
-        # the benchmark traces
-        assert tracer.calls(top, "phases.conjugated") >= len(result.sequence) > 0
+        # assembly builds each gate once, from one emitted record per gate
+        assert emitted == [(result.rotation_count, len(result.sequence))]
+        assert len(result.sequence) > 0
 
-    def test_emission_runs_only_for_the_final_answer(self):
+    def test_emission_runs_only_for_the_final_answer(self, monkeypatch):
         # The search beats its warm start here, so the warm start's gates
-        # are never built: one emitted rotation per rotation of the result.
-        tracing = _benchmark_tracing()
+        # are never built: one emission, of the result's rotations only.
+        emitted = counted_emission(monkeypatch)
         u = random_cliffords(7, 3, 2022)[0]
-        tracer = tracing.Tracer()
-        with tracing.installed(tracer):
-            result = adaptive_module.adaptive_compile(u, path_architecture(7),
-                                                      SearchConfig(max_nodes=1000))
+        result = adaptive_compile(u, path_architecture(7), SearchConfig(max_nodes=1000))
         assert result.stats.beat_warm_start
-        top = "adaptive.adaptive_compile"
-        assert tracer.calls(top, "compile.emit_rotation") == result.rotation_count
+        assert emitted == [(result.rotation_count, len(result.sequence))]
+
+
+def counted_emission(monkeypatch) -> list:
+    """Wrap the adaptive module's emit_steps; the returned list gets the
+    (steps, records) counts of each call."""
+    emitted = []
+
+    def counted(graph, steps, undo):
+        records, walk = emit_steps(graph, steps, undo)
+        emitted.append((len(steps), len(records)))
+        return records, walk
+
+    monkeypatch.setattr(adaptive_module, "emit_steps", counted)
+    return emitted

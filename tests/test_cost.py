@@ -60,10 +60,12 @@ class TestRotationCost:
 
 
 class TestCostFloor:
-    @given(theta=st.floats(0.0, math.pi), base=st.floats(1e-6, 1.0),
+    @given(theta=st.just(0.0) | st.floats(1e-300, math.pi), base=st.floats(1e-6, 1.0),
            calibrated=st.floats(0.05, 2.0))
     def test_default_model_costs_at_least_its_rate(self, theta, base, calibrated):
-        # the search's angles lie in [0, pi]; the penalty term is >= 0
+        # the search's angles lie in [0, pi], and each is 0 or at least
+        # 2 atan(DEFAULT_TOL); the penalty term is >= 0.  A subnormal theta
+        # is outside the floor's domain: 5e-324 costs 0.0
         params = CostParams(base_factor=base, calibrated_angle=calibrated)
         k = min_cost_per_radian(params)
         assert k == 4.0 * base / math.pi

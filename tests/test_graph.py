@@ -246,10 +246,11 @@ def per_pulse_emission(graph: CouplingGraph, steps, undo: bool):
 
 
 @st.composite
-def walk_cases(draw):
-    """A routing_cases graph with stored phases in [-10, 10] (most of them
-    outside [0, 2 pi)) and a list of steps on its mapped states."""
-    g = draw(routing_cases())[0]
+def walk_cases(draw, graphs=routing_cases().map(lambda case: case[0])):
+    """A graph (by default a routing_cases graph) with stored phases in
+    [-10, 10] (most of them outside [0, 2 pi)) and a list of steps on its
+    mapped states."""
+    g = draw(graphs)
     phases = draw(st.lists(st.floats(-10, 10), min_size=g.num_levels, max_size=g.num_levels))
     g = CouplingGraph(g.num_levels, g.edges, g.logical_map, g.ancillas, tuple(phases))
     pair = st.permutations(range(g.num_states)).map(lambda p: tuple(p[:2]))
@@ -280,6 +281,19 @@ class TestPlacementWalk:
         assert [p.hex() for p in g_final.node_phase] == [p.hex() for p in ref_phases]
         if undo:
             assert g_final.logical_map == g.logical_map
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.sampled_from([0.0, -0.0, math.pi, -math.pi]) | st.floats(-7, 7),
+           phi=st.floats(-10, 10), phases=st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    def test_pulse_deposits_by_the_sign_of_theta(self, theta, phi, phases):
+        # the deposits as sign * pi / 2 once wrote them, sign -1 unless theta > 0
+        walk = PlacementWalk(CouplingGraph(2, frozenset({(0, 1)}), {"0": 0}, node_phase=phases))
+        walk.pulse(0, 1, theta, phi)
+        sign = 1.0 if theta > 0 else -1.0
+        dep_a, dep_b = -phi - sign * math.pi / 2, phi - sign * math.pi / 2
+        expected = [(phases[1] + dep_a) % (2 * math.pi), (phases[0] + dep_b) % (2 * math.pi)]
+        assert [p.hex() for p in walk.phases] == [p.hex() for p in expected]
+        assert (walk.levels, walk.state) == ([1], [None, 0])
 
     @settings(max_examples=300, deadline=None)
     @given(case=routing_cases())

@@ -70,13 +70,18 @@ class TestIsDiagonal:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
                                        complex(math.inf, 1.0)])
     def test_non_finite_diagonal_is_not(self, value):
-        # the diagonal is zeroed as x * 0, which keeps NaN and turns an
-        # infinity into NaN, so the check fails as the difference x - x did;
-        # numpy flags inf * 0 as invalid, as it flagged inf - inf
+        # the diagonal's moduli are scaled to 0 when finite and kept when
+        # NaN or infinite, with no numpy warning (an error in this suite)
         m = np.eye(4, dtype=complex)
         m[1, 1] = value
-        with np.errstate(invalid="ignore"):
-            assert not is_diagonal(m)
+        assert not is_diagonal(m)
+        assert not is_diagonal(np.asfortranarray(m))
+
+    @pytest.mark.parametrize("value", [1.7e308, 5e-324, -0.0, complex(1e300, -1e300)])
+    def test_finite_diagonal_entries_pass(self, value):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = value
+        assert is_diagonal(m, tol=5e-324)
 
     def test_layouts_and_real_inputs(self):
         m = np.diag([1.0 + 0j, 2.0, 3.0])

@@ -8,22 +8,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, qr as qr_module
-from quditc._compile import (annihilation_angles, apply_rotation_rows, compile_levels,
-                              rotation_scratch)
+from quditc._compile import (annihilation_angles, apply_rotation_rows, assemble, compile_levels,
+                              emit_rotation, rotation_scratch)
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.bench import architectures_for_dim, star_architecture
 from quditc.clifford import random_cliffords
 from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
-from quditc.graph import CouplingGraph, _topology, routed_levels
+from quditc.graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from quditc.linalg import DEFAULT_TOL, max_norm
 from quditc.qr import (NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose,
                        replay_cost)
 from quditc.verify import reconstruction_error, verify_result
 
-from conftest import haar_unitary, unfinished_elimination_input
+from conftest import haar_unitary, make_bridged_graph, unfinished_elimination_input
 from test_adaptive import result_digest
-from test_graph import random_connected_graph, walk_cases
+from test_graph import random_connected_graph, record_bits, walk_cases
 
 
 class TestReconstruction:
@@ -116,6 +116,95 @@ def reference_replay_cost(steps, rotations, graph, levels, params):
         if n:
             levels = routed_levels(graph, levels, r, r2)
     return one_way
+
+
+def reference_emission(graph, steps, undo):
+    """emit_steps as a call per step and per pulse: emit_rotation's records
+    for each step, then with undo each routing pulse inverted by walk.pulse,
+    last first."""
+    walk = PlacementWalk(graph)
+    records = []
+    for r, r2, theta, phi in steps:
+        step = emit_rotation(walk, r, r2, theta, phi)
+        records += step
+        if undo:
+            for low, high, p_theta, p_phi, _ in reversed(step[:-1]):
+                walk.pulse(low, high, -p_theta, p_phi)
+                records.append((low, high, -p_theta, p_phi, True))
+    return records, walk
+
+
+def reference_assemble(walk, records, remaining, initial):
+    """assemble with a conjugated call per record."""
+    delta = np.angle(np.diag(remaining))
+    dphase = np.array(walk.phases, dtype=np.float64)
+    for k in range(len(initial)):
+        dphase[walk.levels[k]] += delta[k]
+    shifts = (-dphase).tolist()
+    return tuple(conjugated(record, shifts) for record in records)
+
+
+def walk_bits(walk):
+    return list(walk.levels), list(walk.state), [p.hex() for p in walk.phases]
+
+
+# the bridged graph: routes run through its ancilla, and two levels are unmapped
+bridged_cases = walk_cases(st.just(make_bridged_graph()))
+
+
+class TestOnePassEmission:
+    """emit_steps and assemble against their call-per-gate forms, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases() | bridged_cases, undo=st.booleans())
+    def test_emission_matches_the_call_per_step_form(self, case, undo):
+        g, steps = case
+        records, walk = emit_steps(g, steps, undo)
+        ref_records, ref_walk = reference_emission(g, steps, undo)
+        assert [record_bits(x) for x in records] == [record_bits(x) for x in ref_records]
+        assert walk_bits(walk) == walk_bits(ref_walk)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases() | bridged_cases, undo=st.booleans(), all_states=st.booleans(),
+           angles=st.lists(st.floats(-7, 7), min_size=12, max_size=12))
+    def test_assembly_matches_conjugated(self, case, undo, all_states, angles):
+        g, steps = case
+        records, walk = emit_steps(g, steps, undo)
+        dim = g.num_states if all_states else g.num_computational
+        remaining = np.diag(np.exp(1j * np.array(angles[:dim])))
+        initial = compile_levels(g, dim)
+        sequence = assemble(walk, records, remaining, initial)[0]
+        expected = reference_assemble(walk, records, remaining, initial)
+        assert all(type(gate) is RotationGate for gate in sequence)
+        assert [record_bits(x) for x in sequence] == [record_bits(x) for x in expected]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [2, 3])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_record_raises(self, path3, bad, field, at):
+        records = [(0, 1, 0.5, 0.25, False), (1, 2, math.pi, -math.pi / 2, True),
+                   (0, 1, -0.5, 1.0, False)]
+        record = list(records[at])
+        record[field] = bad
+        records[at] = tuple(record)
+        with pytest.raises(ValueError, match="finite"):
+            assemble(PlacementWalk(path3), records, np.eye(3), [0, 1, 2])
+
+    def test_phase_shift_overflow_raises(self):
+        # a finite phi whose shift overflows, as conjugated rejects it
+        walk = PlacementWalk(CouplingGraph(2, frozenset({(0, 1)}), {"0": 0, "1": 1},
+                                           node_phase=(1.5e308, 0.0)))
+        records = [(0, 1, 0.5, 1.5e308, False)]
+        with pytest.raises(ValueError, match="finite"):
+            reference_assemble(walk, records, np.eye(2), [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            assemble(walk, records, np.eye(2), [0, 1])
+
+    def test_finite_terms_whose_sum_overflows_pass(self, path3):
+        # the phis sum past the largest float, though each is finite
+        records = [(0, 1, 0.5, 1.5e308, False), (1, 2, 0.5, 1.5e308, False)]
+        sequence = assemble(PlacementWalk(path3), records, np.eye(3), [0, 1, 2])[0]
+        assert [gate.phi for gate in sequence] == [1.5e308, 1.5e308]
 
 
 class TestCostBound:
