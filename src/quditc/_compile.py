@@ -91,13 +91,14 @@ def annihilation_angles(m, r: int, r2: int, c: int) -> tuple[float, float]:
     return theta, float(phi)
 
 
-def rotation_coefficients(theta: float, phi: float) -> tuple:
-    """(c, a, b) of the two-level rotation's block [[c, a], [b, c]]."""
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
+def rotation_coefficients(co: float, si: float, phi: float) -> tuple:
+    """(c, a, b) of the two-level rotation's block [[c, a], [b, c]] by theta,
+    from co = cos(theta / 2) and si = sin(theta / 2), which every caller
+    computes as math.cos(theta / 2) and math.sin(theta / 2) (the search
+    once per child, for its decision and its rows)."""
     # Two cmath.exp calls, not one and its conjugate: at phi = -0.0 both
     # exponentials are 1+0j, and at theta = 0 that zero's sign reaches the rows.
-    return c, -1j * cmath.exp(-1j * phi) * s, -1j * cmath.exp(1j * phi) * s
+    return co, -1j * cmath.exp(-1j * phi) * si, -1j * cmath.exp(1j * phi) * si
 
 
 def rotation_scratch(dim: int) -> tuple:
@@ -112,15 +113,17 @@ def rotation_scratch(dim: int) -> tuple:
             products, products[0], products[1])
 
 
-def apply_rotation_rows(x: np.ndarray, y: np.ndarray, theta: float, phi: float,
+def apply_rotation_rows(x: np.ndarray, y: np.ndarray, co: float, si: float, phi: float,
                         scratch: tuple) -> np.ndarray:
-    """Rows (x, y) left-multiplied by the two-level rotation on them: a new
-    (2, d) array of (c x + a y, b x + c y); the inputs are not modified.
-    The paired update, with the ladder's arithmetic (which runs it in
-    place): the rows are gathered into scratch, rotation_scratch(d), then
-    one np.multiply by the coefficients and one np.add give both rows."""
+    """Rows (x, y) left-multiplied by the two-level rotation by theta on
+    them, given co = cos(theta / 2) and si = sin(theta / 2) (as
+    rotation_coefficients takes them): a new (2, d) array of (c x + a y,
+    b x + c y); the inputs are not modified.  The paired update, with the
+    ladder's arithmetic (which runs it in place): the rows are gathered
+    into scratch, rotation_scratch(d), then one np.multiply by the
+    coefficients and one np.add give both rows."""
     coef, weights, gathered, x_in, y_in, products, from_x, from_y = scratch
-    c, a, b = rotation_coefficients(theta, phi)
+    c, a, b = rotation_coefficients(co, si, phi)
     weights[0], weights[1], weights[2], weights[3] = c, b, a, c
     x_in[...] = x
     y_in[...] = y

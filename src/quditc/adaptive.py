@@ -24,13 +24,15 @@ children use:
     list and replaces two rows with the (2, d) array that
     ``apply_rotation_rows``, the paired update, returns: one np.multiply by
     the 2x2 coefficients into the search's reused buffers and one np.add,
-    the ladder's arithmetic (the ladder runs it in place); a matrix is built
-    only for a new incumbent.  The moduli and phases are row lists kept the
+    the ladder's arithmetic (the ladder runs it in place), from the cos and
+    sin of half the angle that the child's decision computed; a matrix is
+    built only for a new incumbent.  The moduli and phases are row lists kept the
     same way, from one ``np.hypot`` and one ``np.arctan2`` (what
     ``np.angle`` computes) of the two new rows: ``np.abs`` on complex arrays
     can differ from them in the last ulp, which changes costs and
     tie-breaks.  A node's two phase rows are computed when it yields its
-    first child, so a dead end computes none.
+    first child to build, so a node whose children are all cut computes
+    none.
   * Children come column by column, and within a column unit by unit
     (``_columns``): one loop prices a unit's candidates, sorts them by step
     cost and yields each that still passes the incumbent current when it is
@@ -55,16 +57,18 @@ children use:
     rows, so a node one step from the cap yields only children whose rows
     cover its dirty rows, and with more than two does no work at all
     (``SearchStats.dead_at_cap`` counts it).
-  * A yielded child is decided before it is built, from its parent's
-    moduli, its cost so far and cos, sin of half its angle.  It is cut if
-    it is dead at the cap (one step from it with more than two dirty rows
-    for certain) or if its angle bound, which needs no routing, shows that
-    no solution below it can beat the incumbent.  A cut child counts as one
-    expanded node and is never built; the bound's cuts are
-    ``SearchStats.cut_by_bound``.  A cut subtree holds no solution that
-    would replace the incumbent, so the search visits the same nodes in the
-    same order less whole subtrees: an exhausted search returns the same
-    gates, and a budget-bound one reaches at least as far per node.
+  * Every child is decided where ``_Search.children`` prices it, before it
+    is built, from its parent's moduli, its cost so far and cos, sin of half
+    its angle.  It is cut if it is dead at the cap (one step from it with
+    more than two dirty rows for certain) or if its angle bound, which
+    needs no routing, shows that no solution below it can beat the
+    incumbent; the proofs are in the ``children`` docstring.  A cut child
+    counts as one expanded node, is never yielded and never built; the
+    bound's cuts are ``SearchStats.cut_by_bound``.  ``run`` only builds the
+    children yielded to it.  A cut subtree holds no solution that would
+    replace the incumbent, so the search visits the same nodes in the same
+    order less whole subtrees: an exhausted search returns the same gates,
+    and a budget-bound one reaches at least as far per node.
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
@@ -189,16 +193,6 @@ def _angle(diag: float, norm: float) -> float:
     return max(0.0, math.acos(min(1.0, diag / norm)) - _ANGLE_MARGIN)
 
 
-def _angle_floor(angles, mag, norms, r, r2, co, si) -> float:
-    """A lower bound on the rotation angle still needed below the child that
-    rotates rows r and r2 by theta = 2 atan2(si, co): the sum of its column
-    angles.  Its angles at r and r2 come from upper bounds on its new
-    diagonal moduli; the rest are the node's (angles: its list and sum)."""
-    alphas, total = angles
-    return total - alphas[r] - alphas[r2] + _angle(co * mag[r][r] + si * mag[r2][r], norms[r]) \
-        + _angle(si * mag[r][r2] + co * mag[r2][r2], norms[r2])
-
-
 def _stays_dirty(own, other, co, si, k) -> bool:
     """Whether row k, which a step writes as co * own + s * other with
     |s| = si from rows of moduli own and other, is dirty for certain: some
@@ -241,39 +235,93 @@ class _Search:
         self.dist = _topology(graph.num_levels, graph.edges)[1]  # level distances
         self.columns = _columns(dim)
         self.pulses = _pulse_costs(graph.num_levels, graph.edges, self.pulse_cost)
+        self.norms = None  # the root's column norms, set by run under a floor
 
-    def children(self, node, last=False):
-        """Children of a node as (step, c, r, r2, theta, phi), column by
-        column and unit by unit (``_columns``): a column's cold units while
-        the incumbent is the bare limit, its warm unit once it has steps.  A
-        unit's candidates above the zero tolerance are priced against the
-        incumbent's cost at the unit's start and sorted by (step, r, r2,
-        theta); each is rechecked against the incumbent current when it is
-        yielded, and the first that fails ends the unit: the incumbent only
-        improves while the caller searches a yielded child's subtree.  A
-        candidate whose routing alone reaches the incumbent's cost is dropped
-        unpriced: a rotation costs >= 0.
+    def children(self, node, depth=1):
+        """The children of a node to build, at depth (the children's): each
+        as ((r, r2, theta, phi), cost so far, cos and sin of theta / 2).
+        Every decision about a child is made here, where it is priced, and
+        a cut child is never yielded.
 
-        A last node's children sit at the depth cap, so only a terminal one
-        is kept.  A step cleans at most rows r and r2: with more than two
-        dirty rows the node does no work, else it yields only the children
-        whose pair covers every dirty row.  The root, and any node that run
-        could not prove dead before building it, meets this rule here.
-
+        Candidates come column by column and unit by unit (``_columns``): a
+        column's cold units while the incumbent is the bare limit, its warm
+        unit once it has steps.  A unit's candidates above the zero
+        tolerance are priced against the incumbent's cost at the unit's
+        start and sorted by (step, r, r2, theta); each is rechecked against
+        the incumbent current when it is reached, and the first that fails
+        ends the unit: the incumbent only improves while the caller searches
+        a yielded child's subtree.  A candidate whose routing alone reaches
+        the incumbent's cost is dropped unpriced: a rotation costs >= 0.
         While the incumbent is the bare limit, a column none of whose
         entries below the diagonal is above the tolerance is skipped whole:
         each of its cold units would skip its one entry.
 
+        At the cap (last level) only a terminal child is kept.  A step
+        cleans at most rows r and r2: with more than two dirty rows the node
+        does no work (``SearchStats.dead_at_cap``), else only the children
+        whose pair covers every dirty row are kept.  Below the cap a kept
+        child is decided from the node's moduli, its cost so far and cos, sin
+        of half its angle, and cut, counted as one expanded node (the budget
+        first, as ``enter`` counts one), in two cases:
+
+        Dead at the cap: one step from the cap, a child with more than two
+        dirty rows has no child (``_dead_child``; it adds to dead_at_cap).
+        The node's dirty rows outside the pair stay dirty; row r2 becomes
+        b x + co y from rows x, y (|b| = si), so it stays dirty if some
+        off-diagonal j has |co |y_j| - si |x_j||, less a rounding margin,
+        above DEFAULT_TOL, and row r likewise with the roles swapped.
+
+        The angle bound (``SearchStats.cut_by_bound``), under a model with a
+        floor k > 0 (``cost.min_cost_per_radian``): every rotation by theta
+        costs at least k theta.  Column c's angle is alpha_c =
+        acos(|m[c][c]| / n_c), with n_c its norm at the root, which a
+        rotation keeps (so an input unitary only to within the tolerance is
+        covered).  A rotation U of rows r and r2 by theta changes no
+        diagonal entry but m[r][r] and m[r2][r2].  It turns a column v into
+        U v with |<v, U v>| >= cos(theta / 2) |v|^2, so by the triangle
+        inequality of the angle between rays, alpha_r and alpha_r2 each move
+        by at most theta / 2.  A terminal node has every alpha_c below the
+        margin, so the rotations still to come sum to at least sum alpha;
+        routing pulses leave the matrix as it is and cost >= 0.  Each angle
+        is kept less a margin of 1e-6 (float drift, and a terminal node's
+        entries of up to DEFAULT_TOL) and at least 0.  A child is cut when
+        its cost so far plus k sum alpha reaches the incumbent's cost; its
+        angles at r and r2 come from the upper bounds co |m[r][r]| +
+        si |m[r2][r]| and si |m[r][r2]| + co |m[r2][r2]| on its new diagonal
+        moduli, and the rest are the node's.  Each node keeps its angles and
+        their sum, so the test is O(1) in d per child.  The sum is the
+        rest, (total - alpha_r) - alpha_r2, plus the two new angles, each
+        >= 0; every operation of the test rounds monotonically, so a child
+        whose rest alone reaches the incumbent's cost is cut without its
+        two new angles, with the same outcome.  Twice the largest angle is
+        a lower bound too, but on a unitary it is never the larger:
+        |m[j][c]| <= sin alpha_j for j != c (row j's norm), the squares of
+        those entries sum to sin^2 alpha_c, and asin x + asin y >=
+        asin sqrt(x^2 + y^2), so the other angles sum to at least alpha_c.
+
+        A cut subtree holds no solution that would replace the incumbent,
+        so the search visits the same nodes in the same order less whole
+        subtrees.  Once the budget is spent on a cut child the generator
+        ends with ``stop_reason`` "node_budget", and run ends the search.
+
         The node is (step, rows, pair, mag, ang, dirty, levels, cost,
-        angles); only run reads its angles.  Its phase rows ang start as a
-        copy of its parent's: the two rows its step made, pair, get their
-        phases in place at the first yield, so a node without children
-        computes none.  At the root pair is None."""
-        made, _, pair, mag, ang, dirty, levels, cost, _ = node
+        angles); rows are not read.  Its phase rows ang start as a copy of
+        its parent's: the two rows its step made, pair, get their phases in
+        place at the first child yielded, so a node whose children are all
+        cut computes none.  At the root pair is None."""
+        made, _, pair, mag, ang, dirty, levels, cost, angles = node
+        last = depth >= self.depth_cap
         if last and dirty.bit_count() > 2:
             self.stats.dead_at_cap += 1
             return  # a step cleans at most two rows: no child can be terminal
         pulses, costs, params, tol = self.pulses, self.costs, self.params, DEFAULT_TOL
+        stats, count, floor, norms = self.stats, self.count, self.floor, self.norms
+        near_cap = depth + 1 == self.depth_cap  # a child here is dead with > 2 dirty rows
+        if last:
+            angles = None  # a child at the cap is terminal or dropped, never cut
+        elif angles:
+            alphas, total = angles
+        atan2, cos, sin = math.atan2, math.cos, math.sin
         found = []  # a unit's passing candidates, emptied once it is done
         for c, cold, warm in self.columns:
             if self.best[1] is not None:
@@ -293,25 +341,44 @@ class _Search:
                         routing = near[levels[r]]
                         if cost + routing >= limit:
                             continue
-                        theta = 2.0 * math.atan2(low, mag[r][c])
+                        theta = 2.0 * atan2(low, mag[r][c])
                         rot = costs.get(theta)
                         if rot is None:
                             rot = costs[theta] = rotation_cost(theta, 1, params)
                         step = routing + rot
                         if cost + step < limit:
-                            found.append((step, r, r2, theta))
+                            found.append((step, r, r2, theta, rot, routing))
                 if not found:
                     continue
                 found.sort()
-                for step, r, r2, theta in found:
-                    if cost + step >= self.best[0]:
+                for step, r, r2, theta, rot, routing in found:
+                    if cost + step >= limit:
                         break  # the rest of the unit costs at least as much
                     if last and dirty & ~(1 << r | 1 << r2):
                         continue  # at the cap only a terminal child is kept
-                    if pair is not None:  # the node's first child
+                    co, si = cos(theta / 2), sin(theta / 2)
+                    cost2 = cost + rot + routing
+                    if near_cap and _dead_child(mag, dirty, r, r2, co, si):
+                        if not count(depth):
+                            return
+                        stats.dead_at_cap += 1
+                        continue
+                    if angles:
+                        # the new angles are >= 0 and each operation rounds
+                        # monotonically, so a cut on the rest alone is the same cut
+                        rest = total - alphas[r] - alphas[r2]
+                        if cost2 + floor * rest >= limit or cost2 + floor * (
+                                rest + _angle(co * mag[r][r] + si * mag[r2][r], norms[r])
+                                + _angle(si * mag[r][r2] + co * mag[r2][r2], norms[r2])) >= limit:
+                            if not count(depth):
+                                return
+                            stats.cut_by_bound += 1
+                            continue
+                    if pair is not None:  # the node's first child to build
                         ang[made[0]], ang[made[1]] = np.arctan2(pair.imag, pair.real).tolist()
                         pair = None
-                    yield step, c, r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])
+                    yield (r, r2, theta, -(_HALF_PI + ang[r][c] - ang[r2][c])), cost2, co, si
+                    limit = self.best[0]  # the caller may have improved it
                 found.clear()
 
     def count(self, depth) -> bool:
@@ -333,7 +400,7 @@ class _Search:
         with a floor, else None."""
         if not self.count(len(stack)):
             return False
-        stack.append((self.children(node, len(stack) + 1 >= self.depth_cap),) + node)
+        stack.append((self.children(node, len(stack) + 1),) + node)
         return True
 
     def run(self, m0) -> None:
@@ -344,53 +411,25 @@ class _Search:
         the root).  A first-solution search holding a warm start expands
         none.
 
-        Each yielded child below the cap is decided before it is routed or
-        rotated.  A cut child counts as one expanded node, as ``enter``
-        counts one (the budget first), and the loop takes its next sibling.
-
-        Dead at the cap: one step from the cap, a child with more than two
-        dirty rows has no child (``_dead_child``).  The node's dirty rows
-        outside the pair stay dirty; row r2 becomes b x + co y from rows x,
-        y (|b| = si), so it stays dirty if some off-diagonal j has
-        |co |y_j| - si |x_j||, less a rounding margin, above DEFAULT_TOL,
-        and row r likewise with the roles swapped.
-
-        The angle bound, under a model with a floor k > 0
-        (``cost.min_cost_per_radian``): every rotation by theta costs at
-        least k theta.  Column c's angle is alpha_c = acos(|m[c][c]| / n_c),
-        with n_c its norm at the root, which a rotation keeps (so an input
-        unitary only to within the tolerance is covered).  A rotation U of
-        rows r and r2 by theta changes no diagonal entry but m[r][r] and
-        m[r2][r2].  It turns a column v into U v with |<v, U v>| >=
-        cos(theta / 2) |v|^2, so by the triangle inequality of the angle
-        between rays, alpha_r and alpha_r2 each move by at most theta / 2.  A
-        terminal node has every alpha_c below the margin, so the rotations
-        still to come sum to at least sum alpha; routing pulses leave the
-        matrix as it is and cost >= 0.  Each angle is kept less a margin of
-        1e-6 (float drift, and a terminal node's entries of up to
-        DEFAULT_TOL) and at least 0.  A child is cut when its cost so far
-        plus k sum alpha reaches the incumbent's cost; its angles at r and
-        r2 come from the upper bounds co |m[r][r]| + si |m[r2][r]| and
-        si |m[r][r2]| + co |m[r2][r2]| on its new diagonal moduli.  Each
-        node keeps its angles and their sum, so the test is O(1) in d per
-        child.  Twice the largest angle is a lower bound too, but on a
-        unitary it is never the larger: |m[j][c]| <= sin alpha_j for j != c
-        (row j's norm), the squares of those entries sum to sin^2 alpha_c,
-        and asin x + asin y >= asin sqrt(x^2 + y^2), so the other angles
-        sum to at least alpha_c."""
+        Every child is decided, and a cut one counted, where ``children``
+        prices it; this loop only builds what it yields: the routing, the
+        two new rows (from the yielded cos and sin of half the angle), their
+        moduli and dirty bits, and the node it enters.  The search ends when
+        a frame's children end on a spent budget."""
         if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
-        pulse, costs, graph, dist = self.pulse_cost, self.costs, self.graph, self.dist
-        cap, tol, floor, stats = self.depth_cap, DEFAULT_TOL, self.floor, self.stats
+        graph, dist = self.graph, self.dist
+        cap, tol, stats = self.depth_cap, DEFAULT_TOL, self.stats
         scratch = rotation_scratch(len(m0))  # apply_rotation_rows' buffers
         mag0 = np.hypot(m0.real, m0.imag).tolist()
         ang0 = np.arctan2(m0.imag, m0.real).tolist()
         # row k is dirty when an off-diagonal modulus is above the tolerance
         dirty0 = sum(1 << k for k, row in enumerate(mag0) if max(row[:k] + row[k + 1:]) > tol)
-        angles0 = None
-        if floor:
-            norms = [math.hypot(*col) for col in zip(*mag0)]  # a rotation keeps each column's
+        norms = angles0 = None
+        if self.floor:
+            # a rotation keeps each column's norm
+            self.norms = norms = [math.hypot(*col) for col in zip(*mag0)]
             alphas = [_angle(mag0[c][c], norms[c]) for c in range(len(m0))]
             angles0 = (alphas, sum(alphas))
         stack = []
@@ -398,27 +437,13 @@ class _Search:
                                   angles0)):
             return
         while stack:
-            children, _, rows, _, mag, ang, dirty, levels, cost, angles = stack[-1]
+            children, _, rows, _, mag, ang, dirty, levels, _, angles = stack[-1]
             depth = len(stack)  # a child's
-            for _, _, r, r2, theta, phi in children:
-                hops = dist[levels[r]][levels[r2]] - 1
-                cost2 = cost + costs[theta] + hops * pulse
-                if depth < cap and (angles or depth + 1 == cap):
-                    # decided before the child is built; a cut child is one node
-                    co, si = math.cos(theta / 2), math.sin(theta / 2)
-                    if depth + 1 == cap and _dead_child(mag, dirty, r, r2, co, si):
-                        if not self.count(depth):
-                            return
-                        stats.dead_at_cap += 1
-                        continue
-                    if angles and cost2 + floor * _angle_floor(angles, mag, norms, r, r2, co, si) \
-                            >= self.best[0]:
-                        if not self.count(depth):
-                            return
-                        stats.cut_by_bound += 1
-                        continue
-                levels2 = routed_levels(graph, levels, r, r2) if hops else levels
-                pair = apply_rotation_rows(rows[r], rows[r2], theta, phi, scratch)
+            for step, cost2, co, si in children:
+                r, r2, _, phi = step
+                levels2 = routed_levels(graph, levels, r, r2) \
+                    if dist[levels[r]][levels[r2]] != 1 else levels
+                pair = apply_rotation_rows(rows[r], rows[r2], co, si, phi, scratch)
                 mag_r, mag_r2 = np.hypot(pair.real, pair.imag).tolist()
                 dirty2 = dirty & ~((1 << r) | (1 << r2)) \
                     | (max(mag_r[:r] + mag_r[r + 1:]) > tol) << r \
@@ -428,7 +453,7 @@ class _Search:
                 if not dirty2:
                     stats.solutions_found += 1
                     if cost2 < self.best[0]:
-                        steps = [frame[1] for frame in stack[1:]] + [(r, r2, theta, phi)]
+                        steps = [frame[1] for frame in stack[1:]] + [step]
                         self.best = (cost2, steps, np.array(rows2), False)
                     if self.config.return_first:
                         stats.stop_reason = "first_solution"
@@ -442,12 +467,13 @@ class _Search:
                         alphas[r], alphas[r2] = _angle(mag_r[r], norms[r]), \
                             _angle(mag_r2[r2], norms[r2])
                         angles2 = (alphas, sum(alphas))
-                    node = ((r, r2, theta, phi), rows2, pair, mag2, ang.copy(), dirty2,
-                            levels2, cost2, angles2)
+                    node = (step, rows2, pair, mag2, ang.copy(), dirty2, levels2, cost2, angles2)
                     if not self.enter(stack, node):
                         return
                     break
             else:
+                if stats.stop_reason == "node_budget":
+                    return  # a cut child spent the budget
                 stack.pop()
 
 

@@ -110,7 +110,7 @@ def ladder(m0: np.ndarray):
                 theta = 2.0 * math.atan2(mod_r2, mod_r)
                 phi = -(_HALF_PI + ang_r - ang_r2)
                 column.append((p, p + 1, theta, phi))
-                cos, a, b = rotation_coefficients(theta, phi)
+                cos, a, b = rotation_coefficients(math.cos(theta / 2), math.sin(theta / 2), phi)
                 weights += (cos, b, a, cos)
             p += 2
         if weights:

@@ -19,6 +19,7 @@ reference it agrees with.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -43,7 +44,8 @@ def reconstruction_sides(u: np.ndarray, sequence, num_levels: int, residual_phas
                 lhs[gate.level] *= cmath.exp(1j * gate.phi)
             else:
                 i, j, theta, phi, _ = gate
-                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], theta, phi, scratch)
+                lhs[i], lhs[j] = apply_rotation_rows(lhs[i], lhs[j], math.cos(theta / 2),
+                                                     math.sin(theta / 2), phi, scratch)
     except IndexError:  # gate levels are non-negative, so none wraps around
         raise ValueError(f"a gate level is out of range for {num_levels} levels") from None
     rhs = placement_embedding(final_map, num_levels, dim) @ u

@@ -31,7 +31,8 @@ from quditc.adaptive import (
 )
 from quditc.bench import architectures_for_dim, path_architecture, star_architecture
 from quditc.clifford import random_cliffords
-from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
+from quditc.cost import (CostParams, min_cost_per_radian, pulse_cost, rotation_cost,
+                         sequence_cost)
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
@@ -562,7 +563,8 @@ def reference_children(search, m, graph, cost):
     column: zero-tolerance filter, annihilation angles, routed step cost,
     filter against the incumbent's cost.  Within a column they stay in
     (row, row2) order, or are sorted by step cost once the incumbent has
-    steps."""
+    steps.  Each is (step, c, r, r2, theta, phi, cost so far), the cost so
+    far summed as cost + rotation + routing."""
     states = graph.state_order()
     dim = m.shape[0]
     limit = search.best[0]
@@ -576,15 +578,23 @@ def reference_children(search, m, graph, cost):
                     continue
                 theta, phi = annihilation_angles(m, r, r2, c)
                 hops = dist[graph.level_of(states[r])][graph.level_of(states[r2])] - 1
-                step = hops * pulse_cost(search.params) \
-                    + rotation_cost(theta, 1, search.params)
+                rot = rotation_cost(theta, 1, search.params)
+                routing = hops * pulse_cost(search.params)
+                step = routing + rot
                 if cost + step >= limit:
                     continue
-                column.append((step, c, r, r2, theta, phi))
+                column.append((step, c, r, r2, theta, phi, cost + rot + routing))
         if search.best[1] is not None:
             column.sort()
         children.extend(column)
     return children
+
+
+def as_built(listed):
+    """reference_children's entries as _Search.children yields a child to
+    build: ((r, r2, theta, phi), cost so far, cos and sin of theta / 2)."""
+    return [((r, r2, theta, phi), cost, math.cos(theta / 2), math.sin(theta / 2))
+            for _, _, r, r2, theta, phi, cost in listed]
 
 
 @pytest.mark.parametrize("dim", range(2, 10))
@@ -635,6 +645,112 @@ def scoring_cases(draw):
     return u, g, spent
 
 
+@st.composite
+def block_cases(draw):
+    """(u, graph, 0.0) with u's conjugate transpose a block node
+    (block_node): diagonal outside a Haar block on each of one to three
+    disjoint row sets, so that one to all of its rows are dirty."""
+    dim = draw(st.integers(3, 7))
+    order = draw(st.permutations(range(dim)))
+    blocks = []
+    for size in draw(st.lists(st.integers(2, min(4, dim)), min_size=1, max_size=3)):
+        if len(order) >= size:
+            blocks.append(sorted(order[:size]))
+            order = order[size:]
+    m = block_node(dim, draw(st.integers(0, 2**31)), blocks)
+    return m.conj().T, draw(st.sampled_from(architectures_for_dim(dim)))[1], 0.0
+
+
+def reference_angle_floor(angles, mag, norms, r, r2, co, si) -> float:
+    """The angle bound's sum as the two-stage path took it: the node's
+    column angles less those at r and r2, plus the child's two from upper
+    bounds on its new diagonal moduli."""
+    alphas, total = angles
+    return total - alphas[r] - alphas[r2] + _angle(co * mag[r][r] + si * mag[r2][r], norms[r]) \
+        + _angle(si * mag[r][r2] + co * mag[r2][r2], norms[r2])
+
+
+def two_stage_children(search, m, graph, node, depth):
+    """A test-side copy of the search's earlier two-stage path: the node's
+    children listed (reference_children, then the last-level covering
+    rule) and each decided as the run loop decided it before building it,
+    by _dead_child, then reference_angle_floor, a cut one counted with
+    search.count.  Returns the children that path went on to build, as
+    as_built gives them."""
+    _, _, _, mag, _, dirty, _, cost, angles = node
+    cap, stats = search.depth_cap, search.stats
+    if depth >= cap and dirty.bit_count() > 2:
+        stats.dead_at_cap += 1
+        return []
+    built = []
+    for child in reference_children(search, m, graph, cost):
+        _, _, r, r2, theta, _, cost2 = child
+        if depth >= cap and dirty & ~(1 << r | 1 << r2):
+            continue
+        if depth < cap and (angles or depth + 1 == cap):
+            co, si = math.cos(theta / 2), math.sin(theta / 2)
+            if depth + 1 == cap and _dead_child(mag, dirty, r, r2, co, si):
+                if not search.count(depth):
+                    break
+                stats.dead_at_cap += 1
+                continue
+            if angles and cost2 + search.floor * reference_angle_floor(
+                    angles, mag, search.norms, r, r2, co, si) >= search.best[0]:
+                if not search.count(depth):
+                    break
+                stats.cut_by_bound += 1
+                continue
+        built += as_built([child])
+    return built
+
+
+def decided_node(search, m, cost, made):
+    """The node of matrix m reached at cost by a step on the rows made: as
+    root_node, but with NaN phase rows at made, which children must compute
+    from pair before its first yield, and with column angles under a floor
+    (the search's root norms become m's)."""
+    _, rows, _, mag, ang, dirty, levels, _, _ = root_node(search, m, cost)
+    ang = [[math.nan] * len(m) if k in made else row for k, row in enumerate(ang)]
+    search.norms = [math.hypot(*col) for col in zip(*mag)]
+    alphas = [_angle(mag[c][c], search.norms[c]) for c in range(len(m))]
+    angles = (alphas, sum(alphas)) if search.floor else None
+    pair = np.array([m[made[0]], m[made[1]]])
+    return (made[0], made[1], 0.0, 0.0), rows, pair, mag, ang, dirty, levels, cost, angles
+
+
+def decide_both(u, g, spent, params, cap, depth, budget, made, incumbent, slack):
+    """(children's yields, the two-stage path's built children, their two
+    searches, the node children was given) for one node of the matrix
+    u^dagger at cost spent.  The limit is spent plus slack times the
+    floor's share of the node's angle sum plus one pulse, so that some
+    children are cut and some are not; with slack None it is the first
+    child's bound exactly (under a floor), which that child must reach.
+    incumbent gives the limit steps."""
+    m = u.conj().T.copy()
+    cfg = SearchConfig(max_nodes=budget, max_depth=cap)
+    levels = compile_levels(g, len(m))
+    probe = _Search(g, levels, cfg, params, math.inf, None)
+    if incumbent:
+        probe.best = (math.inf, [], None, False)
+    node = decided_node(probe, m, spent, made)
+    mag, angles, norms = node[3], node[8], probe.norms
+    if slack is None:
+        _, _, r, r2, theta, _, cost2 = reference_children(probe, m, g, spent)[0]
+        limit = cost2 + (probe.floor * reference_angle_floor(
+            angles, mag, norms, r, r2, math.cos(theta / 2), math.sin(theta / 2))
+            if angles else pulse_cost(params))
+    else:
+        total = sum(_angle(mag[c][c], norms[c]) for c in range(len(m)))
+        limit = spent + slack * (min_cost_per_radian() * total + pulse_cost(params))
+    one, two = (_Search(g, levels, cfg, params, limit, None) for _ in range(2))
+    if incumbent:
+        one.best = two.best = (limit, [], None, False)
+    node = decided_node(one, m, spent, made)
+    built = list(one.children(node, depth))
+    expected = two_stage_children(two, m, g, decided_node(two, m, spent, made), depth)
+    return built, expected, one, two, node
+
+
 class TestNodeScoring:
     @pytest.mark.parametrize("incumbent", [False, True])
     @settings(max_examples=60, deadline=None)
@@ -644,7 +760,9 @@ class TestNodeScoring:
         # first solution) the children come in triple order; once it has
         # steps, each column is sorted by step cost.  Either way every
         # candidate is priced, once, unless its routing alone reaches the
-        # limit.
+        # limit.  The counting model has no floor and the root's children
+        # sit far from the depth cap, so no child is cut: every candidate
+        # that passes is yielded to be built.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
@@ -663,7 +781,8 @@ class TestNodeScoring:
         searched = sorted(priced)
         expected = reference_children(search, m, g, spent)
         # tuples compare float for float: exact equality, no tolerance
-        assert children == expected
+        assert children == as_built(expected)
+        assert search.stats.nodes_expanded == 0
         dim, pulse, dist = m.shape[0], search.pulse_cost, search.dist
         routed = {annihilation_angles(m, r, r2, c)[0]
                   for c in range(dim) for r in range(c, dim) for r2 in range(r + 1, dim)
@@ -678,16 +797,18 @@ class TestNodeScoring:
         # the `after`-th child; the children still to come must be exactly
         # the score-time list rechecked against the improved limit.  The
         # search starts with an incumbent with steps at the limit, so every
-        # column is sorted by step cost.
+        # column is sorted by step cost.  Under unbounded() and far from
+        # the depth cap no child is cut, so each one listed is yielded.
         u, g, spent = case
         m = u.conj().T.copy()
         limit = 1.1 * qr_cost_bound(u, g)
         levels = compile_levels(g, m.shape[0])
-        search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
+        search = _Search(g, levels, SearchConfig(), unbounded(), limit, None)
         search.best = (limit, [], None, False)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
-        expected = listed[:after] + [ch for ch in listed[after:] if spent + ch[0] < improved]
+        expected = as_built(listed[:after] + [ch for ch in listed[after:]
+                                              if spent + ch[0] < improved])
         yielded = []
         for child in search.children(root_node(search, m, spent)):
             yielded.append(child)
@@ -711,6 +832,8 @@ class TestNodeScoring:
         # one that is diagonal outside a unitary block on the rows in
         # block, so that it has two, three or four dirty rows; the rows a
         # block leaves clean are pivots that no covering child can take.
+        # Its children sit at the cap, where no child is cut: a kept child
+        # is yielded to be built.
         u, g, spent = case
         m = u.conj().T.copy()
         dim = m.shape[0]
@@ -726,10 +849,11 @@ class TestNodeScoring:
             search.best = (limit, [], None, False)
         node = root_node(search, m, spent)
         dirty = node[5]
-        children = list(search.children(node, last=True))
+        children = list(search.children(node, search.depth_cap))
         covering = [ch for ch in reference_children(search, m, g, spent)
                     if not dirty & ~(1 << ch[2] | 1 << ch[3])]
-        assert children == covering
+        assert children == as_built(covering)
+        assert search.stats.nodes_expanded == search.stats.cut_by_bound == 0
         if dirty.bit_count() > 2:
             assert children == [] and search.stats.dead_at_cap == 1
         else:
@@ -740,6 +864,9 @@ class TestNodeScoring:
         # Before the first incumbent a node prices its candidates in (r, r2)
         # order and stops at the first one it yields.  A candidate whose
         # routing alone reaches the incumbent's cost is not priced at all.
+        # The counting model has no floor and the root's children sit far
+        # from the depth cap, so the first child listed is the first one
+        # yielded to be built.
         priced = []
 
         def counting(theta, dist, p):
@@ -771,11 +898,75 @@ class TestNodeScoring:
                 search = _Search(g, levels, SearchConfig(), params, limit, None)
                 priced.clear()
                 children = search.children(root_node(search, m, spent))
-                assert next(children) == listed[0]
+                assert next(children) == as_built(listed[:1])[0]
                 assert priced == expected
                 rejected += len(expected) - 1
                 unrouted += len(scanned) - len(expected)
         assert rejected > 0 and unrouted > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(scoring_cases(), block_cases()), data=st.data())
+    def test_one_decision_site_matches_the_two_stage_path(self, case, data):
+        # children decides each child where it prices it; the earlier path
+        # yielded it, then decided it in the run loop.  Both must build the
+        # same children float for float (step, cost so far, cos and sin of
+        # half the angle), count the same cuts and stop at the same node:
+        # near the cap (the dead test), at the cap (the covering rule, no
+        # cut), far from it (the bound alone), with a budget that may run
+        # out in the middle of the node, under a model with and without a
+        # floor.  The node's stale phase rows are computed at its first
+        # built child, and a node that builds none computes none.
+        u, g, spent = case
+        dim = u.shape[0]
+        cap = data.draw(st.integers(2, 8), label="cap")
+        depth = data.draw(st.sampled_from([1, cap - 1, cap]), label="depth")
+        made = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True),
+                         label="made")
+        built, expected, one, two, node = decide_both(
+            u, g, spent, data.draw(st.sampled_from([CostParams(), unbounded()]), label="params"),
+            cap, depth, data.draw(st.integers(0, 12), label="max_nodes"), made,
+            data.draw(st.booleans(), label="incumbent"),
+            data.draw(st.one_of(st.none(), st.floats(0.0, 2.0)), label="slack"))
+        assert built == expected
+        for field in ("nodes_expanded", "dead_at_cap", "cut_by_bound", "max_depth",
+                      "stop_reason", "solutions_found"):
+            assert getattr(one.stats, field) == getattr(two.stats, field), field
+        phases = node[4][made[0]] + node[4][made[1]]
+        if built:
+            m = u.conj().T
+            assert phases == np.arctan2(m[made].imag, m[made].real).ravel().tolist()
+        else:
+            assert all(map(math.isnan, phases))
+
+    def test_two_stage_cases_reach_every_decision(self):
+        # The property's draws reach each outcome it claims to cover: cuts
+        # by the bound and dead children near the cap, a budget spent in the
+        # middle of a node, and kept children at the cap.
+        seen = Counter()
+        for seed in range(40):
+            # Haar, five dirty rows in two blocks, or two dirty rows
+            blocks = [[0, 1, 2], [3, 4]] if seed % 4 == 2 else [[1, 3]]
+            u = haar_unitary(5, 2700 + seed) if seed % 2 else \
+                block_node(5, 2700 + seed, blocks).conj().T
+            for _, g in architectures_for_dim(5):
+                for depth in (1, 4, 5):
+                    built, expected, one, _, _ = decide_both(
+                        u, g, 0.0, CostParams(), 5, depth, 4 + seed % 8, (0, 1), seed % 3 > 0,
+                        0.5 + (seed % 5) / 4)
+                    assert built == expected
+                    stats = one.stats
+                    seen["cut"] += stats.cut_by_bound > 0
+                    seen["dead"] += stats.dead_at_cap > 0 and depth == 4
+                    seen["budget"] += stats.stop_reason == "node_budget"
+                    seen["built at the cap"] += depth == 5 and len(built) > 0
+                    seen["built after a cut"] += stats.nodes_expanded > 0 and len(built) > 0
+                # the first child's bound equals the limit: it is cut
+                built, expected, one, _, _ = decide_both(u, g, 0.0, CostParams(), 5, 1, 100,
+                                                         (0, 1), seed % 3 > 0, None)
+                assert built == expected
+                seen["cut at a tie"] += one.stats.cut_by_bound > 0
+        assert min(seen[k] for k in ("cut", "dead", "budget", "built at the cap",
+                                     "built after a cut", "cut at a tie")) > 0, seen
 
 
 def unbounded(params=CostParams()):
@@ -926,9 +1117,10 @@ class TestAngleBound:
                     if mag[r2][c] <= DEFAULT_TOL:
                         continue
                     theta, phi = annihilation_angles(m, r, r2, c)
-                    if _dead_child(mag, dirty, r, r2, math.cos(theta / 2), math.sin(theta / 2)):
+                    co, si = math.cos(theta / 2), math.sin(theta / 2)
+                    if _dead_child(mag, dirty, r, r2, co, si):
                         child = rows.copy()
-                        child[r], child[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi,
+                        child[r], child[r2] = apply_rotation_rows(rows[r], rows[r2], co, si, phi,
                                                                   scratch)
                         child = np.array(child)
                         assert dirty_bits(np.hypot(child.real, child.imag).tolist()) \

@@ -330,7 +330,8 @@ class TestRotationKernel:
     def test_bit_identical_to_in_place_form(self, rows, theta, phi):
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
         x, y = m[0].copy(), m[1].copy()
-        new_x, new_y = apply_rotation_rows(x, y, theta, phi, rotation_scratch(len(x)))
+        new_x, new_y = apply_rotation_rows(x, y, math.cos(theta / 2), math.sin(theta / 2), phi,
+                                           rotation_scratch(len(x)))
         assert x.tobytes() == m[0].tobytes() and y.tobytes() == m[1].tobytes()
         reference_rotation_rows(m, 0, 1, theta, phi)
         assert new_x.tobytes() == m[0].tobytes()
@@ -350,7 +351,8 @@ def reference_ladder(m0):
             r = r2 - 1
             theta, phi = annihilation_angles(rows, r, r2, c)
             steps.append((r, r2, theta, phi))
-            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], theta, phi, scratch)
+            rows[r], rows[r2] = apply_rotation_rows(rows[r], rows[r2], math.cos(theta / 2),
+                                                    math.sin(theta / 2), phi, scratch)
     return steps, np.array(rows)
 
 

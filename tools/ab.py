@@ -17,7 +17,8 @@ flips which side goes first from one round to the next, so that a drift in
 host speed falls on both sides alike.  The report is one JSON object:
 
   * ``records_identical``: every instance gave the same result on both
-    sides, bit for bit (gates, residual phases, cost and node count);
+    sides, bit for bit: gates, residual phases, cost, every ``SearchStats``
+    field but ``wall_time_ms``, and the final graph's ``logical_map``;
   * per architecture, the ratio B / A of the summed per-instance minimum
     times over the rounds, with a 95% bootstrap interval over instances;
   * ``ratio_geomean``: the geometric mean of the architectures' ratios.
@@ -27,6 +28,7 @@ It times end to end only: benchmark/tracing.py wraps ``quditc.*`` bindings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -81,14 +83,22 @@ def load_workloads(quditc):
 
 
 def fingerprint(result) -> str:
-    """A digest of everything a result carries, bit for bit."""
+    """A digest of everything a result carries, bit for bit: the gates, the
+    residual phases, the cost, every SearchStats field but the wall time
+    (floats by their hex form) and the final graph's logical_map."""
     if isinstance(result, str):
         return result
+    stats = {field.name: getattr(result.stats, field.name)
+             for field in dataclasses.fields(result.stats) if field.name != "wall_time_ms"}
+    logical_map = result.final_graph.logical_map
     doc = [[[g.level_low, g.level_high, g.theta.hex(), g.phi.hex(), g.routing]
             for g in result.sequence],
            [float(p).hex() for p in result.residual_phases],
-           result.total_cost.hex(), result.stats.nodes_expanded]
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+           result.total_cost.hex(),
+           {name: value.hex() if isinstance(value, float) else value
+            for name, value in stats.items()},
+           {str(state): int(level) for state, level in logical_map.items()}]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 class Side:
