@@ -1,16 +1,11 @@
 """Shared machinery for the two decomposition back-ends: the result type,
-the elimination primitives, routed emission and the final assembly.
+the elimination primitives, and assemble, which turns steps into a result.
 
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
-order multiply to (diagonal) . U.  Emission (qr.emit_steps, one loop over
-the steps) keeps each gate as a record (low, high, theta, phi, routing),
-the tuple a RotationGate is, with the walk's stored phases already in phi.
-The final assembly reads the emitter's walk: it folds every remaining
-tracked phase (node deposits plus the terminal diagonal) into the records'
-phi in one comprehension, checks every theta and phi finite once, and
-builds the final graph once from the walk's placement, leaving the
-reconstruction identity
+order multiply to (diagonal) . U.  Both end in assemble, the one builder
+of a CompilationResult and the only code that knows the gate records and
+the placement walk.  Every result satisfies the reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -135,31 +130,62 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     """Route state j adjacent to state i on the walk, then emit the rotation
     with the walk's phases.  Returns the records (low, high, theta, phi,
     routing) of the routing pulses, then of the rotation.  The scalar form
-    of one step of qr.emit_steps, which the tests hold it to."""
+    of one step of assemble's emission loop, which the tests hold it to."""
     records = [(low, high, PULSE_THETA, PULSE_PHI, True) for low, high in walk.route(i, j)]
     low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
     records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
     return records
 
 
-def assemble(walk: PlacementWalk, records, remaining: np.ndarray, initial: list):
-    """Fold the walk's stored phases and the terminal diagonal into the
-    emitted records of the states at levels initial and build each gate once.
+def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, initial: list,
+             cost: float, stats: SearchStats | None) -> CompilationResult:
+    """The CompilationResult of the (r, r2, theta, phi) steps on the states
+    of graph.state_order(), at cost with stats; remaining is the terminal
+    diagonal of the states at levels initial.  With undo each rotation's
+    routing is inverted right after it (the fixed sequence); without it the
+    placement moves on.
 
-    Returns (sequence, residual_phases, final graph) satisfying the
-    reconstruction identity exactly: the final graph is built once, with
-    the walk's placement and no stored phase.
+    Emission is one loop over the steps, bit for bit emit_rotation's
+    records and walk (the tests keep it as the reference): state r2 is
+    pulsed hop by hop along walk.nxt towards state r, each hop by
+    walk.pulse, the one pulse rule; the rotation is kept as a record (low,
+    high, theta, phi, routing), the tuple a RotationGate is, in stored
+    order (gates.stored_order) with the walk's phase shift inline
+    (gates.shifted_phi: the walk's phases are floats already); with undo
+    the same hops are pulsed back, last first, by -PULSE_THETA.
 
-    Each gate is gates.conjugated of its record under the shifts s, bit for
-    bit (the tests hold it to that): phi + (s[high] - s[low]), the rotation
-    phase rule, inline in one comprehension, then one check, after all the
-    gates, that every theta and phi is finite, with conjugated's ValueError.
+    The walk's stored phases and the terminal diagonal are then folded into
+    the records: each gate is gates.conjugated of its record under the
+    shifts s, bit for bit (the tests hold it to that), phi + (s[high] -
+    s[low]) inline in one comprehension, then one check, after all the
+    gates, that every theta and phi is finite, with conjugated's
+    ValueError.  The final graph is built once, with the walk's placement
+    and no stored phase, so that the reconstruction identity holds exactly.
     """
-    start = walk.start
+    walk = PlacementWalk(graph)
+    nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
+    records = []
+    append = records.append
+    for r, r2, theta, phi in steps:
+        dst, cur = levels[r], levels[r2]
+        hop, first = nxt[cur][dst], len(records)
+        while hop != dst:
+            a, b = (cur, hop) if cur < hop else (hop, cur)
+            pulse(a, b, PULSE_THETA, PULSE_PHI)
+            append((a, b, PULSE_THETA, PULSE_PHI, True))
+            cur, hop = hop, nxt[hop][dst]
+        if dst < cur:
+            append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
+        else:
+            append((cur, dst, theta, -phi + (phases[dst] - phases[cur]), False))
+        if undo:
+            for a, b, _, _, _ in reversed(records[first:-1]):
+                pulse(a, b, -PULSE_THETA, PULSE_PHI)
+                append((a, b, -PULSE_THETA, PULSE_PHI, True))
     delta = np.angle(np.diag(remaining))
-    dphase = np.array(walk.phases, dtype=np.float64)
+    dphase = np.array(phases, dtype=np.float64)
     for k in range(len(initial)):
-        dphase[walk.levels[k]] += delta[k]
+        dphase[levels[k]] += delta[k]
     s, new, gate = (-dphase).tolist(), tuple.__new__, RotationGate
     sequence = tuple([new(gate, (lo, hi, th, ph + (s[hi] - s[lo]), ro))
                       for lo, hi, th, ph, ro in records])
@@ -169,5 +195,6 @@ def assemble(walk: PlacementWalk, records, remaining: np.ndarray, initial: list)
         _, _, thetas, phis, _ = zip(*sequence)
         if not (math.isfinite(sum(thetas) + sum(phis)) or all(map(math.isfinite, thetas + phis))):
             raise ValueError("theta and phi must be finite")
-    theta = np.angle(np.exp(1j * (np.array(start.node_phase)[initial] - dphase[initial])))
-    return sequence, theta, walk.graph((0.0,) * start.num_levels)
+    theta = np.angle(np.exp(1j * (np.array(graph.node_phase)[initial] - dphase[initial])))
+    return CompilationResult(sequence, theta, cost, stats, graph,
+                             walk.graph((0.0,) * graph.num_levels))

@@ -73,14 +73,12 @@ children use:
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
     the stack is the path and its length a child's depth.  Gates (pulses,
-    deposited phases) are emitted once, for the final incumbent, as records
-    and a placement walk, from which assemble builds the gates and the
-    final graph.
+    deposited phases) are emitted once, for the final incumbent, by
+    ``_compile.assemble``, which builds the result.
 """
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,10 +96,10 @@ from ._compile import (
     rotation_scratch,
 )
 from .cost import CostParams, is_real, min_cost_per_radian, pulse_cost, rotation_cost
-from .graph import CouplingGraph, PlacementWalk, _topology, routed_levels
-from .linalg import DEFAULT_TOL, is_diagonal
+from .graph import CouplingGraph, _topology, routed_levels
+from .linalg import DEFAULT_TOL, _is_count, is_diagonal
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .qr import _validated, emit_steps, ladder, ladder_cost, replay_cost
+from .qr import _validated, ladder, ladder_cost, replay_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -133,8 +131,8 @@ class SearchConfig:
         return self.max_depth if self.max_depth is not None else dim * (dim - 1) // 2 + dim
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class _BudgetSpent(Exception):
+    """Raised by _Search.count once the node budget is spent; run catches it."""
 
 
 class NoSolutionError(RuntimeError):
@@ -261,8 +259,8 @@ class _Search:
         does no work (``SearchStats.dead_at_cap``), else only the children
         whose pair covers every dirty row are kept.  Below the cap a kept
         child is decided from the node's moduli, its cost so far and cos, sin
-        of half its angle, and cut, counted as one expanded node (the budget
-        first, as ``enter`` counts one), in two cases:
+        of half its angle, and cut, counted as one expanded node by count,
+        as ``enter`` counts one, in two cases:
 
         Dead at the cap: one step from the cap, a child with more than two
         dirty rows has no child (``_dead_child``; it adds to dead_at_cap).
@@ -301,8 +299,8 @@ class _Search:
 
         A cut subtree holds no solution that would replace the incumbent,
         so the search visits the same nodes in the same order less whole
-        subtrees.  Once the budget is spent on a cut child the generator
-        ends with ``stop_reason`` "node_budget", and run ends the search.
+        subtrees.  Once the budget is spent on a cut child, count raises
+        _BudgetSpent, which ends the generator and the search.
 
         The node is (step, rows, pair, mag, ang, dirty, levels, cost,
         angles); rows are not read.  Its phase rows ang start as a copy of
@@ -359,8 +357,7 @@ class _Search:
                     co, si = cos(theta / 2), sin(theta / 2)
                     cost2 = cost + rot + routing
                     if near_cap and _dead_child(mag, dirty, r, r2, co, si):
-                        if not count(depth):
-                            return
+                        count(depth)
                         stats.dead_at_cap += 1
                         continue
                     if angles:
@@ -370,8 +367,7 @@ class _Search:
                         if cost2 + floor * rest >= limit or cost2 + floor * (
                                 rest + _angle(co * mag[r][r] + si * mag[r2][r], norms[r])
                                 + _angle(si * mag[r][r2] + co * mag[r2][r2], norms[r2])) >= limit:
-                            if not count(depth):
-                                return
+                            count(depth)
                             stats.cut_by_bound += 1
                             continue
                     if pair is not None:  # the node's first child to build
@@ -381,27 +377,25 @@ class _Search:
                     limit = self.best[0]  # the caller may have improved it
                 found.clear()
 
-    def count(self, depth) -> bool:
-        """Count one expanded node at depth; False once the node budget is
-        spent."""
+    def count(self, depth) -> None:
+        """Count one expanded node at depth.  The one place the search
+        stops on its budget: once the budget is spent it sets
+        ``stop_reason`` to "node_budget" and raises _BudgetSpent, which run
+        catches."""
         stats = self.stats
         if stats.nodes_expanded >= self.config.max_nodes:
             stats.stop_reason = "node_budget"
-            return False
+            raise _BudgetSpent
         stats.nodes_expanded += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        return True
 
-    def enter(self, stack, node) -> bool:
-        """Expand a node (step, rows, pair, mag, ang, dirty, levels, cost,
-        angles) onto the stack at depth len(stack); False once the node
-        budget is spent.  angles is (column angles, their sum) under a model
-        with a floor, else None."""
-        if not self.count(len(stack)):
-            return False
+    def enter(self, stack, node) -> None:
+        """Count and expand a node (step, rows, pair, mag, ang, dirty, levels,
+        cost, angles) onto the stack at depth len(stack).  angles is (column
+        angles, their sum) under a model with a floor, else None."""
+        self.count(len(stack))
         stack.append((self.children(node, len(stack) + 1),) + node)
-        return True
 
     def run(self, m0) -> None:
         """Depth-first search from the root matrix.  Each stack frame holds a
@@ -414,8 +408,10 @@ class _Search:
         Every child is decided, and a cut one counted, where ``children``
         prices it; this loop only builds what it yields: the routing, the
         two new rows (from the yielded cos and sin of half the angle), their
-        moduli and dirty bits, and the node it enters.  The search ends when
-        a frame's children end on a spent budget."""
+        moduli and dirty bits, and the node it enters.  A frame whose
+        children end is popped.  The search ends when count finds the
+        budget spent, whether entering a node or cutting a child: its
+        _BudgetSpent is caught here, once."""
         if self.config.return_first and self.best[1] is not None:
             self.stats.stop_reason = "first_solution"
             return
@@ -433,48 +429,47 @@ class _Search:
             alphas = [_angle(mag0[c][c], norms[c]) for c in range(len(m0))]
             angles0 = (alphas, sum(alphas))
         stack = []
-        if not self.enter(stack, (None, list(m0), None, mag0, ang0, dirty0, self.levels, 0.0,
-                                  angles0)):
-            return
-        while stack:
-            children, _, rows, _, mag, ang, dirty, levels, _, angles = stack[-1]
-            depth = len(stack)  # a child's
-            for step, cost2, co, si in children:
-                r, r2, _, phi = step
-                levels2 = routed_levels(graph, levels, r, r2) \
-                    if dist[levels[r]][levels[r2]] != 1 else levels
-                pair = apply_rotation_rows(rows[r], rows[r2], co, si, phi, scratch)
-                mag_r, mag_r2 = np.hypot(pair.real, pair.imag).tolist()
-                dirty2 = dirty & ~((1 << r) | (1 << r2)) \
-                    | (max(mag_r[:r] + mag_r[r + 1:]) > tol) << r \
-                    | (max(mag_r2[:r2] + mag_r2[r2 + 1:]) > tol) << r2
-                rows2 = rows.copy()
-                rows2[r], rows2[r2] = pair
-                if not dirty2:
-                    stats.solutions_found += 1
-                    if cost2 < self.best[0]:
-                        steps = [frame[1] for frame in stack[1:]] + [step]
-                        self.best = (cost2, steps, np.array(rows2), False)
-                    if self.config.return_first:
-                        stats.stop_reason = "first_solution"
-                        return
-                elif depth < cap:  # a covering child can still leave row r or r2 dirty
-                    mag2 = mag.copy()
-                    mag2[r], mag2[r2] = mag_r, mag_r2
-                    angles2 = None
-                    if angles:
-                        alphas = angles[0].copy()
-                        alphas[r], alphas[r2] = _angle(mag_r[r], norms[r]), \
-                            _angle(mag_r2[r2], norms[r2])
-                        angles2 = (alphas, sum(alphas))
-                    node = (step, rows2, pair, mag2, ang.copy(), dirty2, levels2, cost2, angles2)
-                    if not self.enter(stack, node):
-                        return
-                    break
-            else:
-                if stats.stop_reason == "node_budget":
-                    return  # a cut child spent the budget
-                stack.pop()
+        try:
+            self.enter(stack, (None, list(m0), None, mag0, ang0, dirty0, self.levels, 0.0,
+                               angles0))
+            while stack:
+                children, _, rows, _, mag, ang, dirty, levels, _, angles = stack[-1]
+                depth = len(stack)  # a child's
+                for step, cost2, co, si in children:
+                    r, r2, _, phi = step
+                    levels2 = routed_levels(graph, levels, r, r2) \
+                        if dist[levels[r]][levels[r2]] != 1 else levels
+                    pair = apply_rotation_rows(rows[r], rows[r2], co, si, phi, scratch)
+                    mag_r, mag_r2 = np.hypot(pair.real, pair.imag).tolist()
+                    dirty2 = dirty & ~((1 << r) | (1 << r2)) \
+                        | (max(mag_r[:r] + mag_r[r + 1:]) > tol) << r \
+                        | (max(mag_r2[:r2] + mag_r2[r2 + 1:]) > tol) << r2
+                    rows2 = rows.copy()
+                    rows2[r], rows2[r2] = pair
+                    if not dirty2:
+                        stats.solutions_found += 1
+                        if cost2 < self.best[0]:
+                            steps = [frame[1] for frame in stack[1:]] + [step]
+                            self.best = (cost2, steps, np.array(rows2), False)
+                        if self.config.return_first:
+                            stats.stop_reason = "first_solution"
+                            return
+                    elif depth < cap:  # a covering child can still leave row r or r2 dirty
+                        mag2 = mag.copy()
+                        mag2[r], mag2[r2] = mag_r, mag_r2
+                        angles2 = None
+                        if angles:
+                            alphas = angles[0].copy()
+                            alphas[r], alphas[r2] = _angle(mag_r[r], norms[r]), \
+                                _angle(mag_r2[r2], norms[r2])
+                            angles2 = (alphas, sum(alphas))
+                        self.enter(stack, (step, rows2, pair, mag2, ang.copy(), dirty2, levels2,
+                                           cost2, angles2))
+                        break
+                else:
+                    stack.pop()
+        except _BudgetSpent:
+            pass  # count set stop_reason
 
 
 def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfig(),
@@ -485,9 +480,8 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
 
     m0 = u.conj().T.copy()
     if is_diagonal(m0):
-        sequence, theta, g_final = assemble(PlacementWalk(graph), [], m0, levels)
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
-        return CompilationResult(sequence, theta, 0.0, stats, graph, g_final)
+        return assemble(graph, [], False, m0, levels, 0.0, stats)
 
     limit, warm = _ladder_replay(m0, graph, levels, params, config)
     search = _Search(graph, levels, config, params, limit, warm)
@@ -503,7 +497,5 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             search.stats,
         )
     # Gates are built here, once, by replaying the final incumbent's steps
-    # from the initial graph: emission records them and assemble builds them.
-    records, walk = emit_steps(graph, steps, undo)
-    sequence, theta, g_final = assemble(walk, records, m_final, levels)
-    return CompilationResult(sequence, theta, cost, search.stats, graph, g_final)
+    # from the initial graph.
+    return assemble(graph, steps, undo, m_final, levels, cost, search.stats)

@@ -46,11 +46,11 @@ class BenchRecord:
 # -- shipped example architectures -----------------------------------------
 
 def _scrambled_placement(dim: int) -> dict:
-    # Out-of-order placement (2k mod d is a bijection for odd d), so
-    # logically adjacent states are usually not physically adjacent.
-    if dim % 2 == 0:
-        return {str(k): (dim - 1 - k) for k in range(dim)}
-    return {str(k): (2 * k) % dim for k in range(dim)}
+    # Out-of-order placement, so logically adjacent states are usually not
+    # physically adjacent: state k at level 2k mod n for the odd n = d or
+    # d - 1 (a bijection on 0..n-1); at even d, state d-1 keeps level d-1.
+    n = dim - 1 + dim % 2
+    return {str(k): (2 * k) % n if k < n else k for k in range(dim)}
 
 
 def path_architecture(dim: int) -> CouplingGraph:

@@ -9,9 +9,10 @@ numeric order, then ancillas).
 
 Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
 moves a graph's placement in place, pulse by pulse, then builds one new
-graph; a search holds no graphs, and :func:`routed_levels` moves its level
-list.  Both walk the next-hop table built once per edge set
-(:func:`_topology`) hop by hop; a route returns the pulsed level pairs.
+graph (``_compile.assemble`` runs the one walk of a compile); a search
+holds no graphs, and :func:`routed_levels` moves its level list.  Both
+walk the next-hop table built once per edge set (:func:`_topology`) hop
+by hop; a route returns the pulsed level pairs.
 
 The physics of reordering pulses is what makes routing non-trivial: a
 pulse is not a permutation but a swap followed by a phase deposit, so
@@ -24,7 +25,7 @@ per level in ``node_phase`` and consumed by later gates:
     (:meth:`PlacementWalk.pulse` is the one implementation),
   * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
     stored phases psi; :func:`gates.shifted_phi` is the one definition,
-    which emission and assembly write inline and the tests hold them to
+    which ``_compile.assemble`` writes inline and the tests hold it to
     (a gate written high->low is already stored low->high, phi negated, as
     :func:`gates.stored_order` states).
 """
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import PULSE_PHI, PULSE_THETA, Gate, VirtualZGate, conjugated, reorder_pulse
-from .linalg import as_int, as_real, check_size
+from .linalg import _is_count, as_int, as_real, check_size
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2
@@ -119,11 +120,15 @@ class CouplingGraph:
     node_phase: tuple = ()
 
     def __post_init__(self):
+        if not _is_count(self.num_levels):
+            raise ValueError(f"num_levels must be an integer, got {self.num_levels!r}")
         if self.num_levels < 2:
             raise ValueError("graph needs at least two levels")
         check_size(self.num_levels, "graph levels")
         norm_edges = set()
         for a, b in self.edges:
+            if not (_is_count(a) and _is_count(b)):
+                raise ValueError(f"edge ({a!r},{b!r}) levels must be integers")
             if a == b:
                 raise ValueError(f"self-loop on level {a}")
             if not (0 <= a < self.num_levels and 0 <= b < self.num_levels):

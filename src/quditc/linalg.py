@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ def as_int(value) -> int:
     if isinstance(value, (bool, np.bool_, str)) or value != int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _is_count(value) -> bool:
+    """Whether an argument is an integer (a size, a count or a level): any
+    numbers.Integral but a bool.  Unlike as_int, which reads a document's
+    field, it converts nothing."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_real(value) -> float:

@@ -1,5 +1,5 @@
-"""Fixed-sequence baseline decomposition, and the elimination ladder, its
-pricing and the one gate emitter that both back-ends run.
+"""Fixed-sequence baseline decomposition, and the elimination ladder and
+its pricing, which both back-ends run.
 
 Works like a Givens QR elimination with a sequence that is fixed a
 priori: columns left to right, sub-diagonal entries bottom to top, each
@@ -10,8 +10,7 @@ restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps without
 emitting a gate; :func:`replay_cost` prices the adaptive one-way replay
 from the same rotation costs, on one placement that it moves in place.
-:func:`emit_steps` emits either form's gate records on one placement walk,
-in one loop over the steps with a call per pulse and none per step.
+:func:`_compile.assemble` emits either form and builds its result.
 :func:`ladder` runs the steps as a wavefront: 2d - 3 fronts of rotations
 on disjoint adjacent row pairs, one per active column, which give the
 sequential order's steps and final matrix bit for bit.  It holds the one
@@ -34,8 +33,7 @@ from ._compile import (
     rotation_coefficients,
 )
 from .cost import CostParams, pulse_cost, rotation_cost
-from .gates import PULSE_PHI, PULSE_THETA
-from .graph import CouplingGraph, PlacementWalk, _topology
+from .graph import CouplingGraph, _topology
 from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
 # The ladder's skip: entries below this are treated as already annihilated
@@ -121,7 +119,7 @@ def ladder(m0: np.ndarray):
 
 
 def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
-    """(fixed, rotations): the cost of the steps as emit_steps emits them
+    """(fixed, rotations): the cost of the steps as assemble emits them
     with undo, and each step's rotation cost, priced once here, for
     replay_cost.  Fixed is each rotation plus its n pulses, then the n
     inverse pulses one at a time, from the start levels."""
@@ -138,7 +136,7 @@ def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
 
 
 def replay_cost(steps, rotations, graph: CouplingGraph, levels, params: CostParams) -> float:
-    """The cost of the steps as emit_steps emits them without undo, from
+    """The cost of the steps as assemble emits them without undo, from
     ladder_cost's rotation costs: each rotation plus its n pulses at the
     current placement.  One placement moves on in place, as
     PlacementWalk.route moves it: a copy of levels (state -> level) and its
@@ -166,44 +164,6 @@ def replay_cost(steps, rotations, graph: CouplingGraph, levels, params: CostPara
     return one_way
 
 
-def emit_steps(graph: CouplingGraph, steps, undo: bool):
-    """(records, walk) of the (r, r2, theta, phi) steps on the states of
-    graph.state_order(), routed on one placement walk from graph.  With
-    undo each rotation's routing is inverted right after it (the fixed
-    sequence); without it the placement moves on.  Each gate is a record
-    (low, high, theta, phi, routing); assemble builds the gates and the
-    final graph from the records and the walk.
-
-    One loop over the steps, bit for bit emit_rotation's records and walk
-    (the tests keep it as the reference): state r2 is pulsed hop by hop
-    along walk.nxt towards state r, each hop by walk.pulse, the one pulse
-    rule; the rotation is written in stored order (gates.stored_order)
-    with the walk's phase shift inline (gates.shifted_phi: the walk's
-    phases are floats already); with undo the same hops are pulsed back,
-    last first, by -PULSE_THETA."""
-    walk = PlacementWalk(graph)
-    nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
-    records = []
-    append = records.append
-    for r, r2, theta, phi in steps:
-        dst, cur = levels[r], levels[r2]
-        hop, first = nxt[cur][dst], len(records)
-        while hop != dst:
-            a, b = (cur, hop) if cur < hop else (hop, cur)
-            pulse(a, b, PULSE_THETA, PULSE_PHI)
-            append((a, b, PULSE_THETA, PULSE_PHI, True))
-            cur, hop = hop, nxt[hop][dst]
-        if dst < cur:
-            append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
-        else:
-            append((cur, dst, theta, -phi + (phases[dst] - phases[cur]), False))
-        if undo:
-            for a, b, _, _, _ in reversed(records[first:-1]):
-                pulse(a, b, -PULSE_THETA, PULSE_PHI)
-                append((a, b, -PULSE_THETA, PULSE_PHI, True))
-    return records, walk
-
-
 def _validated(u) -> np.ndarray:
     """The input of both back-ends as a square complex matrix; ValueError
     unless it is unitary within linalg.DEFAULT_TOL."""
@@ -217,10 +177,8 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     u = _validated(u)
     levels = compile_levels(graph, u.shape[0])
     steps, m = ladder(u.conj().T)
-    records, walk = emit_steps(graph, steps, undo=True)
-    sequence, theta_res, g_final = assemble(walk, records, m, levels)
-    total = ladder_cost(steps, graph, levels, params)[0]
-    return CompilationResult(sequence, theta_res, total, None, graph, g_final)
+    fixed = ladder_cost(steps, graph, levels, params)[0]
+    return assemble(graph, steps, True, m, levels, fixed, None)
 
 
 def qr_cost_bound(u, graph: CouplingGraph, params: CostParams = CostParams()) -> float:

@@ -1,5 +1,7 @@
 """Adaptive search: pruning soundness, reconstruction, and optimality
 against exhaustive enumeration on small instances."""
+import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -24,6 +26,7 @@ from quditc.adaptive import (
     NoSolutionError,
     SearchConfig,
     _angle,
+    _BudgetSpent,
     _columns,
     _dead_child,
     _Search,
@@ -36,7 +39,7 @@ from quditc.cost import (CostParams, min_cost_per_radian, pulse_cost, rotation_c
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
-from quditc.qr import emit_steps, ladder, qr_cost_bound, qr_decompose
+from quditc.qr import ladder, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
@@ -382,6 +385,45 @@ class TestStopReason:
             assert result.total_cost < warm.total_cost
 
 
+class TestBudgetPrefix:
+    def test_a_larger_budget_extends_the_same_search(self):
+        # Only count reads max_nodes, so the search at budget B is a prefix
+        # of the search at any larger budget: the cost never rises and the
+        # counters never fall as B grows, a search the budget stopped spent
+        # all of it, and once a search is exhausted a larger budget changes
+        # nothing.  No solution within the budget reads as an infinite cost.
+        stops = Counter()
+        for dim in (3, 5):
+            for u in random_cliffords(dim, 2, 77):
+                for _, g in architectures_for_dim(dim):
+                    for warm in (True, False):
+                        previous = None
+                        for budget in range(41):
+                            cfg = SearchConfig(max_nodes=budget, warm_start=warm)
+                            try:
+                                result = adaptive_compile(u, g, cfg)
+                                stats, cost = result.stats, result.total_cost
+                            except NoSolutionError as exc:
+                                stats, cost = exc.stats, math.inf
+                            stats = dataclasses.replace(stats, wall_time_ms=0.0)
+                            stops[stats.stop_reason, math.isinf(cost)] += 1
+                            if stats.stop_reason == "node_budget":
+                                assert stats.nodes_expanded == budget
+                            if previous is not None:
+                                before, cost_before = previous
+                                assert cost <= cost_before
+                                for field in ("dead_at_cap", "cut_by_bound", "solutions_found",
+                                              "max_depth"):
+                                    assert getattr(stats, field) >= getattr(before, field)
+                                if before.stop_reason == "exhausted":
+                                    assert (stats, cost) == previous
+                            previous = stats, cost
+        # the sweep reaches budget stops with and without a solution, and
+        # exhausted searches
+        assert min(stops["node_budget", False], stops["node_budget", True],
+                   stops["exhausted", False]) > 0, stops
+
+
 class TestHardInputs:
     def test_permutation_like_unitaries(self):
         # zero diagonals push the annihilation angle to its pi limit
@@ -683,24 +725,23 @@ def two_stage_children(search, m, graph, node, depth):
         stats.dead_at_cap += 1
         return []
     built = []
-    for child in reference_children(search, m, graph, cost):
-        _, _, r, r2, theta, _, cost2 = child
-        if depth >= cap and dirty & ~(1 << r | 1 << r2):
-            continue
-        if depth < cap and (angles or depth + 1 == cap):
-            co, si = math.cos(theta / 2), math.sin(theta / 2)
-            if depth + 1 == cap and _dead_child(mag, dirty, r, r2, co, si):
-                if not search.count(depth):
-                    break
-                stats.dead_at_cap += 1
+    with contextlib.suppress(_BudgetSpent):  # a cut child spent the budget
+        for child in reference_children(search, m, graph, cost):
+            _, _, r, r2, theta, _, cost2 = child
+            if depth >= cap and dirty & ~(1 << r | 1 << r2):
                 continue
-            if angles and cost2 + search.floor * reference_angle_floor(
-                    angles, mag, search.norms, r, r2, co, si) >= search.best[0]:
-                if not search.count(depth):
-                    break
-                stats.cut_by_bound += 1
-                continue
-        built += as_built([child])
+            if depth < cap and (angles or depth + 1 == cap):
+                co, si = math.cos(theta / 2), math.sin(theta / 2)
+                if depth + 1 == cap and _dead_child(mag, dirty, r, r2, co, si):
+                    search.count(depth)
+                    stats.dead_at_cap += 1
+                    continue
+                if angles and cost2 + search.floor * reference_angle_floor(
+                        angles, mag, search.norms, r, r2, co, si) >= search.best[0]:
+                    search.count(depth)
+                    stats.cut_by_bound += 1
+                    continue
+            built += as_built([child])
     return built
 
 
@@ -746,7 +787,10 @@ def decide_both(u, g, spent, params, cap, depth, budget, made, incumbent, slack)
     if incumbent:
         one.best = two.best = (limit, [], None, False)
     node = decided_node(one, m, spent, made)
-    built = list(one.children(node, depth))
+    built = []
+    with contextlib.suppress(_BudgetSpent):  # the children end once the budget is spent
+        for child in one.children(node, depth):
+            built.append(child)
     expected = two_stage_children(two, m, g, decided_node(two, m, spent, made), depth)
     return built, expected, one, two, node
 
@@ -1324,14 +1368,15 @@ class TestWorkCounts:
 
 
 def counted_emission(monkeypatch) -> list:
-    """Wrap the adaptive module's emit_steps; the returned list gets the
-    (steps, records) counts of each call."""
+    """Wrap the adaptive module's assemble; the returned list gets the
+    (steps, gates) counts of each call."""
     emitted = []
+    assemble = adaptive_module.assemble
 
-    def counted(graph, steps, undo):
-        records, walk = emit_steps(graph, steps, undo)
-        emitted.append((len(steps), len(records)))
-        return records, walk
+    def counted(graph, steps, *args):
+        result = assemble(graph, steps, *args)
+        emitted.append((len(steps), len(result.sequence)))
+        return result
 
-    monkeypatch.setattr(adaptive_module, "emit_steps", counted)
+    monkeypatch.setattr(adaptive_module, "assemble", counted)
     return emitted

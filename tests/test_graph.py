@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quditc._compile import assemble
 from quditc.gates import (
     RotationGate,
     VirtualZGate,
@@ -30,7 +31,6 @@ from quditc.graph import (
     save_graph,
 )
 from quditc.linalg import max_norm
-from quditc.qr import emit_steps
 
 
 def nx_graph(g: CouplingGraph) -> nx.Graph:
@@ -262,25 +262,29 @@ def gate_bits(gate: RotationGate):
     return gate.level_low, gate.level_high, gate.theta.hex(), gate.phi.hex(), gate.routing
 
 
-def record_bits(record):
-    """gate_bits of an emitted (low, high, theta, phi, routing) record."""
-    low, high, theta, phi, routing = record
-    return low, high, theta.hex(), phi.hex(), routing
-
-
 class TestPlacementWalk:
     @settings(max_examples=300, deadline=None)
     @given(case=walk_cases(), undo=st.booleans())
     def test_matches_per_pulse_rule_bit_for_bit(self, case, undo):
+        # With no terminal diagonal, assemble folds the walk's final stored
+        # phases alone: each gate is the per-pulse one conjugated by their
+        # negation, and each residual phase is a state's start phase less
+        # its final one.
         g, steps = case
-        records, walk = emit_steps(g, steps, undo)
-        g_final = walk.graph()  # the walk's placement and stored phases
+        initial = [g.logical_map[s] for s in g.state_order()]
+        result = assemble(g, steps, undo, np.eye(g.num_states), initial, 0.0, None)
         ref_gates, ref_map, ref_phases = per_pulse_emission(g, steps, undo)
-        assert [record_bits(x) for x in records] == [gate_bits(x) for x in ref_gates]
-        assert g_final.logical_map == ref_map
-        assert [p.hex() for p in g_final.node_phase] == [p.hex() for p in ref_phases]
+        # assemble adds the diagonal's phase, 0.0, at each mapped level: -0.0 becomes 0.0
+        folded = np.array([p + 0.0 if lv in ref_map.values() else p
+                           for lv, p in enumerate(ref_phases)])
+        shifts = (-folded).tolist()
+        assert [gate_bits(x) for x in result.sequence] == \
+            [gate_bits(conjugated(x, shifts)) for x in ref_gates]
+        residual = np.angle(np.exp(1j * (np.array(g.node_phase)[initial] - folded[initial])))
+        assert result.residual_phases.tobytes() == residual.tobytes()
+        assert result.final_graph.logical_map == ref_map
         if undo:
-            assert g_final.logical_map == g.logical_map
+            assert result.final_graph.logical_map == g.logical_map
 
     @settings(max_examples=200, deadline=None)
     @given(theta=st.sampled_from([0.0, -0.0, math.pi, -math.pi]) | st.floats(-7, 7),
@@ -488,6 +492,17 @@ class TestValidation:
     def test_gapped_computational_states_rejected(self):
         with pytest.raises(ValueError):
             CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "2": 1})
+
+    @pytest.mark.parametrize("num_levels, edge", [
+        (3.0, (1, 2)), (3, (1.0, 2)), (3, ("1", 2)), (3, (1, True)), (np.int64(3), (1, 2.5))])
+    def test_non_integer_sizes_rejected(self, num_levels, edge):
+        # integers are checked, not converted: any numbers.Integral but a bool
+        with pytest.raises(ValueError, match="integer"):
+            CouplingGraph(num_levels, frozenset({(0, 1), edge}), {"0": 0, "1": 1, "2": 2})
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = CouplingGraph(np.int64(3), frozenset({(0, np.int32(1)), (1, 2)}), {"0": 0, "1": 2})
+        assert g.shortest_level_path(0, 2) == [0, 1, 2]
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_node_phase_rejected(self, bad):

@@ -17,13 +17,12 @@ from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
 from quditc.graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from quditc.linalg import DEFAULT_TOL, max_norm
-from quditc.qr import (NEGLIGIBLE, emit_steps, ladder, ladder_cost, qr_cost_bound, qr_decompose,
-                       replay_cost)
+from quditc.qr import NEGLIGIBLE, ladder, ladder_cost, qr_cost_bound, qr_decompose, replay_cost
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary, make_bridged_graph, unfinished_elimination_input
 from test_adaptive import result_digest
-from test_graph import random_connected_graph, record_bits, walk_cases
+from test_graph import gate_bits, random_connected_graph, walk_cases
 
 
 class TestReconstruction:
@@ -119,9 +118,9 @@ def reference_replay_cost(steps, rotations, graph, levels, params):
 
 
 def reference_emission(graph, steps, undo):
-    """emit_steps as a call per step and per pulse: emit_rotation's records
-    for each step, then with undo each routing pulse inverted by walk.pulse,
-    last first."""
+    """assemble's emission loop as a call per step and per pulse:
+    emit_rotation's records for each step, then with undo each routing
+    pulse inverted by walk.pulse, last first.  Returns (records, walk)."""
     walk = PlacementWalk(graph)
     records = []
     for r, r2, theta, phi in steps:
@@ -134,18 +133,17 @@ def reference_emission(graph, steps, undo):
     return records, walk
 
 
-def reference_assemble(walk, records, remaining, initial):
-    """assemble with a conjugated call per record."""
+def reference_assemble(records, walk, remaining, initial):
+    """assemble's folding with a conjugated call per record: the gates, the
+    residual phases and the final logical map."""
     delta = np.angle(np.diag(remaining))
     dphase = np.array(walk.phases, dtype=np.float64)
     for k in range(len(initial)):
         dphase[walk.levels[k]] += delta[k]
     shifts = (-dphase).tolist()
-    return tuple(conjugated(record, shifts) for record in records)
-
-
-def walk_bits(walk):
-    return list(walk.levels), list(walk.state), [p.hex() for p in walk.phases]
+    residual = np.angle(np.exp(1j * (np.array(walk.start.node_phase)[initial] - dphase[initial])))
+    return (tuple(conjugated(record, shifts) for record in records), residual,
+            walk.graph().logical_map)
 
 
 # the bridged graph: routes run through its ancilla, and two levels are unmapped
@@ -153,57 +151,49 @@ bridged_cases = walk_cases(st.just(make_bridged_graph()))
 
 
 class TestOnePassEmission:
-    """emit_steps and assemble against their call-per-gate forms, bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=walk_cases() | bridged_cases, undo=st.booleans())
-    def test_emission_matches_the_call_per_step_form(self, case, undo):
-        g, steps = case
-        records, walk = emit_steps(g, steps, undo)
-        ref_records, ref_walk = reference_emission(g, steps, undo)
-        assert [record_bits(x) for x in records] == [record_bits(x) for x in ref_records]
-        assert walk_bits(walk) == walk_bits(ref_walk)
+    """assemble against its call-per-gate form, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=walk_cases() | bridged_cases, undo=st.booleans(), all_states=st.booleans(),
            angles=st.lists(st.floats(-7, 7), min_size=12, max_size=12))
     def test_assembly_matches_conjugated(self, case, undo, all_states, angles):
         g, steps = case
-        records, walk = emit_steps(g, steps, undo)
         dim = g.num_states if all_states else g.num_computational
         remaining = np.diag(np.exp(1j * np.array(angles[:dim])))
         initial = compile_levels(g, dim)
-        sequence = assemble(walk, records, remaining, initial)[0]
-        expected = reference_assemble(walk, records, remaining, initial)
-        assert all(type(gate) is RotationGate for gate in sequence)
-        assert [record_bits(x) for x in sequence] == [record_bits(x) for x in expected]
+        result = assemble(g, steps, undo, remaining, initial, 0.0, None)
+        sequence, residual, logical_map = reference_assemble(
+            *reference_emission(g, steps, undo), remaining, initial)
+        assert all(type(gate) is RotationGate for gate in result.sequence)
+        assert [gate_bits(x) for x in result.sequence] == [gate_bits(x) for x in sequence]
+        assert result.residual_phases.tobytes() == residual.tobytes()
+        assert result.final_graph.logical_map == logical_map
+        assert result.final_graph.node_phase == (0.0,) * g.num_levels
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [2, 3])
     @pytest.mark.parametrize("at", [0, 2])
     def test_non_finite_record_raises(self, path3, bad, field, at):
-        records = [(0, 1, 0.5, 0.25, False), (1, 2, math.pi, -math.pi / 2, True),
-                   (0, 1, -0.5, 1.0, False)]
-        record = list(records[at])
-        record[field] = bad
-        records[at] = tuple(record)
+        # the middle step routes state 2 past state 1: a pulse, then a rotation
+        steps = [[0, 1, 0.5, 0.25], [0, 2, math.pi, -math.pi / 2], [0, 1, -0.5, 1.0]]
+        steps[at][field] = bad
         with pytest.raises(ValueError, match="finite"):
-            assemble(PlacementWalk(path3), records, np.eye(3), [0, 1, 2])
+            assemble(path3, steps, False, np.eye(3), [0, 1, 2], 0.0, None)
 
     def test_phase_shift_overflow_raises(self):
-        # a finite phi whose shift overflows, as conjugated rejects it
-        walk = PlacementWalk(CouplingGraph(2, frozenset({(0, 1)}), {"0": 0, "1": 1},
-                                           node_phase=(1.5e308, 0.0)))
-        records = [(0, 1, 0.5, 1.5e308, False)]
+        # a finite phi whose shift by the graph's stored phases overflows,
+        # as conjugated rejects it
+        g = CouplingGraph(2, frozenset({(0, 1)}), {"0": 0, "1": 1}, node_phase=(0.0, 1.5e308))
+        steps = [(0, 1, 0.5, 1.5e308)]
         with pytest.raises(ValueError, match="finite"):
-            reference_assemble(walk, records, np.eye(2), [0, 1])
+            reference_assemble(*reference_emission(g, steps, False), np.eye(2), [0, 1])
         with pytest.raises(ValueError, match="finite"):
-            assemble(walk, records, np.eye(2), [0, 1])
+            assemble(g, steps, False, np.eye(2), [0, 1], 0.0, None)
 
     def test_finite_terms_whose_sum_overflows_pass(self, path3):
         # the phis sum past the largest float, though each is finite
-        records = [(0, 1, 0.5, 1.5e308, False), (1, 2, 0.5, 1.5e308, False)]
-        sequence = assemble(PlacementWalk(path3), records, np.eye(3), [0, 1, 2])[0]
+        steps = [(0, 1, 0.5, 1.5e308), (1, 2, 0.5, 1.5e308)]
+        sequence = assemble(path3, steps, False, np.eye(3), [0, 1, 2], 0.0, None).sequence
         assert [gate.phi for gate in sequence] == [1.5e308, 1.5e308]
 
 
@@ -248,15 +238,15 @@ class TestCostBound:
     def test_prices_both_emitted_forms(self, case):
         # ladder_cost prices the fixed form (routing undone) and replay_cost
         # the one-way replay from the same rotation costs; each is the cost
-        # of the gates built from the records emit_steps emits for it
+        # of the gates assemble builds for it
         g, steps = case
         levels = compile_levels(g, g.num_states)
         fixed, rotations = ladder_cost(steps, g, levels, CostParams())
         one_way = replay_cost(steps, rotations, g, levels, CostParams())
 
         def emitted_cost(undo):
-            records = emit_steps(g, steps, undo)[0]
-            return sequence_cost([conjugated(rec, [0.0] * g.num_levels) for rec in records])
+            eye = np.eye(g.num_states)
+            return sequence_cost(assemble(g, steps, undo, eye, levels, 0.0, None).sequence)
 
         assert fixed == pytest.approx(emitted_cost(True), rel=1e-12, abs=1e-15)
         assert one_way == pytest.approx(emitted_cost(False), rel=1e-12, abs=1e-15)
@@ -453,16 +443,18 @@ class TestGoldenGates:
 
     def test_d64_scope_edge_unchanged(self):
         # The documented scope's edge, through both back-ends: the fixed
-        # sequence and the accepted warm start, pinned before the ladder ran
-        # in place.
+        # sequence and the accepted warm start, pinned once path-64's
+        # placement was scrambled at even d, so that path-64 routes.
         u = haar_unitary(64, 6401)
         archs = architectures_for_dim(64)
-        assert result_digest([qr_decompose(u, g) for _, g in archs]) == \
-            "8862d0f079571195217518d3a59c8a94fe44fd2802d964bd700fd45104300860"
+        fixed = [qr_decompose(u, g) for _, g in archs]
+        assert result_digest(fixed) == \
+            "0f3d60193d2535e94691ac81161448f1b9577106eef31dc124d7b07fbf102a80"
         first = [adaptive_compile(u, g, SearchConfig(return_first=True)) for _, g in archs]
         assert all(r.stats.nodes_expanded == 0 for r in first)
         assert result_digest(first) == \
-            "77260041db37dfff8a16ee26bc79e1311e01e87153b543e385d1e0a0c1e16728"
+            "7eea9e5785106ee7a059dcf9fedbe59db6e6266953959cbdc1244ca11902cca0"
+        assert fixed[0].pulse_count > 0 and first[0].pulse_count > 0  # path-64
 
 
 class TestErrors:
