@@ -157,10 +157,10 @@ def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, ini
     The walk's stored phases and the terminal diagonal are then folded into
     the records: each gate is gates.conjugated of its record under the
     shifts s, bit for bit (the tests hold it to that), phi + (s[high] -
-    s[low]) inline in one comprehension, then one check, after all the
-    gates, that every theta and phi is finite, with conjugated's
-    ValueError.  The final graph is built once, with the walk's placement
-    and no stored phase, so that the reconstruction identity holds exactly.
+    s[low]) inline in one comprehension; no phi can overflow, as the graph
+    stores its phases in [0, 2 pi] and the walk keeps them there.  The
+    final graph is built once, with the walk's placement and no stored
+    phase, so that the reconstruction identity holds exactly.
     """
     walk = PlacementWalk(graph)
     nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
@@ -189,12 +189,6 @@ def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, ini
     s, new, gate = (-dphase).tolist(), tuple.__new__, RotationGate
     sequence = tuple([new(gate, (lo, hi, th, ph + (s[hi] - s[lo]), ro))
                       for lo, hi, th, ph, ro in records])
-    if sequence:
-        # a sum of floats is finite only if every term is; a sum of finite
-        # terms that overflows falls to the termwise test
-        _, _, thetas, phis, _ = zip(*sequence)
-        if not (math.isfinite(sum(thetas) + sum(phis)) or all(map(math.isfinite, thetas + phis))):
-            raise ValueError("theta and phi must be finite")
     theta = np.angle(np.exp(1j * (np.array(graph.node_phase)[initial] - dphase[initial])))
     return CompilationResult(sequence, theta, cost, stats, graph,
                              walk.graph((0.0,) * graph.num_levels))

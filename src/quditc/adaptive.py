@@ -95,9 +95,9 @@ from ._compile import (
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_scratch,
 )
-from .cost import CostParams, is_real, min_cost_per_radian, pulse_cost, rotation_cost
+from .cost import CostParams, min_cost_per_radian, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, routed_levels
-from .linalg import DEFAULT_TOL, _is_count, is_diagonal
+from .linalg import DEFAULT_TOL, _is_count, is_diagonal, is_real
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
 from .qr import _validated, ladder, ladder_cost, replay_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)

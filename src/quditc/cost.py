@@ -34,11 +34,11 @@ never prices such an angle, as it rotates only entries above
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 from .gates import RotationGate
+from .linalg import is_real
 
 
 def _calibrated_linear(theta: float, dist: int, params: CostParams) -> float:
@@ -60,12 +60,6 @@ class CostParams:
             raise ValueError("cost parameters must be real numbers, finite and positive")
         if not callable(self.model):
             raise ValueError(f"cost model {self.model!r} is not callable")
-
-
-def is_real(value) -> bool:
-    """True for a numbers.Real that is not a bool (np.bool_ is not a
-    numbers.Real)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) -> float:

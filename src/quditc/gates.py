@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .linalg import as_int, as_real, check_size
+from .linalg import _is_count, as_int, as_real, check_size, is_finite_real
 
 
 class _RotationFields(NamedTuple):
@@ -47,12 +47,16 @@ class RotationGate(_RotationFields):
 
     def __new__(cls, level_low: int, level_high: int, theta: float, phi: float,
                 routing: bool = False):
+        if not (_is_count(level_low) and _is_count(level_high)):
+            raise ValueError(f"rotation levels must be integers: {level_low!r}, {level_high!r}")
         if level_low == level_high:
             raise ValueError("rotation levels must differ")
         if level_low < 0 or level_high < 0:
             raise ValueError("rotation levels must be non-negative")
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("theta and phi must be finite")
+        if not (is_finite_real(theta) and is_finite_real(phi)):
+            raise ValueError("theta and phi must be finite real numbers")
+        if not isinstance(routing, bool):
+            raise ValueError(f"routing must be true or false, got {routing!r}")
         low, high, phi = stored_order(level_low, level_high, phi)
         return tuple.__new__(cls, (low, high, theta, phi, routing))
 
@@ -101,10 +105,12 @@ class VirtualZGate:
     phi: float
 
     def __post_init__(self):
+        if not _is_count(self.level):
+            raise ValueError(f"level must be an integer, got {self.level!r}")
         if self.level < 0:
             raise ValueError("level must be non-negative")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
+        if not is_finite_real(self.phi):
+            raise ValueError("phi must be a finite real number")
 
 
 Gate = Union[RotationGate, VirtualZGate]
@@ -205,11 +211,8 @@ def sequence_from_dict(doc: dict) -> tuple[list[Gate], int, np.ndarray | None]:
 def _gate_from_record(rec: dict) -> Gate:
     kind = rec.get("type")
     if kind == "R":
-        routing = rec.get("routing", False)
-        if not isinstance(routing, bool):
-            raise ValueError(f"routing must be true or false, got {routing!r}")
         return RotationGate(as_int(rec["i"]), as_int(rec["j"]), as_real(rec["theta"]),
-                            as_real(rec["phi"]), routing=routing)
+                            as_real(rec["phi"]), routing=rec.get("routing", False))
     if kind == "Z":
         return VirtualZGate(as_int(rec["i"]), as_real(rec["phi"]))
     raise ValueError(f"unknown gate type {kind!r}")

@@ -10,9 +10,24 @@ numeric order, then ancillas).
 Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
 moves a graph's placement in place, pulse by pulse, then builds one new
 graph (``_compile.assemble`` runs the one walk of a compile); a search
-holds no graphs, and :func:`routed_levels` moves its level list.  Both
-walk the next-hop table built once per edge set (:func:`_topology`) hop
-by hop; a route returns the pulsed level pairs.
+holds no graphs, and :func:`routed_levels` moves its level list.  Routes
+follow the next-hop table built once per edge set (:func:`_topology`) hop
+by hop: :meth:`PlacementWalk.route` through
+:meth:`CouplingGraph.shortest_level_path`, while :func:`routed_levels`
+and ``_compile.assemble``'s emission walk it in their own loops; a route
+returns the pulsed level pairs.
+
+A CouplingGraph converts no argument of the wrong kind: sizes, edge ends
+and placement levels are integers (a numbers.Integral, not a bool), and
+each ``node_phase`` entry a finite real number (a numbers.Real, not a
+bool); anything else raises ValueError.  A graph document's fields are
+converted by ``linalg.as_int`` and ``linalg.as_real`` first.  Each node
+phase is stored in [0, 2 pi], the range :meth:`PlacementWalk.pulse`
+writes: one in that range keeps its bits (-0.0 is stored as 0.0), and any
+other is reduced through sin and cos, which reduce their argument exactly
+at any magnitude (a plain % 2 pi is exact only modulo float(2 pi), which
+is off by 4e-8 at 1e9).  So storing is idempotent, and no phase a compile
+emits can overflow or lose precision.
 
 The physics of reordering pulses is what makes routing non-trivial: a
 pulse is not a permutation but a swap followed by a phase deposit, so
@@ -41,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import PULSE_PHI, PULSE_THETA, Gate, VirtualZGate, conjugated, reorder_pulse
-from .linalg import _is_count, as_int, as_real, check_size
+from .linalg import _is_count, as_int, as_real, check_size, is_finite_real
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2
@@ -137,6 +152,8 @@ class CouplingGraph:
         object.__setattr__(self, "edges", frozenset(norm_edges))
 
         cleaned = _checked_placement(self.logical_map, self.num_levels)
+        if not all(map(_is_count, self.logical_map.values())):
+            raise ValueError("placement levels must be integers")
         object.__setattr__(self, "logical_map", cleaned)
         levels = list(cleaned.values())
         if not cleaned:
@@ -160,12 +177,15 @@ class CouplingGraph:
         # is sorted once; _clone keeps it
         object.__setattr__(self, "_state_order", tuple(canonical_state_order(cleaned)))
 
-        phases = tuple(float(p) for p in self.node_phase) or (0.0,) * self.num_levels
+        phases = tuple(self.node_phase) or (0.0,) * self.num_levels
         if len(phases) != self.num_levels:
             raise ValueError("node_phase length must equal num_levels")
-        if not all(map(math.isfinite, phases)):
-            raise ValueError("node_phase entries must be finite")
-        object.__setattr__(self, "node_phase", phases)
+        if not all(map(is_finite_real, phases)):
+            raise ValueError("node_phase entries must be finite real numbers")
+        # stored in [0, 2 pi], reduced through sin and cos (module docstring)
+        object.__setattr__(self, "node_phase", tuple(
+            p if 0.0 <= p <= _TWO_PI else math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
+            for p in (float(q) + 0.0 for q in phases)))
 
         # Compilation needs every pair of mapped levels reachable; paths may
         # run through unmapped levels.
@@ -259,15 +279,13 @@ class PlacementWalk:
             (phases[a] + (phi - half)) % _TWO_PI
 
     def route(self, i: int, j: int) -> list:
-        """Pulse state j hop by hop along the next-hop table (the path of
-        :meth:`CouplingGraph.shortest_level_path`) until it is adjacent to
+        """Pulse state j hop by hop along
+        :meth:`CouplingGraph.shortest_level_path` until it is adjacent to
         state i, which stays put; returns the pulsed (low, high) level pairs."""
-        nxt, dst, pairs = self.nxt, self.levels[i], []
-        cur, hop = self.levels[j], nxt[self.levels[j]][dst]
-        while hop != dst:
-            pairs.append((cur, hop) if cur < hop else (hop, cur))
-            self.pulse(*pairs[-1], PULSE_THETA, PULSE_PHI)
-            cur, hop = hop, nxt[hop][dst]
+        path = self.start.shortest_level_path(self.levels[j], self.levels[i])
+        pairs = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:-1])]
+        for a, b in pairs:
+            self.pulse(a, b, PULSE_THETA, PULSE_PHI)
         return pairs
 
     def graph(self, node_phase: tuple = ()) -> CouplingGraph:
@@ -372,7 +390,7 @@ def graph_from_dict(doc: dict) -> CouplingGraph:
     try:
         levels = as_int(doc["levels"])
         edges = frozenset((as_int(a), as_int(b)) for a, b in doc["edges"])
-        mapping = {str(k): v for k, v in doc["logical_map"].items()}  # levels: CouplingGraph
+        mapping = {str(k): as_int(v) for k, v in doc["logical_map"].items()}
         ancillas = frozenset(str(s) for s in doc.get("ancillas", ()))
         phases = tuple(as_real(p) for p in doc.get("node_phase", ()))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -60,6 +60,22 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether an argument is a real number: any numbers.Real but a bool
+    (np.bool_ is not a numbers.Real)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """Whether an argument is a real number (is_real) that is a finite
+    float: NaN, an infinity and an int beyond the largest float all fail,
+    with no OverflowError."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def as_real(value) -> float:
     """A document's real-valued field as a float; ValueError for a bool or a
     string, both of which float() accepts (true as 1.0, "1" as 1.0)."""

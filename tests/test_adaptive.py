@@ -1083,11 +1083,14 @@ class TestAngleBound:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**31),
            kind=st.sampled_from([haar_unitary, permutation_like, perturbed]))
+    @example(dim=2, seed=39827, kind=permutation_like)
     def test_largest_angle_never_exceeds_the_others_sum(self, dim, seed, kind):
         # Why the bound takes the angles' sum alone: on a unitary, twice the
-        # largest angle (the other lower bound) is never more.
+        # largest angle (the other lower bound) is never more. The angle is
+        # taken as atan2(|off-diagonal|, |diagonal|), not acos of their ratio:
+        # acos near 1 turns a one-ulp rounding of |exp(i phi)| into 1.5e-8.
         u = kind(dim, seed)
-        alphas = [math.acos(min(1.0, abs(u[c, c]) / np.linalg.norm(u[:, c])))
+        alphas = [math.atan2(np.linalg.norm(np.delete(u[:, c], c)), abs(u[c, c]))
                   for c in range(dim)]
         assert 2 * max(alphas) <= sum(alphas) + 1e-9
 

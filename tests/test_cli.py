@@ -105,6 +105,14 @@ class TestCompile:
         assert exc.value.code == 2
         assert "--sort-children" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--return-first", "--warm-start"])
+    def test_bad_boolean_is_a_usage_error(self, workdir, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                 flag, "maybe"])
+        assert exc.value.code == 2
+        assert "expected a boolean" in capsys.readouterr().err
+
     def test_threshold_flag_removed(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
@@ -356,6 +364,17 @@ class TestBench:
         assert (tmp_path / "summary.csv").exists()
         lines = (tmp_path / "records.ndjson").read_text().splitlines()
         assert len(lines) == 12  # 4 unitaries x 3 architectures
+
+    def test_no_solution_suite_exits_with_failure(self, tmp_path, capsys):
+        # a limit below every answer's cost: each search finds nothing, so
+        # every record is no_solution and no summary row is left
+        with pytest.warns(UserWarning, match="no verified records"):
+            code = run(["bench", "--dims", "3", "--counts", "2", "--max-nodes", "1",
+                        "--cost-limit-factor", "0.01", "--records", tmp_path / "r.ndjson"])
+        assert code == EXIT_FAIL
+        assert "6 instance(s) failed or did not verify" in capsys.readouterr().err
+        records = [json.loads(line) for line in (tmp_path / "r.ndjson").read_text().splitlines()]
+        assert len(records) == 6 and {r["status"] for r in records} == {"no_solution"}
 
     def test_reproducible_records(self, tmp_path):
         for name in ("a", "b"):

@@ -264,3 +264,29 @@ def test_rotation_gate_validation():
         RotationGate(1, 1, 0.3, 0.0)
     with pytest.raises(ValueError):
         RotationGate(0, 1, float("nan"), 0.0)
+
+
+# Each argument is checked, not converted: levels are integers (a
+# numbers.Integral, not a bool), angles real numbers (a numbers.Real, not a
+# bool) and finite, and routing a bool.
+@pytest.mark.parametrize("args", [
+    (0.5, 1, 0.3, 0.1), (0, 2.0, 0.3, 0.1), (True, 2, 0.3, 0.1), (0, "1", 0.3, 0.1),
+    (0, 1, "0.3", 0.1), (0, 1, 0.3, "0.1"), (0, 1, True, 0.1), (0, 1, 0.3, False),
+    (0, 1, 0.3j, 0.1), (0, 1, 0.3, 10 ** 400), (0, 1, 0.3, 0.1, 1), (0, 1, 0.3, 0.1, "yes"),
+    (0, 1, 0.3, 0.1, None)])
+def test_rotation_gate_rejects_wrong_types(args):
+    with pytest.raises(ValueError):
+        RotationGate(*args)
+
+
+@pytest.mark.parametrize("level, phi", [(1.5, 0.3), (1.0, 0.3), (True, 0.3), ("1", 0.3),
+                                        (1, "0.3"), (1, True), (1, 0.3j), (1, math.inf)])
+def test_virtual_z_gate_rejects_wrong_types(level, phi):
+    with pytest.raises(ValueError):
+        VirtualZGate(level, phi)
+
+
+def test_numpy_scalars_accepted():
+    gate = RotationGate(np.int64(2), np.int32(0), np.float64(0.3), np.float32(0.1), routing=True)
+    assert gate[:2] == (0, 2) and gate.routing is True
+    assert VirtualZGate(np.int64(1), np.float64(0.3)).level == 1

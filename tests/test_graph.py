@@ -1,12 +1,13 @@
 """Coupling graph: distances, routing plans, the placement walk, the
 sign-flip rules, and the master simulation property that pins their
 semantics."""
+import cmath
 import math
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quditc._compile import assemble
 from quditc.gates import (
@@ -29,6 +30,7 @@ from quditc.graph import (
     plan_routing,
     routed_levels,
     save_graph,
+    state_key,
 )
 from quditc.linalg import max_norm
 
@@ -124,6 +126,10 @@ class TestPlanRouting:
         plan = plan_routing(path3, 0, 1)
         assert plan.pulses == ()
         assert plan.resulting_graph == path3
+
+    def test_state_to_itself_rejected(self, path3):
+        with pytest.raises(ValueError, match="itself"):
+            plan_routing(path3, 1, 1)
 
     def test_pulse_count_is_distance_minus_one(self):
         rng = np.random.default_rng(9)
@@ -292,10 +298,11 @@ class TestPlacementWalk:
     def test_pulse_deposits_by_the_sign_of_theta(self, theta, phi, phases):
         # the deposits as sign * pi / 2 once wrote them, sign -1 unless theta > 0
         walk = PlacementWalk(CouplingGraph(2, frozenset({(0, 1)}), {"0": 0}, node_phase=phases))
+        stored = walk.start.node_phase
         walk.pulse(0, 1, theta, phi)
         sign = 1.0 if theta > 0 else -1.0
         dep_a, dep_b = -phi - sign * math.pi / 2, phi - sign * math.pi / 2
-        expected = [(phases[1] + dep_a) % (2 * math.pi), (phases[0] + dep_b) % (2 * math.pi)]
+        expected = [(stored[1] + dep_a) % (2 * math.pi), (stored[0] + dep_b) % (2 * math.pi)]
         assert [p.hex() for p in walk.phases] == [p.hex() for p in expected]
         assert (walk.levels, walk.state) == ([1], [None, 0])
 
@@ -504,11 +511,29 @@ class TestValidation:
         g = CouplingGraph(np.int64(3), frozenset({(0, np.int32(1)), (1, 2)}), {"0": 0, "1": 2})
         assert g.shortest_level_path(0, 2) == [0, 1, 2]
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    # checked, not converted: a string or a bool is not read as a number,
+    # and an int beyond the largest float is not finite
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     "0.5", True, 0.5 + 0j, None,
+                                     pytest.param(10 ** 400, id="int-past-float")])
     def test_non_finite_node_phase_rejected(self, bad):
         with pytest.raises(ValueError, match="node_phase"):
             CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "2": 2},
                           node_phase=(bad, 0.0, 0.0))
+
+    @pytest.mark.parametrize("level", [2.0, np.float64(2.0), 2.5, True, "2"])
+    def test_non_integer_placement_level_rejected(self, level):
+        with pytest.raises(ValueError, match="integer"):
+            CouplingGraph(3, frozenset({(0, 1), (1, 2)}), {"0": 0, "1": 1, "2": level})
+
+    def test_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            CouplingGraph(3, frozenset({(0, 1), (1, 3)}), {"0": 0, "1": 1})
+
+    @pytest.mark.parametrize("label", ["x1", "a", "-1", "a-2", 1.5])
+    def test_invalid_state_label_rejected(self, label):
+        with pytest.raises(ValueError, match="invalid logical state label"):
+            state_key(label)
 
     def test_routing_may_cross_unmapped_levels(self):
         # levels 0 and 2 mapped, middle level unmapped but usable
@@ -517,6 +542,44 @@ class TestValidation:
         plan = plan_routing(g, 0, 1)
         assert len(plan.pulses) == 1
         assert plan.resulting_graph.level_of("1") == 1
+
+
+def phase_bits(g: CouplingGraph) -> list:
+    return [p.hex() for p in g.node_phase]
+
+
+def with_phases(phases) -> CouplingGraph:
+    n = len(phases)
+    return CouplingGraph(n, frozenset((k, k + 1) for k in range(n - 1)),
+                         {str(k): k for k in range(n)}, node_phase=tuple(phases))
+
+
+class TestStoredPhase:
+    """A graph stores each node phase in [0, 2 pi], the range the walk's
+    pulses write, equal to the given one modulo 2 pi."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=6))
+    def test_phase_in_range_keeps_its_bits(self, phases):
+        assert phase_bits(with_phases(phases)) == [p.hex() for p in phases]
+
+    @settings(max_examples=300, deadline=None)
+    @given(phases=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=6))
+    @example(phases=[-0.0, 2 * math.pi, -1e-300, 1e9, -1e12, 3e15, 1.5e308, -1.5e308])
+    def test_stored_once_and_reduced_exactly(self, phases):
+        g = with_phases(phases)
+        assert all(0.0 <= p <= 2 * math.pi and math.copysign(1.0, p) == 1.0
+                   for p in g.node_phase)
+        # sin and cos reduce their argument exactly, at any magnitude
+        for given_phase, stored in zip(phases, g.node_phase):
+            assert abs(cmath.exp(1j * given_phase) - cmath.exp(1j * stored)) <= 1e-15
+        assert phase_bits(with_phases(g.node_phase)) == phase_bits(g)
+        assert phase_bits(graph_from_dict(graph_to_dict(g))) == phase_bits(g)
+
+    def test_numpy_phases_are_stored_as_floats(self):
+        g = with_phases([np.float32(0.5), np.int64(7), np.float64(-1.0)])
+        assert all(type(p) is float for p in g.node_phase)
 
 
 class TestFileFormat:

@@ -9,6 +9,8 @@ from quditc.linalg import (
     as_matrix,
     equal_up_to_global_phase,
     is_diagonal,
+    is_finite_real,
+    is_real,
     is_unitary,
     load_unitary,
     save_unitary,
@@ -124,6 +126,19 @@ class TestEqualUpToGlobalPhase:
         assert not equal_up_to_global_phase(np.eye(3, dtype=complex),
                                             np.diag([1.0, -1.0, 1.0]), 1e-6)
 
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            equal_up_to_global_phase(np.eye(2), np.eye(3))
+
+    def test_zero_matrices(self):
+        # b all zero: no pivot to align on, so a must be b within tol
+        zero = np.zeros((3, 3), dtype=complex)
+        assert equal_up_to_global_phase(zero, zero)
+        assert not equal_up_to_global_phase(H3, zero)
+        # a zero at b's pivot: both must be zero within tol
+        assert not equal_up_to_global_phase(zero, H3)
+        assert equal_up_to_global_phase(zero, 1e-10 * H3)
+
     def test_equivalence_relation(self):
         a = haar_unitary(3, 40)
         b = np.exp(0.321j) * a
@@ -184,6 +199,24 @@ def test_as_matrix_takes_any_memory_layout():
     bad[0, 1] = complex(0, math.inf)
     with pytest.raises(ValueError, match="finite"):
         as_matrix(bad.T)
+
+
+@pytest.mark.parametrize("data", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+def test_as_matrix_rejects_non_square(data):
+    with pytest.raises(ValueError, match="square"):
+        as_matrix(data)
+
+
+@pytest.mark.parametrize("value, real, finite", [
+    (1, True, True), (-2.5, True, True), (np.float32(0.5), True, True),
+    (np.int64(3), True, True), (math.inf, True, False), (math.nan, True, False),
+    pytest.param(10 ** 400, True, False, id="int-past-float"), (True, False, False),
+    (np.bool_(True), False, False), ("1.0", False, False), (1 + 0j, False, False),
+    (None, False, False)])
+def test_real_number_rule(value, real, finite):
+    # a bool is not a real number; an int past the largest float is not
+    # finite, and is told so without an OverflowError
+    assert (is_real(value), is_finite_real(value)) == (real, finite)
 
 
 def test_as_matrix_rejects_tiny():

@@ -170,31 +170,21 @@ class TestOnePassEmission:
         assert result.final_graph.logical_map == logical_map
         assert result.final_graph.node_phase == (0.0,) * g.num_levels
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", [2, 3])
-    @pytest.mark.parametrize("at", [0, 2])
-    def test_non_finite_record_raises(self, path3, bad, field, at):
-        # the middle step routes state 2 past state 1: a pulse, then a rotation
-        steps = [[0, 1, 0.5, 0.25], [0, 2, math.pi, -math.pi / 2], [0, 1, -0.5, 1.0]]
-        steps[at][field] = bad
-        with pytest.raises(ValueError, match="finite"):
-            assemble(path3, steps, False, np.eye(3), [0, 1, 2], 0.0, None)
-
-    def test_phase_shift_overflow_raises(self):
-        # a finite phi whose shift by the graph's stored phases overflows,
-        # as conjugated rejects it
-        g = CouplingGraph(2, frozenset({(0, 1)}), {"0": 0, "1": 1}, node_phase=(0.0, 1.5e308))
-        steps = [(0, 1, 0.5, 1.5e308)]
-        with pytest.raises(ValueError, match="finite"):
-            reference_assemble(*reference_emission(g, steps, False), np.eye(2), [0, 1])
-        with pytest.raises(ValueError, match="finite"):
-            assemble(g, steps, False, np.eye(2), [0, 1], 0.0, None)
-
-    def test_finite_terms_whose_sum_overflows_pass(self, path3):
-        # the phis sum past the largest float, though each is finite
-        steps = [(0, 1, 0.5, 1.5e308), (1, 2, 0.5, 1.5e308)]
-        sequence = assemble(path3, steps, False, np.eye(3), [0, 1, 2], 0.0, None).sequence
-        assert [gate.phi for gate in sequence] == [1.5e308, 1.5e308]
+    @settings(max_examples=40, deadline=None)
+    @given(arch=st.sampled_from(architectures_for_dim(5)), seed=st.integers(0, 999),
+           phases=st.lists(st.floats(-1.5e308, 1.5e308), min_size=6, max_size=6))
+    @example(arch=architectures_for_dim(5)[0], seed=0, phases=[1e9, -1e12, 3e15, 1e9, -1e9, 0.0])
+    @example(arch=architectures_for_dim(5)[2], seed=1, phases=[1e8, -1e8, 1e8, -1e8, 1e8, -1e8])
+    @example(arch=architectures_for_dim(5)[1], seed=2, phases=[1.5e308, -1.5e308] * 3)
+    def test_large_node_phases_verify(self, arch, seed, phases):
+        # a graph's phases are stored in [0, 2 pi], reduced exactly, so no
+        # emitted phi overflows or loses the phase to rounding
+        _, g = arch
+        g = CouplingGraph(g.num_levels, g.edges, g.logical_map, g.ancillas,
+                          tuple(phases[:g.num_levels]))
+        u = haar_unitary(5, seed)
+        assert verify_result(u, qr_decompose(u, g))
+        assert verify_result(u, adaptive_compile(u, g, SearchConfig(max_nodes=50)))
 
 
 class TestCostBound:
