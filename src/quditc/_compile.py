@@ -1,11 +1,13 @@
 """Shared machinery for the two decomposition back-ends: the result type,
-the elimination primitives, and assemble, which turns steps into a result.
+the elimination primitives, and emit and assemble, which turn steps into
+a result.
 
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
-order multiply to (diagonal) . U.  Both end in assemble, the one builder
-of a CompilationResult and the only code that knows the gate records and
-the placement walk.  Every result satisfies the reconstruction identity
+order multiply to (diagonal) . U.  Both end in assemble of an emission,
+the one builder of a CompilationResult; emit and assemble are the only
+code that knows the gate records and the placement walk.  Every result
+satisfies the reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -130,41 +132,28 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     """Route state j adjacent to state i on the walk, then emit the rotation
     with the walk's phases.  Returns the records (low, high, theta, phi,
     routing) of the routing pulses, then of the rotation.  The scalar form
-    of one step of assemble's emission loop, which the tests hold it to."""
+    of one step of emit's loop, which the tests hold it to."""
     records = [(low, high, PULSE_THETA, PULSE_PHI, True) for low, high in walk.route(i, j)]
     low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
     records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
     return records
 
 
-def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, initial: list,
-             cost: float, stats: SearchStats | None) -> CompilationResult:
-    """The CompilationResult of the (r, r2, theta, phi) steps on the states
-    of graph.state_order(), at cost with stats; remaining is the terminal
-    diagonal of the states at levels initial.  With undo each rotation's
+def emit(graph: CouplingGraph, steps, undo: bool) -> tuple:
+    """(walk, records, pulses): the steps (r, r2, theta, phi) on the states
+    of graph.state_order() emitted on one placement walk, as the records
+    (low, high, theta, phi, routing) in application order, and each step's
+    routing pulses counted before any undo.  With undo each rotation's
     routing is inverted right after it (the fixed sequence); without it the
-    placement moves on.
-
-    Emission is one loop over the steps, bit for bit emit_rotation's
-    records and walk (the tests keep it as the reference): state r2 is
-    pulsed hop by hop along walk.nxt towards state r, each hop by
-    walk.pulse, the one pulse rule; the rotation is kept as a record (low,
-    high, theta, phi, routing), the tuple a RotationGate is, in stored
-    order (gates.stored_order) with the walk's phase shift inline
-    (gates.shifted_phi: the walk's phases are floats already); with undo
-    the same hops are pulsed back, last first, by -PULSE_THETA.
-
-    The walk's stored phases and the terminal diagonal are then folded into
-    the records: each gate is gates.conjugated of its record under the
-    shifts s, bit for bit (the tests hold it to that), phi + (s[high] -
-    s[low]) inline in one comprehension; no phi can overflow, as the graph
-    stores its phases in [0, 2 pi] and the walk keeps them there.  The
-    final graph is built once, with the walk's placement and no stored
-    phase, so that the reconstruction identity holds exactly.
-    """
+    placement moves on.  One loop, bit for bit emit_rotation's records and
+    walk (the tests keep it as the reference): state r2 is pulsed hop by hop
+    along walk.nxt towards state r by walk.pulse, the one pulse rule; the
+    rotation's record is in stored order (gates.stored_order) with the
+    walk's phase shift inline (gates.shifted_phi); undo pulses the same
+    hops back, last first, by -PULSE_THETA."""
     walk = PlacementWalk(graph)
     nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
-    records = []
+    records, pulses = [], []
     append = records.append
     for r, r2, theta, phi in steps:
         dst, cur = levels[r], levels[r2]
@@ -174,6 +163,7 @@ def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, ini
             pulse(a, b, PULSE_THETA, PULSE_PHI)
             append((a, b, PULSE_THETA, PULSE_PHI, True))
             cur, hop = hop, nxt[hop][dst]
+        pulses.append(len(records) - first)
         if dst < cur:
             append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
         else:
@@ -182,8 +172,24 @@ def assemble(graph: CouplingGraph, steps, undo: bool, remaining: np.ndarray, ini
             for a, b, _, _, _ in reversed(records[first:-1]):
                 pulse(a, b, -PULSE_THETA, PULSE_PHI)
                 append((a, b, -PULSE_THETA, PULSE_PHI, True))
+    return walk, records, pulses
+
+
+def assemble(emission: tuple, remaining: np.ndarray, initial: list, cost: float,
+             stats: SearchStats | None) -> CompilationResult:
+    """The CompilationResult of emit's emission, which it only reads, at
+    cost with stats; remaining is the terminal diagonal of the states at
+    levels initial.  The walk's stored phases and the diagonal are folded
+    into the records: each gate is gates.conjugated of its record under the
+    shifts s, bit for bit (the tests hold it to that), phi + (s[high] -
+    s[low]) inline in one comprehension; no phi can overflow, as the graph
+    stores its phases in [0, 2 pi] and the walk keeps them there.  The final
+    graph is built once, with the walk's placement and no stored phase, so
+    that the reconstruction identity holds exactly."""
+    walk, records, _ = emission
+    graph, levels = walk.start, walk.levels
     delta = np.angle(np.diag(remaining))
-    dphase = np.array(phases, dtype=np.float64)
+    dphase = np.array(walk.phases, dtype=np.float64)
     for k in range(len(initial)):
         dphase[levels[k]] += delta[k]
     s, new, gate = (-dphase).tolist(), tuple.__new__, RotationGate

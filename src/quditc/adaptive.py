@@ -10,9 +10,10 @@ the search; this is what lets the search exploit placements the fixed
 sequence cannot.  By default the first incumbent is instead the fixed
 elimination ladder (its steps replayed with one-way routing, or the fixed
 sequence itself where that costs less), so the search spends its node
-budget on improving a complete decomposition.  The warm start is priced,
-not emitted, only its undo flag can be True, and it is kept unless it
-costs more than the limit.  An input whose ladder does not end diagonal
+budget on improving a complete decomposition.  The one-way replay is
+priced from its emission, which builds its gates if it is the answer; only
+the warm start's undo flag can be True, and it is kept unless it costs
+more than the limit.  An input whose ladder does not end diagonal
 raises ValueError (``qr.ladder``) before any node.  A search is whole when
 built; ``run`` builds only the root's rows.
 
@@ -72,9 +73,10 @@ children use:
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
-    the stack is the path and its length a child's depth.  Gates (pulses,
-    deposited phases) are emitted once, for the final incumbent, by
-    ``_compile.assemble``, which builds the result.
+    the stack is the path and its length a child's depth.  Gates are built
+    once, for the final incumbent, by ``_compile.assemble``, from its
+    emission (``_compile.emit``): the warm start's own where that is the
+    answer, else one emitted for the answer.
 """
 from __future__ import annotations
 
@@ -92,6 +94,7 @@ from ._compile import (
     apply_rotation_rows,
     assemble,
     compile_levels,
+    emit,
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_scratch,
 )
@@ -99,7 +102,7 @@ from .cost import CostParams, min_cost_per_radian, pulse_cost, rotation_cost
 from .graph import CouplingGraph, _topology, routed_levels
 from .linalg import DEFAULT_TOL, _is_count, is_diagonal, is_real
 from .linalg import is_unitary  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .qr import _validated, ladder, ladder_cost, replay_cost
+from .qr import _validated, ladder, ladder_cost
 from .qr import qr_cost_bound  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
 _HALF_PI = math.pi / 2
@@ -145,23 +148,26 @@ class NoSolutionError(RuntimeError):
 
 def _ladder_replay(m0, graph, levels, params, config):
     """Run and price the fixed elimination ladder once, for both of its
-    uses: the cost limit (config's factor times the fixed sequence's cost)
-    and, with warm start, an incumbent (cost, the ladder's steps, final
-    matrix, undo), None if it costs more than the limit or has more steps
-    than the depth cap.  The incumbent is the cheaper complete form: the
-    steps replayed with one-way routing, or the fixed sequence (undo True)
-    where that costs less than the replay.  Each rotation is priced once,
-    and the replay only where the warm start is used."""
+    uses: (limit, warm, emission).  The limit is config's factor times the
+    fixed sequence's cost.  With warm start, warm is an incumbent (cost, the
+    ladder's steps, final matrix, undo), None if it costs more than the
+    limit or has more steps than the depth cap: the cheaper complete form,
+    the steps replayed with one-way routing, or the fixed sequence (undo
+    True) where that costs less.  Each rotation is priced once; the replay
+    is emitted without undo, and priced from its pulse counts, only where
+    the warm start is used, and emission is that emission, else None."""
     steps, m = ladder(m0)
     fixed, rotations = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or len(steps) > config.depth_cap(len(m0)):
-        return limit, None
-    one_way = replay_cost(steps, rotations, graph, levels, params)
+        return limit, None, None
+    emission, pulse, one_way = emit(graph, steps, False), pulse_cost(params), 0.0
+    for rot, n in zip(rotations, emission[2]):
+        one_way += rot + n * pulse
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
     if cost > limit:
-        return limit, None
-    return limit, (cost, steps, m, undo)
+        return limit, None, None
+    return limit, (cost, steps, m, undo), emission
 
 
 @lru_cache(maxsize=8)
@@ -481,9 +487,9 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
     m0 = u.conj().T.copy()
     if is_diagonal(m0):
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
-        return assemble(graph, [], False, m0, levels, 0.0, stats)
+        return assemble(emit(graph, [], False), m0, levels, 0.0, stats)
 
-    limit, warm = _ladder_replay(m0, graph, levels, params, config)
+    limit, warm, replay = _ladder_replay(m0, graph, levels, params, config)
     search = _Search(graph, levels, config, params, limit, warm)
     search.run(m0)
     search.stats.beat_warm_start = warm is not None and search.best is not warm
@@ -496,6 +502,9 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
             f"after {search.stats.nodes_expanded} nodes",
             search.stats,
         )
-    # Gates are built here, once, by replaying the final incumbent's steps
-    # from the initial graph.
-    return assemble(graph, steps, undo, m_final, levels, cost, search.stats)
+    # Gates are built here, once, from the final incumbent's emission: the
+    # warm start's own where it is the one-way replay, else its steps are
+    # emitted from the initial graph.
+    if search.best is not warm or undo:
+        replay = emit(graph, steps, undo)
+    return assemble(replay, m_final, levels, cost, search.stats)

@@ -78,9 +78,9 @@ def shifted_phi(phi: float, phases, low: int, high: int) -> float:
     """The rotation phase rule: under D = diag(e^{i phases}) a rotation on
     (low, high) gains phases[high] - phases[low], so that D . R(theta, phi)
     = R(theta, shifted_phi(phi, ...)) . D.  Its one definition, for
-    :func:`conjugated` and for emission's scalar form; _compile.assemble
-    writes it inline, in emission and in assembly, and the tests hold both
-    to it bit for bit."""
+    :func:`conjugated` and for emission's scalar form; _compile.emit and
+    _compile.assemble write it inline, and the tests hold both to it bit
+    for bit."""
     return phi + (float(phases[high]) - float(phases[low]))
 
 
@@ -166,18 +166,21 @@ def sequence_matrix(gates, dim: int) -> np.ndarray:
 
 
 def sequence_to_dict(gates, dim: int, virtual_phases=None, extra: dict | None = None) -> dict:
-    """Serializable form of a gate sequence (application order)."""
+    """Serializable form of a gate sequence (application order).  Every
+    level is written as a Python int and every angle as a float, whatever
+    number types the gates hold (numpy scalars are not JSON)."""
     records = []
     for gate in gates:
         if isinstance(gate, RotationGate):
             low, high, theta, phi, routing = gate
-            rec = {"type": "R", "i": low, "j": high, "theta": theta, "phi": phi}
+            rec = {"type": "R", "i": int(low), "j": int(high), "theta": float(theta),
+                   "phi": float(phi)}
             if routing:
                 rec["routing"] = True
         else:
-            rec = {"type": "Z", "i": gate.level, "phi": gate.phi}
+            rec = {"type": "Z", "i": int(gate.level), "phi": float(gate.phi)}
         records.append(rec)
-    doc = {"dim": dim, "gates": records, "order": "application"}
+    doc = {"dim": int(dim), "gates": records, "order": "application"}
     if virtual_phases is not None:
         doc["virtual_phases"] = [float(p) for p in virtual_phases]
     if extra:

@@ -9,13 +9,14 @@ numeric order, then ancillas).
 
 Graphs are copy-on-write values at the boundary: a :class:`PlacementWalk`
 moves a graph's placement in place, pulse by pulse, then builds one new
-graph (``_compile.assemble`` runs the one walk of a compile); a search
-holds no graphs, and :func:`routed_levels` moves its level list.  Routes
-follow the next-hop table built once per edge set (:func:`_topology`) hop
-by hop: :meth:`PlacementWalk.route` through
+graph (``_compile.emit`` runs a compile's walks: the warm start's, and
+the answer's where the search beat it); a search holds no graphs, and
+:func:`routed_levels` moves its level list.  Routes follow the next-hop
+table built once per edge set (:func:`_topology`) hop by hop, in three
+walks: :meth:`PlacementWalk.route` through
 :meth:`CouplingGraph.shortest_level_path`, while :func:`routed_levels`
-and ``_compile.assemble``'s emission walk it in their own loops; a route
-returns the pulsed level pairs.
+and ``_compile.emit`` walk it in their own loops; a route returns the
+pulsed level pairs.
 
 A CouplingGraph converts no argument of the wrong kind: sizes, edge ends
 and placement levels are integers (a numbers.Integral, not a bool), and
@@ -40,7 +41,7 @@ per level in ``node_phase`` and consumed by later gates:
     (:meth:`PlacementWalk.pulse` is the one implementation),
   * a rotation's phi is shifted by psi(high) - psi(low) of the levels'
     stored phases psi; :func:`gates.shifted_phi` is the one definition,
-    which ``_compile.assemble`` writes inline and the tests hold it to
+    which ``_compile.emit`` and ``assemble`` write inline, held to it by tests
     (a gate written high->low is already stored low->high, phi negated, as
     :func:`gates.stored_order` states).
 """
@@ -126,6 +127,12 @@ def _topology(num_levels: int, edges: frozenset):
     return tuple(nxt), tuple(dist)
 
 
+def _reduced_phase(p: float) -> float:
+    """p modulo 2 pi, in [0, 2 pi], through sin and cos: exact at any
+    magnitude, where a plain % 2 pi is off by 4e-8 at 1e9."""
+    return math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     num_levels: int
@@ -184,7 +191,7 @@ class CouplingGraph:
             raise ValueError("node_phase entries must be finite real numbers")
         # stored in [0, 2 pi], reduced through sin and cos (module docstring)
         object.__setattr__(self, "node_phase", tuple(
-            p if 0.0 <= p <= _TWO_PI else math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
+            p if 0.0 <= p <= _TWO_PI else _reduced_phase(p)
             for p in (float(q) + 0.0 for q in phases)))
 
         # Compilation needs every pair of mapped levels reachable; paths may
@@ -328,7 +335,9 @@ def apply_graph_rules(gates, graph: CouplingGraph):
     Walks the sequence in application order.  Reordering pulses update the
     mapping and deposit phases; plain rotations absorb the current phase
     difference into phi; virtual Z gates are recorded on the graph's nodes
-    instead of being emitted.
+    instead of being emitted.  A virtual Z's or a pulse's phi outside
+    [-2 pi, 2 pi] enters the walk reduced as a node phase is (exactly, at
+    any magnitude); every other phi enters as it is.
 
     Returns (adjusted sequence, resulting graph).
     """
@@ -340,7 +349,8 @@ def apply_graph_rules(gates, graph: CouplingGraph):
                 raise ValueError(f"gate level {gate.level} out of range")
             # Recorded, not executed: the level now owes this phase, which
             # is the opposite sign of a physically deposited one.
-            walk.phases[gate.level] = (walk.phases[gate.level] - gate.phi) % _TWO_PI
+            phi = gate.phi if abs(gate.phi) <= _TWO_PI else _reduced_phase(gate.phi)
+            walk.phases[gate.level] = (walk.phases[gate.level] - phi) % _TWO_PI
             continue
         if gate.level_high >= graph.num_levels:
             raise ValueError(f"gate levels out of range: {gate}")
@@ -350,7 +360,8 @@ def apply_graph_rules(gates, graph: CouplingGraph):
             if not math.isclose(abs(gate.theta), math.pi, rel_tol=0, abs_tol=1e-12):
                 raise ValueError("reordering pulses must have |theta| == pi")
             out.append(gate)
-            walk.pulse(gate.level_low, gate.level_high, gate.theta, gate.phi)
+            phi = gate.phi if abs(gate.phi) <= _TWO_PI else _reduced_phase(gate.phi)
+            walk.pulse(gate.level_low, gate.level_high, gate.theta, phi)
         else:
             out.append(conjugated(gate, walk.phases))
     return out, walk.graph()
@@ -399,14 +410,16 @@ def graph_from_dict(doc: dict) -> CouplingGraph:
 
 
 def graph_to_dict(graph: CouplingGraph) -> dict:
+    """The JSON graph format of a graph: every level a Python int and every
+    phase a float, whatever number types the graph was built from."""
     doc = {
-        "levels": graph.num_levels,
-        "edges": sorted([a, b] for a, b in graph.edges),
-        "logical_map": {s: graph.logical_map[s] for s in graph.state_order()},
+        "levels": int(graph.num_levels),
+        "edges": sorted([int(a), int(b)] for a, b in graph.edges),
+        "logical_map": {s: int(graph.logical_map[s]) for s in graph.state_order()},
         "ancillas": sorted(graph.ancillas, key=lambda s: int(s[1:])),
     }
     if any(p != 0.0 for p in graph.node_phase):
-        doc["node_phase"] = list(graph.node_phase)
+        doc["node_phase"] = [float(p) for p in graph.node_phase]
     return doc
 
 

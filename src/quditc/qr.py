@@ -8,9 +8,10 @@ the coupling graph lacks the needed edge, reordering pulses are inserted
 and inverted again right after the rotation, so the logical placement is
 restored after every step.  A step's pulse count is therefore fixed by
 the initial graph, and :func:`ladder_cost` prices the steps without
-emitting a gate; :func:`replay_cost` prices the adaptive one-way replay
-from the same rotation costs, on one placement that it moves in place.
-:func:`_compile.assemble` emits either form and builds its result.
+emitting a gate, with each step's rotation cost for the adaptive one-way
+replay, which ``adaptive._ladder_replay`` prices from its emission.
+:func:`_compile.emit` emits either form and :func:`_compile.assemble`
+builds its result.
 :func:`ladder` runs the steps as a wavefront: 2d - 3 fronts of rotations
 on disjoint adjacent row pairs, one per active column, which give the
 sequential order's steps and final matrix bit for bit.  It holds the one
@@ -29,6 +30,7 @@ from ._compile import (
     apply_rotation_rows,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     assemble,
     compile_levels,
+    emit,
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_coefficients,
 )
@@ -119,9 +121,9 @@ def ladder(m0: np.ndarray):
 
 
 def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
-    """(fixed, rotations): the cost of the steps as assemble emits them
-    with undo, and each step's rotation cost, priced once here, for
-    replay_cost.  Fixed is each rotation plus its n pulses, then the n
+    """(fixed, rotations): the cost of the steps as emitted with undo, and
+    each step's rotation cost, priced once here, for the one-way replay.
+    Fixed is each rotation plus its n pulses, then the n
     inverse pulses one at a time, from the start levels."""
     dist = _topology(graph.num_levels, graph.edges)[1]
     pulse = pulse_cost(params)
@@ -133,35 +135,6 @@ def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
         for _ in range(n):
             fixed += pulse
     return fixed, rotations
-
-
-def replay_cost(steps, rotations, graph: CouplingGraph, levels, params: CostParams) -> float:
-    """The cost of the steps as assemble emits them without undo, from
-    ladder_cost's rotation costs: each rotation plus its n pulses at the
-    current placement.  One placement moves on in place, as
-    PlacementWalk.route moves it: a copy of levels (state -> level) and its
-    inverse (level -> state, None if unmapped), walked hop by hop along the
-    next-hop table; each level on the way hands its state back one hop."""
-    nxt, dist = _topology(graph.num_levels, graph.edges)
-    pulse = pulse_cost(params)
-    levels = list(levels)
-    state = [None] * graph.num_levels
-    for k, lv in enumerate(levels):
-        state[lv] = k
-    one_way = 0.0
-    for (r, r2, _, _), rot in zip(steps, rotations):
-        dst, cur = levels[r], levels[r2]
-        n = dist[dst][cur] - 1
-        one_way += rot + n * pulse
-        if n:
-            hop = nxt[cur][dst]
-            while hop != dst:
-                k = state[cur] = state[hop]
-                if k is not None:
-                    levels[k] = cur
-                cur, hop = hop, nxt[hop][dst]
-            state[cur], levels[r2] = r2, cur
-    return one_way
 
 
 def _validated(u) -> np.ndarray:
@@ -178,7 +151,7 @@ def qr_decompose(u, graph: CouplingGraph, params: CostParams = CostParams()) -> 
     levels = compile_levels(graph, u.shape[0])
     steps, m = ladder(u.conj().T)
     fixed = ladder_cost(steps, graph, levels, params)[0]
-    return assemble(graph, steps, True, m, levels, fixed, None)
+    return assemble(emit(graph, steps, True), m, levels, fixed, None)
 
 
 def qr_cost_bound(u, graph: CouplingGraph, params: CostParams = CostParams()) -> float:

@@ -349,8 +349,9 @@ class TestStopReason:
         m0 = u.conj().T.copy()
         levels = compile_levels(g, 7)
         cfg = SearchConfig(return_first=True)
-        limit, warm = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg)
+        limit, warm, emission = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg)
         assert warm is not None and warm[3] is False  # the one-way replay
+        assert len(emission[2]) == len(warm[1])  # emitted once, to price it
         search = _Search(g, levels, cfg, CostParams(), limit, warm)
         search.run(m0)
         assert search.best is warm and search.stats.solutions_found == 1
@@ -1345,7 +1346,7 @@ class TestWorkCounts:
             return out
 
         monkeypatch.setattr(adaptive_module, "ladder", counted_ladder)
-        emitted = counted_emission(monkeypatch)
+        emitted, built = counted_emission(monkeypatch)
         tracer = tracing.Tracer()
         with tracing.installed(tracer):
             # through the module, so that the call is the tracer's root span
@@ -1356,30 +1357,54 @@ class TestWorkCounts:
         assert tracer.calls(top, "compile.assemble") == 1
         assert steps > 0
         assert ladder_steps == [steps]  # the ladder runs once per compile
+        # the warm start is emitted once, to price it; the answer is emitted
+        # again only if the search beat it
+        assert emitted[0] == (steps, False)
+        assert len(emitted) == 1 + result.stats.beat_warm_start
         # assembly builds each gate once, from one emitted record per gate
-        assert emitted == [(result.rotation_count, len(result.sequence))]
+        assert built == [(result.rotation_count, len(result.sequence))]
         assert len(result.sequence) > 0
 
     def test_emission_runs_only_for_the_final_answer(self, monkeypatch):
-        # The search beats its warm start here, so the warm start's gates
-        # are never built: one emission, of the result's rotations only.
-        emitted = counted_emission(monkeypatch)
-        u = random_cliffords(7, 3, 2022)[0]
-        result = adaptive_compile(u, path_architecture(7), SearchConfig(max_nodes=1000))
+        # The search beats its warm start here: the warm start is emitted
+        # to price it, the answer is emitted again, and only the answer's
+        # gates are built, once.
+        emitted, built = counted_emission(monkeypatch)
+        u, g = random_cliffords(7, 3, 2022)[0], path_architecture(7)
+        result = adaptive_compile(u, g, SearchConfig(max_nodes=1000))
         assert result.stats.beat_warm_start
-        assert emitted == [(result.rotation_count, len(result.sequence))]
+        assert emitted == [(qr_decompose(u, g).rotation_count, False),
+                           (result.rotation_count, False)]
+        assert built == [(result.rotation_count, len(result.sequence))]
+
+    def test_first_solution_emits_its_warm_start_once(self, monkeypatch):
+        # An accepted one-way replay is assembled from the emission that
+        # priced it: one emission, without undo, and one assembly.
+        emitted, built = counted_emission(monkeypatch)
+        u = haar_unitary(7, 77)
+        result = adaptive_compile(u, path_architecture(7), SearchConfig(return_first=True))
+        assert result.stats.nodes_expanded == 0 and result.pulse_count > 0
+        assert emitted == [(result.rotation_count, False)]
+        assert built == [(result.rotation_count, len(result.sequence))]
+        assert verify_result(u, result)
 
 
-def counted_emission(monkeypatch) -> list:
-    """Wrap the adaptive module's assemble; the returned list gets the
-    (steps, gates) counts of each call."""
-    emitted = []
-    assemble = adaptive_module.assemble
+def counted_emission(monkeypatch) -> tuple:
+    """Wrap the adaptive module's emit and assemble; the returned lists get
+    the (steps, undo) of each emission and the (steps, gates) counts of
+    each assembly."""
+    emitted, built = [], []
+    emit, assemble = adaptive_module.emit, adaptive_module.assemble
 
-    def counted(graph, steps, *args):
-        result = assemble(graph, steps, *args)
-        emitted.append((len(steps), len(result.sequence)))
+    def counted_emit(graph, steps, undo):
+        emitted.append((len(steps), undo))
+        return emit(graph, steps, undo)
+
+    def counted_assemble(emission, *args):
+        result = assemble(emission, *args)
+        built.append((len(emission[2]), len(result.sequence)))
         return result
 
-    monkeypatch.setattr(adaptive_module, "assemble", counted)
-    return emitted
+    monkeypatch.setattr(adaptive_module, "emit", counted_emit)
+    monkeypatch.setattr(adaptive_module, "assemble", counted_assemble)
+    return emitted, built

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditc.adaptive import adaptive_compile
 from quditc.bench import architectures_for_dim, path_architecture
-from quditc.gates import sequence_from_dict, sequence_to_dict
+from quditc.gates import RotationGate, VirtualZGate, sequence_from_dict, sequence_to_dict
 from quditc.graph import CouplingGraph, graph_from_dict, graph_to_dict
 from quditc.linalg import MAX_LEVELS, load_unitary, save_unitary
 from quditc.qr import qr_decompose
@@ -254,3 +254,36 @@ class TestRealFields:
         (tmp_path / "u.json").write_text(json.dumps(
             {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}))
         assert np.array_equal(load_unitary(tmp_path / "u.json"), np.diag([1, 1j]))
+
+
+class TestPlainNumbers:
+    """A document holds Python ints and floats, whatever number types its
+    gates or graph were built from, so it can be written as JSON and read
+    back to the same value."""
+
+    @staticmethod
+    def round_trip(gates, dim):
+        doc = json.loads(json.dumps(sequence_to_dict(gates, dim)))
+        parsed, parsed_dim, _ = sequence_from_dict(doc)
+        assert parsed_dim == dim and parsed == gates
+        plain = (str, int, float, bool)
+        assert all(type(v) in plain for rec in doc["gates"] for v in rec.values())
+
+    def test_float32_angle(self):
+        self.round_trip([RotationGate(0, 1, np.float32(0.3), 0.1)], 2)
+
+    def test_int64_levels(self):
+        self.round_trip([RotationGate(np.int64(0), np.int64(2), 0.3, np.float64(0.1), True)],
+                        np.int64(3))
+
+    def test_int64_virtual_z_level(self):
+        self.round_trip([VirtualZGate(np.int64(1), 0.2)], 2)
+
+    def test_int64_graph(self):
+        g = CouplingGraph(np.int64(3), frozenset({(np.int64(0), np.int64(1)), (1, 2)}),
+                          {"0": 0, "1": 1, "2": 2}, node_phase=(np.float32(0.5), 0.0, 1))
+        doc = json.loads(json.dumps(graph_to_dict(g)))
+        assert graph_from_dict(doc) == g
+        assert type(doc["levels"]) is int
+        assert all(type(lv) is int for edge in doc["edges"] for lv in edge)
+        assert all(type(p) is float for p in doc["node_phase"])

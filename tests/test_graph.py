@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc._compile import assemble
+from quditc._compile import assemble, emit
 from quditc.gates import (
     RotationGate,
     VirtualZGate,
@@ -278,7 +278,7 @@ class TestPlacementWalk:
         # its final one.
         g, steps = case
         initial = [g.logical_map[s] for s in g.state_order()]
-        result = assemble(g, steps, undo, np.eye(g.num_states), initial, 0.0, None)
+        result = assemble(emit(g, steps, undo), np.eye(g.num_states), initial, 0.0, None)
         ref_gates, ref_map, ref_phases = per_pulse_emission(g, steps, undo)
         # assemble adds the diagonal's phase, 0.0, at each mapped level: -0.0 becomes 0.0
         folded = np.array([p + 0.0 if lv in ref_map.values() else p
@@ -462,6 +462,28 @@ class TestApplyGraphRules:
     def test_master_property_with_denormalized_gates(self, ring4):
         raw = [reorder_pulse(1, 2), RotationGate(3, 0, 1.2, 0.5)]
         assert master_property_error(raw, ring4) < 1e-12
+
+    @pytest.mark.parametrize("phi", [1e9, 1e15, -1.5e308])
+    @pytest.mark.parametrize("kind", ["virtual_z", "pulse"])
+    def test_large_phase_reduced_exactly(self, path3, kind, phi):
+        # a virtual Z's or a pulse's phi beyond 2 pi enters the walk reduced
+        # through sin and cos, exact at any magnitude (% 2 pi alone is off
+        # by 3.4e-8 at 1e9 and 0.034 at 1e15)
+        lead = VirtualZGate(1, phi) if kind == "virtual_z" else \
+            RotationGate(0, 1, math.pi, phi, routing=True)
+        raw = [lead, RotationGate(0, 1, 0.5, 0.3), RotationGate(1, 2, 0.9, -0.2)]
+        assert master_property_error(raw, path3) <= 1e-12
+
+    @pytest.mark.parametrize("phi", [0.7, -0.7, 2 * math.pi, -2 * math.pi, 6.0, -1e-300])
+    def test_small_phase_enters_as_it_is(self, path3, phi):
+        # a phi within [-2 pi, 2 pi] keeps its bits: the walk takes it as
+        # the pulse rule and the virtual Z rule write it
+        g = apply_graph_rules([VirtualZGate(1, phi)], path3)[1]
+        assert g.node_phase[1].hex() == ((0.0 - phi) % (2 * math.pi)).hex()
+        walk = PlacementWalk(path3)
+        walk.pulse(0, 1, math.pi, phi)
+        g = apply_graph_rules([RotationGate(0, 1, math.pi, phi, routing=True)], path3)[1]
+        assert [p.hex() for p in g.node_phase] == [p.hex() for p in walk.phases]
 
 
 class TestAncillas:

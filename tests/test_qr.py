@@ -2,6 +2,7 @@
 routing compute/uncompute pairing, the gate-free cost bound, and the
 in-place ladder against its row-list form."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quditc import adaptive as adaptive_module, qr as qr_module
 from quditc._compile import (annihilation_angles, apply_rotation_rows, assemble, compile_levels,
-                              emit_rotation, rotation_scratch)
+                              emit, emit_rotation, rotation_scratch)
 from quditc.adaptive import SearchConfig, adaptive_compile
 from quditc.bench import architectures_for_dim, star_architecture
 from quditc.clifford import random_cliffords
@@ -17,7 +18,7 @@ from quditc.cost import CostParams, pulse_cost, rotation_cost, sequence_cost
 from quditc.gates import RotationGate, conjugated, rotation_matrix
 from quditc.graph import CouplingGraph, PlacementWalk, _topology, routed_levels
 from quditc.linalg import DEFAULT_TOL, max_norm
-from quditc.qr import NEGLIGIBLE, ladder, ladder_cost, qr_cost_bound, qr_decompose, replay_cost
+from quditc.qr import NEGLIGIBLE, ladder, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import reconstruction_error, verify_result
 
 from conftest import haar_unitary, make_bridged_graph, unfinished_elimination_input
@@ -117,8 +118,24 @@ def reference_replay_cost(steps, rotations, graph, levels, params):
     return one_way
 
 
+def priced_replay(graph, steps, rotations):
+    """(one_way, emission): the one-way replay of the steps as
+    adaptive._ladder_replay emits and prices it, with the given rotation
+    costs.  The ladder and ladder_cost are stood in for, and the fixed form
+    priced at inf, so that the replay is the warm start."""
+    dim = graph.num_states
+    m = np.eye(dim, dtype=complex)
+    with mock.patch.object(adaptive_module, "ladder", lambda m0: (steps, m)), \
+            mock.patch.object(adaptive_module, "ladder_cost", lambda *args: (math.inf, rotations)):
+        _, warm, emission = adaptive_module._ladder_replay(
+            m, graph, compile_levels(graph, dim), CostParams(),
+            SearchConfig(max_depth=len(steps) + 1))
+    assert warm[1:] == (steps, m, False)
+    return warm[0], emission
+
+
 def reference_emission(graph, steps, undo):
-    """assemble's emission loop as a call per step and per pulse:
+    """emit's loop as a call per step and per pulse:
     emit_rotation's records for each step, then with undo each routing
     pulse inverted by walk.pulse, last first.  Returns (records, walk)."""
     walk = PlacementWalk(graph)
@@ -151,7 +168,7 @@ bridged_cases = walk_cases(st.just(make_bridged_graph()))
 
 
 class TestOnePassEmission:
-    """assemble against its call-per-gate form, bit for bit."""
+    """emit and assemble against their call-per-gate forms, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=walk_cases() | bridged_cases, undo=st.booleans(), all_states=st.booleans(),
@@ -161,7 +178,7 @@ class TestOnePassEmission:
         dim = g.num_states if all_states else g.num_computational
         remaining = np.diag(np.exp(1j * np.array(angles[:dim])))
         initial = compile_levels(g, dim)
-        result = assemble(g, steps, undo, remaining, initial, 0.0, None)
+        result = assemble(emit(g, steps, undo), remaining, initial, 0.0, None)
         sequence, residual, logical_map = reference_assemble(
             *reference_emission(g, steps, undo), remaining, initial)
         assert all(type(gate) is RotationGate for gate in result.sequence)
@@ -226,50 +243,51 @@ class TestCostBound:
     @settings(max_examples=60, deadline=None)
     @given(case=walk_cases())
     def test_prices_both_emitted_forms(self, case):
-        # ladder_cost prices the fixed form (routing undone) and replay_cost
-        # the one-way replay from the same rotation costs; each is the cost
-        # of the gates assemble builds for it
+        # ladder_cost prices the fixed form (routing undone) and the warm
+        # start the one-way replay from the same rotation costs; each is
+        # the cost of the gates assemble builds for it
         g, steps = case
         levels = compile_levels(g, g.num_states)
         fixed, rotations = ladder_cost(steps, g, levels, CostParams())
-        one_way = replay_cost(steps, rotations, g, levels, CostParams())
+        one_way, replay = priced_replay(g, steps, rotations)
 
-        def emitted_cost(undo):
+        def emitted_cost(emission):
             eye = np.eye(g.num_states)
-            return sequence_cost(assemble(g, steps, undo, eye, levels, 0.0, None).sequence)
+            return sequence_cost(assemble(emission, eye, levels, 0.0, None).sequence)
 
-        assert fixed == pytest.approx(emitted_cost(True), rel=1e-12, abs=1e-15)
-        assert one_way == pytest.approx(emitted_cost(False), rel=1e-12, abs=1e-15)
+        assert fixed == pytest.approx(emitted_cost(emit(g, steps, True)), rel=1e-12, abs=1e-15)
+        assert one_way == pytest.approx(emitted_cost(replay), rel=1e-12, abs=1e-15)
 
     def test_fixed_cost_replays_no_routing(self, monkeypatch):
-        # Only a warm start needs the one-way replay: the fixed back-end and
-        # its cost bound run none, and a warm-started first solution one.
-        replays = []
+        # Only a warm start emits the one-way replay: the fixed back-end
+        # emits with undo and its cost bound emits nothing, and a
+        # warm-started first solution emits its replay once, without undo.
+        emitted = []
 
-        def counted(*args):
-            replays.append(args[0])
-            return replay_cost(*args)
+        def counted(graph, steps, undo):
+            emitted.append(undo)
+            return emit(graph, steps, undo)
 
-        monkeypatch.setattr(qr_module, "replay_cost", counted)
-        monkeypatch.setattr(adaptive_module, "replay_cost", counted)
+        monkeypatch.setattr(qr_module, "emit", counted)
+        monkeypatch.setattr(adaptive_module, "emit", counted)
         u, g = haar_unitary(7, 1500), star_architecture(7)
         qr_decompose(u, g)
         qr_cost_bound(u, g)
-        assert replays == []
+        assert emitted == [True]
         adaptive_compile(u, g, SearchConfig(return_first=True))
-        assert len(replays) == 1
+        assert emitted == [True, False]
 
     @settings(max_examples=200, deadline=None)
     @given(case=walk_cases(), costs=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
     def test_replay_walk_matches_level_list_copies(self, case, costs):
-        # the in-place placement prices every step as a fresh routed_levels
-        # copy of the level list would, bit for bit
+        # the one-way replay priced from its emission's pulse counts is
+        # priced as a fresh routed_levels copy of the level list after every
+        # routed step would price it, bit for bit
         g, steps = case
         levels = compile_levels(g, g.num_states)
-        before = list(levels)
         rotations = costs[:len(steps)]
-        one_way = replay_cost(steps, rotations, g, levels, CostParams())
-        assert levels == before
+        one_way, emission = priced_replay(g, steps, rotations)
+        assert len(emission[2]) == len(steps)
         assert one_way.hex() == reference_replay_cost(steps, rotations, g, levels,
                                                       CostParams()).hex()
 
