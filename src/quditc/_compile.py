@@ -2,6 +2,12 @@
 the elimination primitives, and emit and assemble, which turn steps into
 a result.
 
+emit fuses for adaptive results only: a rotation followed directly by a
+routing pulse on the same level pair becomes one rotation by pi - theta
+and a diagonal that is free as virtual Z gates (the paper's cost model),
+where that costs no more.  qr_decompose, the paper's fixed baseline,
+emits every pulse.
+
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
 order multiply to (diagonal) . U.  Both end in assemble of an emission,
@@ -27,6 +33,9 @@ from .gates import conjugated  # noqa: F401  (a binding benchmark/tracing.py wra
 from .graph import CouplingGraph, PlacementWalk
 from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass
 class SearchStats:
@@ -38,9 +47,10 @@ class SearchStats:
     # "exhausted" (the result is optimal within the limit and depth),
     # "node_budget" or "first_solution"
     stop_reason: str = "exhausted"
-    beat_warm_start: bool = False  # a search incumbent replaced the ladder's
+    beat_warm_start: bool = False  # the answer is a search incumbent, not the warm start
     dead_at_cap: int = 0  # nodes one step from the depth cap with > 2 dirty rows
     cut_by_bound: int = 0  # children whose angle bound reached the incumbent's cost
+    fused_gates: int = 0  # rotations merged with the routing pulse after them in the answer
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,40 +149,82 @@ def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float)
     return records
 
 
-def emit(graph: CouplingGraph, steps, undo: bool) -> tuple:
-    """(walk, records, pulses): the steps (r, r2, theta, phi) on the states
-    of graph.state_order() emitted on one placement walk, as the records
-    (low, high, theta, phi, routing) in application order, and each step's
-    routing pulses counted before any undo.  With undo each rotation's
-    routing is inverted right after it (the fixed sequence); without it the
-    placement moves on.  One loop, bit for bit emit_rotation's records and
-    walk (the tests keep it as the reference): state r2 is pulsed hop by hop
-    along walk.nxt towards state r by walk.pulse, the one pulse rule; the
-    rotation's record is in stored order (gates.stored_order) with the
-    walk's phase shift inline (gates.shifted_phi); undo pulses the same
-    hops back, last first, by -PULSE_THETA."""
+def emit(graph: CouplingGraph, steps, undo: bool, fuse=None) -> tuple:
+    """(walk, records, pulses, fused, saved): the steps (r, r2, theta, phi)
+    on the states of graph.state_order() emitted on one placement walk, as
+    the records (low, high, theta, phi, routing) in application order, and
+    each step's routing pulses counted before any undo.  With undo each
+    rotation's routing is inverted right after it (the fixed sequence);
+    without it the placement moves on.  One loop, bit for bit emit_rotation's
+    records and walk when it fuses nothing (the tests keep it as the
+    reference): state r2 is pulsed hop by hop along walk.nxt towards state
+    r by walk.pulse, the one pulse rule; the rotation's record is in stored
+    order (gates.stored_order) with the walk's phase shift inline
+    (gates.shifted_phi); undo pulses the same hops back, last first, by
+    -PULSE_THETA.
+
+    fuse is None (nothing fused, as for qr_decompose) or (rotations, costs,
+    params, pulse): each step's rotation cost, the compile's memo of
+    rotation_cost(theta, 1, params) and a pulse's cost.  A step's first
+    routing pulse on the level pair of the record right before it, a
+    rotation by theta, merges with it: R(pi, PULSE_PHI) . R(theta, phi)
+    = D . R(pi - theta, phi + pi) with D the diagonal of e^{i (phi -
+    PULSE_PHI + pi)} at the low level and e^{i (PULSE_PHI - phi + pi)} at
+    the high one.  walk.pulse still runs, so the placement moves as it
+    would; the record becomes the rotation by pi - theta, which counts as a
+    rotation, and D, free as a virtual Z, goes into the walk's stored
+    phases.  A merge is made only where it costs no more: rot(pi - theta)
+    <= rot(theta) + pulse, which the default model always meets.  fused
+    counts the merges and saved is the cost they save; pulses still counts
+    a merged pulse."""
     walk = PlacementWalk(graph)
     nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
-    records, pulses = [], []
+    records, pulses, fused, saved = [], [], 0, 0.0
     append = records.append
+    pi, two_pi, pulse_theta, pulse_phi = _PI, _TWO_PI, PULSE_THETA, PULSE_PHI
+    fusing = fuse is not None
+    if fusing:
+        rotations, costs, params, pulse_price = fuse
+        priced = costs.get
+    x = y = -1  # while fusing, the levels of the last record if it is a rotation
     for r, r2, theta, phi in steps:
         dst, cur = levels[r], levels[r2]
         hop, first = nxt[cur][dst], len(records)
+        if hop != dst and (cur == x and hop == y or cur == y and hop == x):
+            lo, hi, last, last_phi, _ = records[-1]
+            rest = pi - last
+            rot = priced(rest)
+            if rot is None:
+                rot = costs[rest] = rotation_cost(rest, 1, params)
+            save = rotations[len(pulses) - 1] + pulse_price - rot
+            if save >= 0.0:
+                pulse(lo, hi, pulse_theta, pulse_phi)
+                records[-1] = (lo, hi, rest, last_phi + pi, False)
+                z = last_phi - pulse_phi + pi  # D's phase at lo, and -z at hi
+                phases[lo] = (phases[lo] - z) % two_pi
+                phases[hi] = (phases[hi] + z) % two_pi
+                fused += 1
+                saved += save
+                first -= 1  # the merged pulse is counted and undone with its step
+                cur, hop = hop, nxt[hop][dst]
         while hop != dst:
             a, b = (cur, hop) if cur < hop else (hop, cur)
-            pulse(a, b, PULSE_THETA, PULSE_PHI)
-            append((a, b, PULSE_THETA, PULSE_PHI, True))
+            pulse(a, b, pulse_theta, pulse_phi)
+            append((a, b, pulse_theta, pulse_phi, True))
             cur, hop = hop, nxt[hop][dst]
         pulses.append(len(records) - first)
         if dst < cur:
             append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
         else:
             append((cur, dst, theta, -phi + (phases[dst] - phases[cur]), False))
-        if undo:
+        if fusing:
+            x, y = dst, cur
+        if undo and pulses[-1]:
+            x = y = -1
             for a, b, _, _, _ in reversed(records[first:-1]):
-                pulse(a, b, -PULSE_THETA, PULSE_PHI)
-                append((a, b, -PULSE_THETA, PULSE_PHI, True))
-    return walk, records, pulses
+                pulse(a, b, -pulse_theta, pulse_phi)
+                append((a, b, -pulse_theta, pulse_phi, True))
+    return walk, records, pulses, fused, saved
 
 
 def assemble(emission: tuple, remaining: np.ndarray, initial: list, cost: float,
@@ -186,7 +238,7 @@ def assemble(emission: tuple, remaining: np.ndarray, initial: list, cost: float,
     stores its phases in [0, 2 pi] and the walk keeps them there.  The final
     graph is built once, with the walk's placement and no stored phase, so
     that the reconstruction identity holds exactly."""
-    walk, records, _ = emission
+    walk, records = emission[:2]
     graph, levels = walk.start, walk.levels
     delta = np.angle(np.diag(remaining))
     dphase = np.array(walk.phases, dtype=np.float64)

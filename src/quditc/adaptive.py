@@ -73,10 +73,19 @@ children use:
   * A node's placement is a list of its states' levels, moved by
     ``graph.routed_levels`` (a copy) when a child's two states are not
     adjacent.  A node keeps the (r, r2, theta, phi) step that made it, so
-    the stack is the path and its length a child's depth.  Gates are built
-    once, for the final incumbent, by ``_compile.assemble``, from its
-    emission (``_compile.emit``): the warm start's own where that is the
-    answer, else one emitted for the answer.
+    the stack is the path and its length a child's depth.
+  * The search ranks and prunes by unfused cost; the answer is fused.
+    Each incumbent is emitted (``_compile.emit``) once, fused, where it is
+    recorded: the warm start's emission is the one that priced it (the
+    fixed form is emitted again, with undo, where that is the warm start),
+    and every new incumbent of the search is emitted as it is found.  A
+    rotation followed directly by a routing pulse on the same level pair
+    merges with it into one rotation by pi - theta and a free diagonal,
+    where that costs no more.  The answer is the cheapest fused form among
+    the recorded incumbents, so a larger budget never returns a costlier
+    one; its gates are built once, by ``_compile.assemble``, and its
+    ``total_cost`` is the fused cost.  Fused angles are priced through the
+    search's memo, the compile's one.
 """
 from __future__ import annotations
 
@@ -109,6 +118,7 @@ _HALF_PI = math.pi / 2
 # Taken off each column's angle: it covers float drift and a terminal
 # node's off-diagonal entries (each at most DEFAULT_TOL).
 _ANGLE_MARGIN = 1e-6
+_acos = math.acos
 
 
 @dataclass(frozen=True)
@@ -146,27 +156,34 @@ class NoSolutionError(RuntimeError):
         self.stats = stats
 
 
-def _ladder_replay(m0, graph, levels, params, config):
+def _ladder_replay(m0, graph, levels, params, config, costs):
     """Run and price the fixed elimination ladder once, for both of its
     uses: (limit, warm, emission).  The limit is config's factor times the
     fixed sequence's cost.  With warm start, warm is an incumbent (cost, the
     ladder's steps, final matrix, undo), None if it costs more than the
     limit or has more steps than the depth cap: the cheaper complete form,
     the steps replayed with one-way routing, or the fixed sequence (undo
-    True) where that costs less.  Each rotation is priced once; the replay
-    is emitted without undo, and priced from its pulse counts, only where
-    the warm start is used, and emission is that emission, else None."""
+    True) where that costs less, both priced unfused.  Each rotation is
+    priced once; the replay is emitted without undo, fused, and priced from
+    its pulse counts, only where the warm start is used, and emission is the
+    warm start's fused emission (the fixed form emitted again, with undo,
+    where that is the warm start), else None.  costs is the compile's memo
+    of rotation costs, which prices the fused angles."""
     steps, m = ladder(m0)
     fixed, rotations = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or len(steps) > config.depth_cap(len(m0)):
         return limit, None, None
-    emission, pulse, one_way = emit(graph, steps, False), pulse_cost(params), 0.0
+    pulse = pulse_cost(params)
+    fuse = (rotations, costs, params, pulse)
+    emission, one_way = emit(graph, steps, False, fuse), 0.0
     for rot, n in zip(rotations, emission[2]):
         one_way += rot + n * pulse
     cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
     if cost > limit:
         return limit, None, None
+    if undo:
+        emission = emit(graph, steps, True, fuse)
     return limit, (cost, steps, m, undo), emission
 
 
@@ -194,7 +211,9 @@ def _angle(diag: float, norm: float) -> float:
     """A column's angle from its diagonal, acos(|m[c][c]| / norm), less the
     margin and at least 0; an upper bound on the modulus gives a lower bound
     on the angle."""
-    return max(0.0, math.acos(min(1.0, diag / norm)) - _ANGLE_MARGIN)
+    ratio = diag / norm
+    angle = _acos(ratio if ratio < 1.0 else 1.0) - _ANGLE_MARGIN
+    return angle if angle > 0.0 else 0.0
 
 
 def _stays_dirty(own, other, co, si, k) -> bool:
@@ -223,7 +242,7 @@ def _dead_child(mag, dirty, r, r2, co, si) -> bool:
 
 
 class _Search:
-    def __init__(self, graph, levels, config, params, limit, warm):
+    def __init__(self, graph, levels, config, params, limit, warm, costs=None):
         self.graph = graph  # the edges routing follows; routing never changes them
         self.levels = levels  # the root's placement (compile_levels)
         self.config = config
@@ -235,7 +254,9 @@ class _Search:
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
         dim = len(levels)
         self.depth_cap = config.depth_cap(dim)
-        self.costs = {}  # theta -> rotation_cost(theta, 1, params)
+        # theta -> rotation_cost(theta, 1, params); the compile's one memo
+        self.costs = {} if costs is None else costs
+        self.answer = None  # (fused cost, emission, incumbent): the cheapest recorded
         self.dist = _topology(graph.num_levels, graph.edges)[1]  # level distances
         self.columns = _columns(dim)
         self.pulses = _pulse_costs(graph.num_levels, graph.edges, self.pulse_cost)
@@ -383,6 +404,21 @@ class _Search:
                     limit = self.best[0]  # the caller may have improved it
                 found.clear()
 
+    def record(self, incumbent, emission=None) -> None:
+        """Emit an incumbent (cost, steps, matrix, undo) fused, unless its
+        emission is given, and keep it as the answer if its fused cost is
+        below the answer's so far.  The search ranks by unfused cost, so
+        the answer is the cheapest fused form among the incumbents
+        recorded: the warm start and every incumbent the search found."""
+        cost, steps, _, undo = incumbent
+        if emission is None:
+            costs = self.costs
+            emission = emit(self.graph, steps, undo, ([costs[t] for _, _, t, _ in steps], costs,
+                                                      self.params, self.pulse_cost))
+        cost -= emission[4]
+        if self.answer is None or cost < self.answer[0]:
+            self.answer = (cost, emission, incumbent)
+
     def count(self, depth) -> None:
         """Count one expanded node at depth.  The one place the search
         stops on its budget: once the budget is spent it sets
@@ -457,6 +493,7 @@ class _Search:
                         if cost2 < self.best[0]:
                             steps = [frame[1] for frame in stack[1:]] + [step]
                             self.best = (cost2, steps, np.array(rows2), False)
+                            self.record(self.best)
                         if self.config.return_first:
                             stats.stop_reason = "first_solution"
                             return
@@ -489,22 +526,22 @@ def adaptive_compile(u, graph: CouplingGraph, config: SearchConfig = SearchConfi
         stats = SearchStats(wall_time_ms=(time.perf_counter() - t0) * 1000.0)
         return assemble(emit(graph, [], False), m0, levels, 0.0, stats)
 
-    limit, warm, replay = _ladder_replay(m0, graph, levels, params, config)
-    search = _Search(graph, levels, config, params, limit, warm)
+    costs = {}  # the compile's one memo of rotation costs, the search's
+    limit, warm, replay = _ladder_replay(m0, graph, levels, params, config, costs)
+    search = _Search(graph, levels, config, params, limit, warm, costs)
+    if warm is not None:
+        search.record(warm, replay)
     search.run(m0)
-    search.stats.beat_warm_start = warm is not None and search.best is not warm
-    search.stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-
-    cost, steps, m_final, undo = search.best
-    if steps is None:
+    stats = search.stats
+    stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
+    if search.answer is None:
         raise NoSolutionError(
             f"no decomposition within cost limit {limit:.6g} "
-            f"after {search.stats.nodes_expanded} nodes",
-            search.stats,
+            f"after {stats.nodes_expanded} nodes",
+            stats,
         )
-    # Gates are built here, once, from the final incumbent's emission: the
-    # warm start's own where it is the one-way replay, else its steps are
-    # emitted from the initial graph.
-    if search.best is not warm or undo:
-        replay = emit(graph, steps, undo)
-    return assemble(replay, m_final, levels, cost, search.stats)
+    # Gates are built here, once, from the answer's fused emission.
+    cost, emission, incumbent = search.answer
+    stats.beat_warm_start = warm is not None and incumbent is not warm
+    stats.fused_gates = emission[3]
+    return assemble(emission, incumbent[2], levels, cost, stats)

@@ -37,15 +37,26 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .gates import RotationGate
 from .linalg import is_real
 
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+_fmod = math.fmod
+_INF = math.inf
+# rotation_costs' smallest batch for the array form: below about 24 angles
+# numpy's fixed cost per call exceeds the scalar loop's.
+_ARRAY_BATCH = 32
+
+
 def _calibrated_linear(theta: float, dist: int, params: CostParams) -> float:
-    t = (abs(theta) % (2.0 * math.pi)) / math.pi
+    t = (abs(theta) % _TWO_PI) / _PI
     c = params.calibrated_angle
-    penalty = abs(math.fmod(t + c / 2.0, c) - c / 2.0)
-    return params.base_factor * dist * (4.0 * t + penalty)
+    half = c / 2.0
+    return params.base_factor * dist * (4.0 * t + abs(_fmod(t + half, c) - half))
 
 
 @dataclass(frozen=True)
@@ -69,10 +80,29 @@ def rotation_cost(theta: float, dist: int, params: CostParams = CostParams()) ->
     if dist < 1:
         raise ValueError("distance must be >= 1")
     cost = params.model(theta, dist, params)
-    if not ((type(cost) is float or is_real(cost)) and 0.0 <= cost < math.inf):
+    if not ((type(cost) is float or is_real(cost)) and 0.0 <= cost < _INF):
         raise ValueError(f"cost model returned {cost!r} for theta {theta!r}; "
                          "a cost must be a real number, finite and >= 0")
     return cost
+
+
+def rotation_costs(thetas, params: CostParams = CostParams()) -> list:
+    """[rotation_cost(theta, 1, params) for theta in thetas], bit for bit.
+    The default model is evaluated once on the whole array, from
+    _ARRAY_BATCH angles up: numpy's abs, remainder of a number >= 0, fmod
+    and arithmetic round each element as the scalar formula's float
+    operations do.  A smaller batch, any other model, or a batch with a
+    cost that is not finite is priced by rotation_cost one angle at a time,
+    which raises where it would."""
+    if params.model is _calibrated_linear and len(thetas) >= _ARRAY_BATCH:
+        c = params.calibrated_angle
+        half = c / 2.0
+        with np.errstate(all="ignore"):  # a cost that is not finite is priced again below
+            t = np.abs(np.array(thetas, dtype=np.float64)) % _TWO_PI / _PI
+            costs = params.base_factor * (4.0 * t + np.abs(np.fmod(t + half, c) - half))
+        if np.isfinite(costs).all():
+            return costs.tolist()
+    return [rotation_cost(theta, 1, params) for theta in thetas]
 
 
 def min_cost_per_radian(params: CostParams = CostParams()) -> float:

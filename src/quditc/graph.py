@@ -335,9 +335,10 @@ def apply_graph_rules(gates, graph: CouplingGraph):
     Walks the sequence in application order.  Reordering pulses update the
     mapping and deposit phases; plain rotations absorb the current phase
     difference into phi; virtual Z gates are recorded on the graph's nodes
-    instead of being emitted.  A virtual Z's or a pulse's phi outside
-    [-2 pi, 2 pi] enters the walk reduced as a node phase is (exactly, at
-    any magnitude); every other phi enters as it is.
+    instead of being emitted.  A virtual Z's, a pulse's or a plain
+    rotation's phi outside [-2 pi, 2 pi] is reduced as a node phase is
+    (exactly, at any magnitude) before it enters the walk or takes the
+    phase shift; every other phi enters as it is.
 
     Returns (adjusted sequence, resulting graph).
     """
@@ -363,6 +364,8 @@ def apply_graph_rules(gates, graph: CouplingGraph):
             phi = gate.phi if abs(gate.phi) <= _TWO_PI else _reduced_phase(gate.phi)
             walk.pulse(gate.level_low, gate.level_high, gate.theta, phi)
         else:
+            if abs(gate.phi) > _TWO_PI:
+                gate = gate._replace(phi=_reduced_phase(gate.phi))
             out.append(conjugated(gate, walk.phases))
     return out, walk.graph()
 

@@ -34,7 +34,7 @@ from ._compile import (
     emit_rotation,  # noqa: F401  (a binding benchmark/tracing.py wraps)
     rotation_coefficients,
 )
-from .cost import CostParams, pulse_cost, rotation_cost
+from .cost import CostParams, pulse_cost, rotation_costs
 from .graph import CouplingGraph, _topology
 from .linalg import DEFAULT_TOL, as_matrix, is_diagonal, is_unitary
 
@@ -82,6 +82,7 @@ def ladder(m0: np.ndarray):
     columns = [[] for _ in range(dim)]
     products = np.empty((dim // 2, 2, 2, dim), dtype=np.complex128)
     hypot, arctan2, multiply, add = np.hypot, np.arctan2, np.multiply, np.add
+    atan2, cos, sin = math.atan2, math.cos, math.sin
 
     def rotate(top, weights):
         # rows top .. top + 2k - 1 as k pairs, by their (k, 2, 2) coefficients
@@ -97,8 +98,8 @@ def ladder(m0: np.ndarray):
         p = top = dim - 2 + 2 * first - t
         start, n = top * dim + first, last - first + 1
         entries = flat[start:start + n * width].reshape(n, width)[:, :dim + 1:dim]
-        mods = hypot(entries.real, entries.imag).tolist()
-        angs = arctan2(entries.imag, entries.real).tolist()
+        re, im = entries.real, entries.imag
+        mods, angs = hypot(re, im).tolist(), arctan2(im, re).tolist()
         weights = []
         for column, (mod_r, mod_r2), (ang_r, ang_r2) in zip(columns[first:], mods, angs):
             if mod_r2 < NEGLIGIBLE:
@@ -107,11 +108,11 @@ def ladder(m0: np.ndarray):
                     weights = []
                 top = p + 2
             else:
-                theta = 2.0 * math.atan2(mod_r2, mod_r)
+                theta = 2.0 * atan2(mod_r2, mod_r)
                 phi = -(_HALF_PI + ang_r - ang_r2)
                 column.append((p, p + 1, theta, phi))
-                cos, a, b = rotation_coefficients(math.cos(theta / 2), math.sin(theta / 2), phi)
-                weights += (cos, b, a, cos)
+                c, a, b = rotation_coefficients(cos(theta / 2), sin(theta / 2), phi)
+                weights += (c, b, a, c)
             p += 2
         if weights:
             rotate(top, weights)
@@ -127,13 +128,14 @@ def ladder_cost(steps, graph: CouplingGraph, levels, params: CostParams):
     inverse pulses one at a time, from the start levels."""
     dist = _topology(graph.num_levels, graph.edges)[1]
     pulse = pulse_cost(params)
-    rotations = [rotation_cost(theta, 1, params) for _, _, theta, _ in steps]
+    rotations = rotation_costs([theta for _, _, theta, _ in steps], params)
     fixed = 0.0
     for (r, r2, _, _), rot in zip(steps, rotations):
         n = dist[levels[r]][levels[r2]] - 1
         fixed += rot + n * pulse
-        for _ in range(n):
-            fixed += pulse
+        if n:
+            for _ in range(n):
+                fixed += pulse
     return fixed, rotations
 
 

@@ -19,7 +19,9 @@ from quditc import adaptive as adaptive_module, cost as cost_module
 from quditc._compile import (
     annihilation_angles,
     apply_rotation_rows,
+    assemble,
     compile_levels,
+    emit,
     rotation_scratch,
 )
 from quditc.adaptive import (
@@ -39,7 +41,7 @@ from quditc.cost import (CostParams, min_cost_per_radian, pulse_cost, rotation_c
 from quditc.gates import RotationGate, rotation_matrix
 from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
 from quditc.linalg import DEFAULT_TOL, is_diagonal
-from quditc.qr import ladder, qr_cost_bound, qr_decompose
+from quditc.qr import ladder, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
 
 from conftest import haar_unitary
@@ -223,10 +225,22 @@ class TestSearchControls:
         g = CouplingGraph(6, frozenset({(0, 1), (0, 4), (0, 5), (1, 2), (1, 3)}),
                           {"0": 0, "1": 2, "2": 1, "3": 3, "a0": 4}, frozenset({"a0"}))
         u = haar_unitary(4, 3)
+        # The warm start is then the fixed form, fused: qr's steps emitted
+        # with undo, where a rotation merges with the routing pulse after it.
         fixed = qr_decompose(u, g)
         first = adaptive_compile(u, g, SearchConfig(return_first=True))
-        assert first.sequence == fixed.sequence
-        assert first.total_cost == fixed.total_cost
+        levels = compile_levels(g, 4)
+        steps, m = ladder(u.conj().T)
+        rotations = ladder_cost(steps, g, levels, CostParams())[1]
+        unfused = emit(g, steps, True)
+        assert assemble(unfused, m, levels, 0.0, None).sequence == fixed.sequence
+        fused = emit(g, steps, True, (rotations, {}, CostParams(), pulse_cost(CostParams())))
+        assert first.sequence == assemble(fused, m, levels, 0.0, None).sequence
+        assert first.stats.fused_gates == fused[3] > 0
+        assert first.total_cost == fixed.total_cost - fused[4] < fixed.total_cost
+        assert first.total_cost == pytest.approx(sequence_cost(first.sequence), rel=1e-12)
+        assert first.final_graph.logical_map == fixed.final_graph.logical_map
+        assert verify_result(u, first)
         result = adaptive_compile(u, g, SearchConfig(max_nodes=max_nodes))
         assert verify_result(u, result)
         assert result.total_cost <= fixed.total_cost
@@ -349,7 +363,8 @@ class TestStopReason:
         m0 = u.conj().T.copy()
         levels = compile_levels(g, 7)
         cfg = SearchConfig(return_first=True)
-        limit, warm, emission = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg)
+        limit, warm, emission = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg,
+                                                               {})
         assert warm is not None and warm[3] is False  # the one-way replay
         assert len(emission[2]) == len(warm[1])  # emitted once, to price it
         search = _Search(g, levels, cfg, CostParams(), limit, warm)
@@ -1245,7 +1260,9 @@ class TestCustomCostModel:
 
     def test_warm_start_prices_each_ladder_step_once(self):
         # The ladder is priced in one pass for the limit and the warm start:
-        # apart from the pulse angle, the model sees each step's angle once.
+        # apart from the pulse angle, the model sees each step's angle once,
+        # in step order, and then, once each, the angle pi - theta of each
+        # rotation that emission weighs merging with the pulse after it.
         calls = []
 
         def counting(theta, dist, p):
@@ -1259,7 +1276,13 @@ class TestCustomCostModel:
             calls.clear()
             result = adaptive_compile(u, g, SearchConfig(return_first=True), params)
             assert result.stats.nodes_expanded == 0 and result.stats.solutions_found == 1
-            assert [t for t in calls if t != math.pi] == [t for _, _, t, _ in steps]
+            angles = [t for _, _, t, _ in steps]
+            priced = [t for t in calls if t != math.pi]
+            assert priced[:len(steps)] == angles
+            fused = priced[len(steps):]
+            # the default formula always gains from a merge: each weighed one is made
+            assert len(fused) == len(set(fused)) == result.stats.fused_gates
+            assert all(math.pi - t in angles for t in fused)
 
     def test_each_angle_priced_once_per_search(self):
         calls = Counter()
@@ -1279,9 +1302,14 @@ class TestCustomCostModel:
             calls.clear()
             search.run(m0)
             assert calls and max(calls.values()) == 1
+            # the search ranks by unfused cost, and reaches the unfused optimum;
+            # the answer is the cheapest fused form of its incumbents, and the
+            # compile adds its warm start to them
+            optimum = exhaustive_min_cost(u, g, params)
+            assert search.best[0] == pytest.approx(optimum, abs=1e-12)
+            assert search.answer[0] <= search.best[0]
             result = adaptive_compile(u, g, cfg, params)
-            assert result.total_cost == pytest.approx(
-                exhaustive_min_cost(u, g, params), abs=1e-12)
+            assert result.total_cost <= search.answer[0]
 
 
 def result_digest(results) -> str:
@@ -1301,24 +1329,27 @@ def result_digest(results) -> str:
 
 class TestGoldenGates:
     def test_budget_bound_results_unchanged(self):
-        # Nine of these twelve incumbents come from the search and three
-        # from the warm-start ladder; the digest pins every gate bit for bit.
+        # Eight of these twelve answers come from the search and four from
+        # the warm-start ladder (one of them where the search's cheaper
+        # unfused incumbent costs more fused), 24 gates fused in all; the
+        # digest pins every gate bit for bit.
         results = []
         for dim in (5, 7):
             for _, g in architectures_for_dim(dim):
                 for u in random_cliffords(dim, 2, 2022):
                     results.append(adaptive_compile(u, g, SearchConfig(max_nodes=300)))
         assert result_digest(results) == \
-            "f0a71b5a6186a2b5e9eeecf84d803f229efce7519a6bcb388caed8e4e0ed5e35"
+            "53da94361383f76bfc6f0e966a4fa1ae04fa58dd9d9c692e318331d4416e414d"
 
     def test_haar31_warm_start_replay_unchanged(self):
         # return_first accepts the warm start: the ladder's steps replayed
-        # with one-way routing, emitted and assembled without a search node.
+        # with one-way routing, emitted fused and assembled without a search
+        # node.
         results = [adaptive_compile(haar_unitary(31, seed), g, SearchConfig(return_first=True))
                    for _, g in architectures_for_dim(31) for seed in (3101, 3102)]
         assert all(r.stats.nodes_expanded == 0 for r in results)
         assert result_digest(results) == \
-            "0ae44372f576df1aaeb00aee165a8489989c7913daca1bd0a6a3c3da786bb902"
+            "9ecc5b972ba2439ab358cad638cd13bf7e00beb1d0eafc3db6bcf33a48a6fbbd"
 
 
 def _benchmark_tracing():
@@ -1347,6 +1378,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(adaptive_module, "ladder", counted_ladder)
         emitted, built = counted_emission(monkeypatch)
+        incumbents = counted_incumbents(monkeypatch)
         tracer = tracing.Tracer()
         with tracing.installed(tracer):
             # through the module, so that the call is the tracer's root span
@@ -1357,24 +1389,28 @@ class TestWorkCounts:
         assert tracer.calls(top, "compile.assemble") == 1
         assert steps > 0
         assert ladder_steps == [steps]  # the ladder runs once per compile
-        # the warm start is emitted once, to price it; the answer is emitted
-        # again only if the search beat it
-        assert emitted[0] == (steps, False)
-        assert len(emitted) == 1 + result.stats.beat_warm_start
+        # the warm start is emitted once, fused, to price it; each incumbent
+        # the search finds is emitted once, fused, as it is found
+        assert emitted[0] == (steps, False, True)
+        assert len(emitted) == 1 + incumbents[0]
+        assert all(fused for _, _, fused in emitted)
+        assert incumbents[0] >= result.stats.beat_warm_start
         # assembly builds each gate once, from one emitted record per gate
         assert built == [(result.rotation_count, len(result.sequence))]
         assert len(result.sequence) > 0
 
     def test_emission_runs_only_for_the_final_answer(self, monkeypatch):
         # The search beats its warm start here: the warm start is emitted
-        # to price it, the answer is emitted again, and only the answer's
-        # gates are built, once.
+        # to price it, each incumbent is emitted as it is found, the last
+        # of them is the answer, and only the answer's gates are built, once.
         emitted, built = counted_emission(monkeypatch)
+        incumbents = counted_incumbents(monkeypatch)
         u, g = random_cliffords(7, 3, 2022)[0], path_architecture(7)
         result = adaptive_compile(u, g, SearchConfig(max_nodes=1000))
         assert result.stats.beat_warm_start
-        assert emitted == [(qr_decompose(u, g).rotation_count, False),
-                           (result.rotation_count, False)]
+        assert len(emitted) == 1 + incumbents[0]
+        assert emitted[0] == (qr_decompose(u, g).rotation_count, False, True)
+        assert emitted[-1] == (result.rotation_count, False, True)
         assert built == [(result.rotation_count, len(result.sequence))]
 
     def test_first_solution_emits_its_warm_start_once(self, monkeypatch):
@@ -1384,21 +1420,21 @@ class TestWorkCounts:
         u = haar_unitary(7, 77)
         result = adaptive_compile(u, path_architecture(7), SearchConfig(return_first=True))
         assert result.stats.nodes_expanded == 0 and result.pulse_count > 0
-        assert emitted == [(result.rotation_count, False)]
+        assert emitted == [(result.rotation_count, False, True)]
         assert built == [(result.rotation_count, len(result.sequence))]
         assert verify_result(u, result)
 
 
 def counted_emission(monkeypatch) -> tuple:
     """Wrap the adaptive module's emit and assemble; the returned lists get
-    the (steps, undo) of each emission and the (steps, gates) counts of
-    each assembly."""
+    the (steps, undo, fused) of each emission and the (steps, gates) counts
+    of each assembly."""
     emitted, built = [], []
     emit, assemble = adaptive_module.emit, adaptive_module.assemble
 
-    def counted_emit(graph, steps, undo):
-        emitted.append((len(steps), undo))
-        return emit(graph, steps, undo)
+    def counted_emit(graph, steps, undo, fuse=None):
+        emitted.append((len(steps), undo, fuse is not None))
+        return emit(graph, steps, undo, fuse)
 
     def counted_assemble(emission, *args):
         result = assemble(emission, *args)
@@ -1408,3 +1444,18 @@ def counted_emission(monkeypatch) -> tuple:
     monkeypatch.setattr(adaptive_module, "emit", counted_emit)
     monkeypatch.setattr(adaptive_module, "assemble", counted_assemble)
     return emitted, built
+
+
+def counted_incumbents(monkeypatch) -> list:
+    """Count the incumbents the search records as it finds them, in the
+    returned list's one entry (the warm start is recorded with its
+    emission and not counted)."""
+    found = [0]
+    record = adaptive_module._Search.record
+
+    def counted_record(self, incumbent, emission=None):
+        found[0] += emission is None
+        return record(self, incumbent, emission)
+
+    monkeypatch.setattr(adaptive_module._Search, "record", counted_record)
+    return found

@@ -96,6 +96,15 @@ class TestCompile:
         assert summary["dead_at_cap"] == 0
         assert summary["cut_by_bound"] == 0  # the warm start is accepted: no node
 
+    def test_summary_counts_fused_gates(self, workdir, capsys):
+        assert run(["compile", "--unitary", workdir / "u.json", "--graph", workdir / "g.json",
+                    "--return-first", "true"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        result = adaptive_compile(haar_unitary(3, 123), path_architecture(3),
+                                  SearchConfig(return_first=True))
+        assert summary["fused_gates"] == result.stats.fused_gates
+        assert summary["routing_pulses"] == result.pulse_count
+
     @pytest.mark.parametrize("command", ["compile", "bench"])
     def test_sort_children_flag_removed(self, workdir, capsys, command):
         args = ["--unitary", workdir / "u.json", "--graph", workdir / "g.json"] \

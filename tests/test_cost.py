@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from quditc import cost as cost_module
 from quditc.adaptive import adaptive_compile
 from quditc.bench import path_architecture
 from quditc.cost import CostParams, min_cost_per_radian, rotation_cost, sequence_cost
@@ -57,6 +58,55 @@ class TestRotationCost:
     def test_invalid_distance(self):
         with pytest.raises(ValueError):
             rotation_cost(1.0, 0)
+
+
+def reference_calibrated_linear(theta, dist, params):
+    """The default model as first written, with math.pi and math.fmod looked
+    up and 2 pi computed on every call."""
+    t = (abs(theta) % (2.0 * math.pi)) / math.pi
+    c = params.calibrated_angle
+    penalty = abs(math.fmod(t + c / 2.0, c) - c / 2.0)
+    return params.base_factor * dist * (4.0 * t + penalty)
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                                         2.2e-308, math.pi, -math.pi]),
+       dist=st.integers(1, 40),
+       base=st.floats(1e-8, 1e3), calibrated=st.floats(0.01, 4.0))
+def test_default_model_matches_its_first_form_bit_for_bit(theta, dist, base, calibrated):
+    # the model reads its constants from module globals, with the same bits
+    params = CostParams(base_factor=base, calibrated_angle=calibrated)
+    assert cost_module._calibrated_linear(theta, dist, params).hex() == \
+        reference_calibrated_linear(theta, dist, params).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(thetas=st.lists(st.floats(-1e300, 1e300) | st.sampled_from(
+           [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.pi, -math.pi]), max_size=80),
+       base=st.floats(1e-8, 1e3), calibrated=st.floats(0.01, 4.0))
+def test_batch_pricing_matches_rotation_cost_bit_for_bit(thetas, base, calibrated):
+    # the default model's array form, and the scalar loop below its batch size
+    params = CostParams(base_factor=base, calibrated_angle=calibrated)
+    assert [c.hex() for c in cost_module.rotation_costs(thetas, params)] == \
+        [rotation_cost(t, 1, params).hex() for t in thetas]
+
+
+def test_batch_pricing_raises_where_rotation_cost_does():
+    # a cost that overflows to inf is refused, in a batch as one at a time
+    params = CostParams(base_factor=1e308)
+    thetas = [0.1] * 40 + [3.0]
+    with pytest.raises(ValueError, match="finite"):
+        cost_module.rotation_costs(thetas, params)
+    calls = []
+
+    def counting(theta, dist, p):
+        calls.append(theta)
+        return 1.0
+
+    # any other model is priced one angle at a time, in order
+    assert cost_module.rotation_costs(thetas, CostParams(model=counting)) == [1.0] * 41
+    assert calls == thetas
 
 
 class TestCostFloor:

@@ -474,6 +474,25 @@ class TestApplyGraphRules:
         raw = [lead, RotationGate(0, 1, 0.5, 0.3), RotationGate(1, 2, 0.9, -0.2)]
         assert master_property_error(raw, path3) <= 1e-12
 
+    @pytest.mark.parametrize("phi", [1e9, 1e15, -1.5e308])
+    def test_large_rotation_phase_reduced_exactly(self, path3, phi):
+        # a plain rotation's phi beyond 2 pi is reduced through sin and cos
+        # before the walk's phase shift is added to it; added to the
+        # unreduced phi, the shift is lost to rounding (errors of 3.9e-9 at
+        # 1e9, 0.0042 at 1e15 and 0.074 at -1.5e308)
+        raw = [VirtualZGate(1, 0.3), RotationGate(0, 1, 0.5, phi), RotationGate(1, 2, 0.9, -0.2)]
+        assert master_property_error(raw, path3) <= 1e-12
+
+    @pytest.mark.parametrize("phi", [0.7, -0.7, 2 * math.pi, -2 * math.pi, 6.0, -1e-300])
+    def test_small_rotation_phase_keeps_its_bits(self, path3, phi):
+        # a plain rotation's phi within [-2 pi, 2 pi] takes the shift as it is
+        walk = PlacementWalk(path3)
+        walk.phases[0], walk.phases[1] = 0.3, 1.1
+        gate = RotationGate(0, 1, 0.5, phi)
+        adjusted = apply_graph_rules([VirtualZGate(0, -0.3), VirtualZGate(1, -1.1), gate],
+                                     path3)[0]
+        assert adjusted[0].phi.hex() == conjugated(gate, walk.phases).phi.hex()
+
     @pytest.mark.parametrize("phi", [0.7, -0.7, 2 * math.pi, -2 * math.pi, 6.0, -1e-300])
     def test_small_phase_enters_as_it_is(self, path3, phi):
         # a phi within [-2 pi, 2 pi] keeps its bits: the walk takes it as

@@ -129,7 +129,7 @@ def priced_replay(graph, steps, rotations):
             mock.patch.object(adaptive_module, "ladder_cost", lambda *args: (math.inf, rotations)):
         _, warm, emission = adaptive_module._ladder_replay(
             m, graph, compile_levels(graph, dim), CostParams(),
-            SearchConfig(max_depth=len(steps) + 1))
+            SearchConfig(max_depth=len(steps) + 1), {})
     assert warm[1:] == (steps, m, False)
     return warm[0], emission
 
@@ -245,7 +245,8 @@ class TestCostBound:
     def test_prices_both_emitted_forms(self, case):
         # ladder_cost prices the fixed form (routing undone) and the warm
         # start the one-way replay from the same rotation costs; each is
-        # the cost of the gates assemble builds for it
+        # the cost of the gates assemble builds for its unfused emission,
+        # and the replay's fused emission costs what it saves less
         g, steps = case
         levels = compile_levels(g, g.num_states)
         fixed, rotations = ladder_cost(steps, g, levels, CostParams())
@@ -256,26 +257,30 @@ class TestCostBound:
             return sequence_cost(assemble(emission, eye, levels, 0.0, None).sequence)
 
         assert fixed == pytest.approx(emitted_cost(emit(g, steps, True)), rel=1e-12, abs=1e-15)
-        assert one_way == pytest.approx(emitted_cost(replay), rel=1e-12, abs=1e-15)
+        assert one_way == pytest.approx(emitted_cost(emit(g, steps, False)), rel=1e-12,
+                                        abs=1e-15)
+        assert replay[4] >= 0.0
+        assert one_way - replay[4] == pytest.approx(emitted_cost(replay), rel=1e-12, abs=1e-15)
 
     def test_fixed_cost_replays_no_routing(self, monkeypatch):
         # Only a warm start emits the one-way replay: the fixed back-end
-        # emits with undo and its cost bound emits nothing, and a
-        # warm-started first solution emits its replay once, without undo.
+        # emits with undo, unfused, and its cost bound emits nothing, and a
+        # warm-started first solution emits its replay once, without undo,
+        # fused.
         emitted = []
 
-        def counted(graph, steps, undo):
-            emitted.append(undo)
-            return emit(graph, steps, undo)
+        def counted(graph, steps, undo, fuse=None):
+            emitted.append((undo, fuse is not None))
+            return emit(graph, steps, undo, fuse)
 
         monkeypatch.setattr(qr_module, "emit", counted)
         monkeypatch.setattr(adaptive_module, "emit", counted)
         u, g = haar_unitary(7, 1500), star_architecture(7)
         qr_decompose(u, g)
         qr_cost_bound(u, g)
-        assert emitted == [True]
+        assert emitted == [(True, False)]
         adaptive_compile(u, g, SearchConfig(return_first=True))
-        assert emitted == [True, False]
+        assert emitted == [(True, False), (False, True)]
 
     @settings(max_examples=200, deadline=None)
     @given(case=walk_cases(), costs=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
@@ -451,8 +456,9 @@ class TestGoldenGates:
 
     def test_d64_scope_edge_unchanged(self):
         # The documented scope's edge, through both back-ends: the fixed
-        # sequence and the accepted warm start, pinned once path-64's
-        # placement was scrambled at even d, so that path-64 routes.
+        # sequence, pinned once path-64's placement was scrambled at even d,
+        # so that path-64 routes, and the accepted warm start, re-pinned
+        # once adaptive results fused a rotation with the pulse after it.
         u = haar_unitary(64, 6401)
         archs = architectures_for_dim(64)
         fixed = [qr_decompose(u, g) for _, g in archs]
@@ -461,7 +467,7 @@ class TestGoldenGates:
         first = [adaptive_compile(u, g, SearchConfig(return_first=True)) for _, g in archs]
         assert all(r.stats.nodes_expanded == 0 for r in first)
         assert result_digest(first) == \
-            "7eea9e5785106ee7a059dcf9fedbe59db6e6266953959cbdc1244ca11902cca0"
+            "5e014c343857d33b4765daa461e9e902dfc52aef80544712a0cedccab5925c95"
         assert fixed[0].pulse_count > 0 and first[0].pulse_count > 0  # path-64
 
 
