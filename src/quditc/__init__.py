@@ -1,7 +1,7 @@
 """quditc: compile single-qudit unitaries into two-level rotations under
 energy-coupling-graph constraints."""
 
-from ._compile import CompilationResult, SearchStats
+from ._compile import CompilationResult, SearchStats, plan_routing
 from .adaptive import NoSolutionError, SearchConfig, adaptive_compile
 from .clifford import generator_set, random_clifford, random_cliffords
 from .cost import CostParams, pulse_cost, rotation_cost, sequence_cost
@@ -23,7 +23,6 @@ from .graph import (
     apply_graph_rules,
     embedding_matrix,
     load_graph,
-    plan_routing,
     save_graph,
 )
 from .linalg import (

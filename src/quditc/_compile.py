@@ -11,9 +11,9 @@ emits every pulse.
 Both compilers annihilate the conjugate transpose of the target column by
 column with two-level rotations, so that the emitted gates in application
 order multiply to (diagonal) . U.  Both end in assemble of an emission,
-the one builder of a CompilationResult; emit and assemble are the only
-code that knows the gate records and the placement walk.  Every result
-satisfies the reconstruction identity
+the one builder of a CompilationResult; emit (plan_routing is one of its
+steps) and assemble are the only code that knows the gate records and the
+placement walk.  Every result satisfies the reconstruction identity
 
     matrix(sequence) . E_initial . diag(e^{i theta}) == E_final . U
 
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import rotation_cost  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .gates import PULSE_PHI, PULSE_THETA, RotationGate, shifted_phi, stored_order
+from .cost import rotation_cost
+from .gates import PULSE_PHI, PULSE_THETA, RotationGate, reorder_pulse, shifted_phi, stored_order
 from .gates import conjugated  # noqa: F401  (a binding benchmark/tracing.py wraps)
-from .graph import CouplingGraph, PlacementWalk
-from .graph import plan_routing  # noqa: F401  (a binding benchmark/tracing.py wraps)
+from .graph import CouplingGraph, PlacementWalk, RoutingPlan
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -139,47 +138,51 @@ def apply_rotation_rows(x: np.ndarray, y: np.ndarray, co: float, si: float, phi:
 
 
 def emit_rotation(walk: PlacementWalk, i: int, j: int, theta: float, phi: float) -> list:
-    """Route state j adjacent to state i on the walk, then emit the rotation
-    with the walk's phases.  Returns the records (low, high, theta, phi,
-    routing) of the routing pulses, then of the rotation.  The scalar form
-    of one step of emit's loop, which the tests hold it to."""
-    records = [(low, high, PULSE_THETA, PULSE_PHI, True) for low, high in walk.route(i, j)]
+    """Pulse state j along :meth:`CouplingGraph.shortest_level_path` until
+    it is adjacent to state i, then emit the rotation with the walk's
+    phases.  Returns the records (low, high, theta, phi, routing) of the
+    routing pulses, then of the rotation.  The scalar form of one step of
+    emit's loop, which the tests hold it to."""
+    path = walk.start.shortest_level_path(walk.levels[j], walk.levels[i])
+    records = [(min(ab), max(ab), PULSE_THETA, PULSE_PHI, True) for ab in zip(path, path[1:-1])]
+    for low, high, _, _, _ in records:
+        walk.pulse(low, high, PULSE_THETA, PULSE_PHI)
     low, high, phi = stored_order(walk.levels[i], walk.levels[j], phi)
     records.append((low, high, theta, shifted_phi(phi, walk.phases, low, high), False))
     return records
 
 
 def emit(graph: CouplingGraph, steps, undo: bool, fuse=None) -> tuple:
-    """(walk, records, pulses, fused, saved): the steps (r, r2, theta, phi)
+    """(walk, records, cost, fused, saved): the steps (r, r2, theta, phi)
     on the states of graph.state_order() emitted on one placement walk, as
-    the records (low, high, theta, phi, routing) in application order, and
-    each step's routing pulses counted before any undo.  With undo each
-    rotation's routing is inverted right after it (the fixed sequence);
-    without it the placement moves on.  One loop, bit for bit emit_rotation's
-    records and walk when it fuses nothing (the tests keep it as the
-    reference): state r2 is pulsed hop by hop along walk.nxt towards state
-    r by walk.pulse, the one pulse rule; the rotation's record is in stored
-    order (gates.stored_order) with the walk's phase shift inline
-    (gates.shifted_phi); undo pulses the same hops back, last first, by
-    -PULSE_THETA.
+    the records (low, high, theta, phi, routing) in application order.  With
+    undo each rotation's routing is inverted right after it (the fixed
+    sequence); without it the placement moves on.  One loop, bit for bit
+    emit_rotation's records and walk when it fuses nothing (the tests keep
+    it as the reference): state r2 is pulsed hop by hop along walk.nxt
+    towards state r by walk.pulse, the one pulse rule; the rotation's record
+    is in stored order (gates.stored_order) with the walk's phase shift
+    inline (gates.shifted_phi); undo pulses the same hops back, last first,
+    by -PULSE_THETA.
 
-    fuse is None (nothing fused, as for qr_decompose) or (rotations, costs,
-    params, pulse): each step's rotation cost, the compile's memo of
-    rotation_cost(theta, 1, params) and a pulse's cost.  A step's first
-    routing pulse on the level pair of the record right before it, a
-    rotation by theta, merges with it: R(pi, PULSE_PHI) . R(theta, phi)
-    = D . R(pi - theta, phi + pi) with D the diagonal of e^{i (phi -
-    PULSE_PHI + pi)} at the low level and e^{i (PULSE_PHI - phi + pi)} at
-    the high one.  walk.pulse still runs, so the placement moves as it
-    would; the record becomes the rotation by pi - theta, which counts as a
-    rotation, and D, free as a virtual Z, goes into the walk's stored
-    phases.  A merge is made only where it costs no more: rot(pi - theta)
-    <= rot(theta) + pulse, which the default model always meets.  fused
-    counts the merges and saved is the cost they save; pulses still counts
-    a merged pulse."""
+    fuse is None (nothing fused, as for qr_decompose; cost is 0.0) or
+    (rotations, costs, params, pulse): each step's rotation cost, the
+    compile's memo of rotation_cost(theta, 1, params) and a pulse's cost.
+    cost then adds, step by step, the step's rotation cost and its routing
+    pulses, rot + n * pulse, the unfused one-way price: a merged pulse is
+    counted, an undo pulse is not.  A step's first routing pulse on the
+    level pair of the record right before it, a rotation by theta, merges
+    with it: R(pi, PULSE_PHI) . R(theta, phi) = D . R(pi - theta, phi + pi)
+    with D the diagonal of e^{i (phi - PULSE_PHI + pi)} at the low level and
+    e^{i (PULSE_PHI - phi + pi)} at the high one.  walk.pulse still runs, so
+    the placement moves as it would; the record becomes the rotation by pi -
+    theta, which counts as a rotation, and D, free as a virtual Z, goes into
+    the walk's stored phases.  A merge is made only where it costs no more:
+    rot(pi - theta) <= rot(theta) + pulse, which the default model always
+    meets.  fused counts the merges and saved is the cost they save."""
     walk = PlacementWalk(graph)
     nxt, levels, phases, pulse = walk.nxt, walk.levels, walk.phases, walk.pulse
-    records, pulses, fused, saved = [], [], 0, 0.0
+    records, cost, fused, saved = [], 0.0, 0, 0.0
     append = records.append
     pi, two_pi, pulse_theta, pulse_phi = _PI, _TWO_PI, PULSE_THETA, PULSE_PHI
     fusing = fuse is not None
@@ -187,7 +190,7 @@ def emit(graph: CouplingGraph, steps, undo: bool, fuse=None) -> tuple:
         rotations, costs, params, pulse_price = fuse
         priced = costs.get
     x = y = -1  # while fusing, the levels of the last record if it is a rotation
-    for r, r2, theta, phi in steps:
+    for k, (r, r2, theta, phi) in enumerate(steps):
         dst, cur = levels[r], levels[r2]
         hop, first = nxt[cur][dst], len(records)
         if hop != dst and (cur == x and hop == y or cur == y and hop == x):
@@ -196,7 +199,7 @@ def emit(graph: CouplingGraph, steps, undo: bool, fuse=None) -> tuple:
             rot = priced(rest)
             if rot is None:
                 rot = costs[rest] = rotation_cost(rest, 1, params)
-            save = rotations[len(pulses) - 1] + pulse_price - rot
+            save = rotations[k - 1] + pulse_price - rot
             if save >= 0.0:
                 pulse(lo, hi, pulse_theta, pulse_phi)
                 records[-1] = (lo, hi, rest, last_phi + pi, False)
@@ -212,19 +215,32 @@ def emit(graph: CouplingGraph, steps, undo: bool, fuse=None) -> tuple:
             pulse(a, b, pulse_theta, pulse_phi)
             append((a, b, pulse_theta, pulse_phi, True))
             cur, hop = hop, nxt[hop][dst]
-        pulses.append(len(records) - first)
+        n = len(records) - first
         if dst < cur:
             append((dst, cur, theta, phi + (phases[cur] - phases[dst]), False))
         else:
             append((cur, dst, theta, -phi + (phases[dst] - phases[cur]), False))
         if fusing:
+            cost += rotations[k] + n * pulse_price
             x, y = dst, cur
-        if undo and pulses[-1]:
+        if undo and n:
             x = y = -1
             for a, b, _, _, _ in reversed(records[first:-1]):
                 pulse(a, b, -pulse_theta, pulse_phi)
                 append((a, b, -pulse_theta, pulse_phi, True))
-    return walk, records, pulses, fused, saved
+    return walk, records, cost, fused, saved
+
+
+def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
+    """Move state_j node-by-node along a shortest path until it is adjacent
+    to state_i (which stays put): one step of emit, whose pulses are the
+    plan's and whose walk gives its graph."""
+    la, lb = graph.level_of(state_i), graph.level_of(state_j)
+    if la == lb:
+        raise ValueError("cannot route a state to itself")
+    levels = [graph.logical_map[s] for s in graph.state_order()]
+    walk, records = emit(graph, [(levels.index(la), levels.index(lb), 0.0, 0.0)], False)[:2]
+    return RoutingPlan(tuple(reorder_pulse(a, b) for a, b, _, _, _ in records[:-1]), walk.graph())
 
 
 def assemble(emission: tuple, remaining: np.ndarray, initial: list, cost: float,

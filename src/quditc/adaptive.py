@@ -3,7 +3,7 @@ choices with routing-aware costs and a hard cost limit.
 
 Children annihilate one entry of one column; a child is kept only while
 the path stays under the incumbent's cost.  Every incumbent has one form,
-(cost, steps, final matrix, undo), and the first is the cost limit,
+(cost, steps, final matrix), and the first is the cost limit,
 ``cost_limit_factor`` times the fixed sequence's cost, with no steps.
 Routing pulses are not uncomputed, so the logical placement drifts with
 the search; this is what lets the search exploit placements the fixed
@@ -11,11 +11,11 @@ sequence cannot.  By default the first incumbent is instead the fixed
 elimination ladder (its steps replayed with one-way routing, or the fixed
 sequence itself where that costs less), so the search spends its node
 budget on improving a complete decomposition.  The one-way replay is
-priced from its emission, which builds its gates if it is the answer; only
-the warm start's undo flag can be True, and it is kept unless it costs
-more than the limit.  An input whose ladder does not end diagonal
-raises ValueError (``qr.ladder``) before any node.  A search is whole when
-built; ``run`` builds only the root's rows.
+priced by its emission (``_compile.emit``'s cost), which builds its gates
+if it is the answer; the warm start, which arrives with its emission, is
+kept unless it costs more than the limit.  An input whose ladder does not
+end diagonal raises ValueError (``qr.ladder``) before any node.  A search
+is whole when built; ``run`` builds only the root's rows.
 
 The search runs on an explicit stack, so its depth (up to d(d-1)/2 + d) is
 not bounded by the recursion limit.  A node does only the work its taken
@@ -160,31 +160,28 @@ def _ladder_replay(m0, graph, levels, params, config, costs):
     """Run and price the fixed elimination ladder once, for both of its
     uses: (limit, warm, emission).  The limit is config's factor times the
     fixed sequence's cost.  With warm start, warm is an incumbent (cost, the
-    ladder's steps, final matrix, undo), None if it costs more than the
-    limit or has more steps than the depth cap: the cheaper complete form,
-    the steps replayed with one-way routing, or the fixed sequence (undo
-    True) where that costs less, both priced unfused.  Each rotation is
-    priced once; the replay is emitted without undo, fused, and priced from
-    its pulse counts, only where the warm start is used, and emission is the
-    warm start's fused emission (the fixed form emitted again, with undo,
-    where that is the warm start), else None.  costs is the compile's memo
-    of rotation costs, which prices the fused angles."""
+    ladder's steps, final matrix), None if it costs more than the limit or
+    has more steps than the depth cap: the cheaper complete form, the steps
+    replayed with one-way routing, or the fixed sequence where that costs
+    less, both priced unfused.  Each rotation is priced once; the replay is
+    emitted without undo, fused, and priced by that emission's cost, only
+    where the warm start is used, and emission is the warm start's fused
+    emission (the fixed form emitted again, with undo, where that is the
+    warm start), else None.  costs is the compile's memo of rotation costs,
+    which prices the fused angles."""
     steps, m = ladder(m0)
     fixed, rotations = ladder_cost(steps, graph, levels, params)
     limit = config.cost_limit_factor * fixed
     if not config.warm_start or len(steps) > config.depth_cap(len(m0)):
         return limit, None, None
-    pulse = pulse_cost(params)
-    fuse = (rotations, costs, params, pulse)
-    emission, one_way = emit(graph, steps, False, fuse), 0.0
-    for rot, n in zip(rotations, emission[2]):
-        one_way += rot + n * pulse
-    cost, undo = min((one_way, False), (fixed, True))  # a tie keeps the one-way replay
+    fuse = (rotations, costs, params, pulse_cost(params))
+    emission = emit(graph, steps, False, fuse)
+    cost, undo = min((emission[2], False), (fixed, True))  # a tie keeps the one-way replay
     if cost > limit:
         return limit, None, None
     if undo:
         emission = emit(graph, steps, True, fuse)
-    return limit, (cost, steps, m, undo), emission
+    return limit, (cost, steps, m), emission
 
 
 @lru_cache(maxsize=8)
@@ -249,8 +246,8 @@ class _Search:
         self.params = params
         self.pulse_cost = pulse_cost(params)
         self.floor = min_cost_per_radian(params)  # 0: no angle bound
-        # (cost, steps, matrix, undo); the limit is an incumbent with no steps
-        self.best = warm or (limit, None, None, False)
+        # (cost, steps, matrix); the limit is an incumbent with no steps
+        self.best = warm or (limit, None, None)
         self.stats = SearchStats(cost_limit=limit, solutions_found=int(warm is not None))
         dim = len(levels)
         self.depth_cap = config.depth_cap(dim)
@@ -405,16 +402,17 @@ class _Search:
                 found.clear()
 
     def record(self, incumbent, emission=None) -> None:
-        """Emit an incumbent (cost, steps, matrix, undo) fused, unless its
-        emission is given, and keep it as the answer if its fused cost is
-        below the answer's so far.  The search ranks by unfused cost, so
-        the answer is the cheapest fused form among the incumbents
-        recorded: the warm start and every incumbent the search found."""
-        cost, steps, _, undo = incumbent
+        """Emit an incumbent (cost, steps, matrix) one way and fused, unless
+        its emission is given (the warm start's), and keep it as the answer
+        if its fused cost is below the answer's so far.  The search ranks by
+        unfused cost, so the answer is the cheapest fused form among the
+        incumbents recorded: the warm start and every incumbent the search
+        found."""
+        cost, steps, _ = incumbent
         if emission is None:
             costs = self.costs
-            emission = emit(self.graph, steps, undo, ([costs[t] for _, _, t, _ in steps], costs,
-                                                      self.params, self.pulse_cost))
+            emission = emit(self.graph, steps, False, ([costs[t] for _, _, t, _ in steps], costs,
+                                                       self.params, self.pulse_cost))
         cost -= emission[4]
         if self.answer is None or cost < self.answer[0]:
             self.answer = (cost, emission, incumbent)
@@ -492,7 +490,7 @@ class _Search:
                         stats.solutions_found += 1
                         if cost2 < self.best[0]:
                             steps = [frame[1] for frame in stack[1:]] + [step]
-                            self.best = (cost2, steps, np.array(rows2), False)
+                            self.best = (cost2, steps, np.array(rows2))
                             self.record(self.best)
                         if self.config.return_first:
                             stats.stop_reason = "first_solution"

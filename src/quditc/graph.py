@@ -12,11 +12,11 @@ moves a graph's placement in place, pulse by pulse, then builds one new
 graph (``_compile.emit`` runs a compile's walks: the warm start's, and
 the answer's where the search beat it); a search holds no graphs, and
 :func:`routed_levels` moves its level list.  Routes follow the next-hop
-table built once per edge set (:func:`_topology`) hop by hop, in three
-walks: :meth:`PlacementWalk.route` through
-:meth:`CouplingGraph.shortest_level_path`, while :func:`routed_levels`
-and ``_compile.emit`` walk it in their own loops; a route returns the
-pulsed level pairs.
+table built once per edge set (:func:`_topology`) hop by hop, in two
+walks: ``_compile.emit`` pulses a walk's placement (``plan_routing`` is
+one of its steps) and :func:`routed_levels` moves a level list.
+``_compile.emit_rotation``, the tests' reference, pulses along
+:meth:`CouplingGraph.shortest_level_path`.
 
 A CouplingGraph converts no argument of the wrong kind: sizes, edge ends
 and placement levels are integers (a numbers.Integral, not a bool), and
@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import PULSE_PHI, PULSE_THETA, Gate, VirtualZGate, conjugated, reorder_pulse
+from .gates import Gate, VirtualZGate, conjugated
 from .linalg import _is_count, as_int, as_real, check_size, is_finite_real
 
 _TWO_PI = 2.0 * math.pi
@@ -285,16 +285,6 @@ class PlacementWalk:
         phases[a], phases[b] = (phases[b] + (-phi - half)) % _TWO_PI, \
             (phases[a] + (phi - half)) % _TWO_PI
 
-    def route(self, i: int, j: int) -> list:
-        """Pulse state j hop by hop along
-        :meth:`CouplingGraph.shortest_level_path` until it is adjacent to
-        state i, which stays put; returns the pulsed (low, high) level pairs."""
-        path = self.start.shortest_level_path(self.levels[j], self.levels[i])
-        pairs = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:-1])]
-        for a, b in pairs:
-            self.pulse(a, b, PULSE_THETA, PULSE_PHI)
-        return pairs
-
     def graph(self, node_phase: tuple = ()) -> CouplingGraph:
         """The starting graph with the walk's placement, and node_phase or its phases."""
         mapping = dict(self.start.logical_map)
@@ -302,23 +292,11 @@ class PlacementWalk:
         return self.start._clone(logical_map=mapping, node_phase=node_phase or tuple(self.phases))
 
 
-def plan_routing(graph: CouplingGraph, state_i, state_j) -> RoutingPlan:
-    """Move state_j node-by-node along a shortest path until it is adjacent
-    to state_i (which stays put)."""
-    la = graph.level_of(state_i)
-    lb = graph.level_of(state_j)
-    if la == lb:
-        raise ValueError("cannot route a state to itself")
-    walk = PlacementWalk(graph)
-    pairs = walk.route(walk.state[la], walk.state[lb])
-    return RoutingPlan(tuple(reorder_pulse(a, b) for a, b in pairs), walk.graph())
-
-
 def routed_levels(graph: CouplingGraph, levels: list, i: int, j: int) -> list:
-    """The tracked states' levels (levels[k] is state k's) after plan_routing
-    brings state j next to state i: each level between them hands its content
-    back one hop, and j lands next to i.  Walks the next-hop table as
-    PlacementWalk.route does; builds no pulse and no graph."""
+    """The tracked states' levels (levels[k] is state k's) after a step of
+    ``_compile.emit`` brings state j next to state i: each level between them
+    hands its content back one hop, and j lands next to i.  Walks the
+    next-hop table as emit does; builds no pulse and no graph."""
     nxt, dst, moved = _topology(graph.num_levels, graph.edges)[0], levels[i], list(levels)
     back, lv = levels[j], nxt[levels[j]][dst]
     while lv != dst:

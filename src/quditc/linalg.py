@@ -90,13 +90,13 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def as_matrix(data, min_dim: int = 2) -> np.ndarray:
-    """Validate and return a square complex matrix (copy if needed)."""
+def as_matrix(data) -> np.ndarray:
+    """Validate and return a square complex matrix, d >= 2 (copy if needed)."""
     m = np.asarray(data, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] < min_dim:
-        raise ValueError(f"matrix dimension must be >= {min_dim}, got {m.shape[0]}")
+    if m.shape[0] < 2:
+        raise ValueError(f"matrix dimension must be >= 2, got {m.shape[0]}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix entries must be finite")
     return m

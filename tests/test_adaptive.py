@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quditc import adaptive as adaptive_module, cost as cost_module
+from quditc import adaptive as adaptive_module, cost as cost_module, plan_routing
 from quditc._compile import (
     annihilation_angles,
     apply_rotation_rows,
@@ -39,7 +39,7 @@ from quditc.clifford import random_cliffords
 from quditc.cost import (CostParams, min_cost_per_radian, pulse_cost, rotation_cost,
                          sequence_cost)
 from quditc.gates import RotationGate, rotation_matrix
-from quditc.graph import CouplingGraph, _topology, graph_to_dict, plan_routing
+from quditc.graph import CouplingGraph, _topology, graph_to_dict
 from quditc.linalg import DEFAULT_TOL, is_diagonal
 from quditc.qr import ladder, ladder_cost, qr_cost_bound, qr_decompose
 from quditc.verify import verify_result
@@ -365,8 +365,8 @@ class TestStopReason:
         cfg = SearchConfig(return_first=True)
         limit, warm, emission = adaptive_module._ladder_replay(m0, g, levels, CostParams(), cfg,
                                                                {})
-        assert warm is not None and warm[3] is False  # the one-way replay
-        assert len(emission[2]) == len(warm[1])  # emitted once, to price it
+        # the one-way replay, priced by the emission that would build it
+        assert warm is not None and emission[2] == warm[0]
         search = _Search(g, levels, cfg, CostParams(), limit, warm)
         search.run(m0)
         assert search.best is warm and search.stats.solutions_found == 1
@@ -788,7 +788,7 @@ def decide_both(u, g, spent, params, cap, depth, budget, made, incumbent, slack)
     levels = compile_levels(g, len(m))
     probe = _Search(g, levels, cfg, params, math.inf, None)
     if incumbent:
-        probe.best = (math.inf, [], None, False)
+        probe.best = (math.inf, [], None)
     node = decided_node(probe, m, spent, made)
     mag, angles, norms = node[3], node[8], probe.norms
     if slack is None:
@@ -801,7 +801,7 @@ def decide_both(u, g, spent, params, cap, depth, budget, made, incumbent, slack)
         limit = spent + slack * (min_cost_per_radian() * total + pulse_cost(params))
     one, two = (_Search(g, levels, cfg, params, limit, None) for _ in range(2))
     if incumbent:
-        one.best = two.best = (limit, [], None, False)
+        one.best = two.best = (limit, [], None)
     node = decided_node(one, m, spent, made)
     built = []
     with contextlib.suppress(_BudgetSpent):  # the children end once the budget is spent
@@ -835,7 +835,7 @@ class TestNodeScoring:
 
         search = _Search(g, levels, SearchConfig(), CostParams(model=counting), limit, None)
         if incumbent:
-            search.best = (limit, [], None, False)
+            search.best = (limit, [], None)
         priced.clear()  # the pulse's price
         children = list(search.children(root_node(search, m, spent)))
         searched = sorted(priced)
@@ -864,7 +864,7 @@ class TestNodeScoring:
         limit = 1.1 * qr_cost_bound(u, g)
         levels = compile_levels(g, m.shape[0])
         search = _Search(g, levels, SearchConfig(), unbounded(), limit, None)
-        search.best = (limit, [], None, False)
+        search.best = (limit, [], None)
         improved = spent + cut * (limit - spent)
         listed = reference_children(search, m, g, spent)
         expected = as_built(listed[:after] + [ch for ch in listed[after:]
@@ -873,7 +873,7 @@ class TestNodeScoring:
         for child in search.children(root_node(search, m, spent)):
             yielded.append(child)
             if len(yielded) == after:
-                search.best = (improved, [], None, False)
+                search.best = (improved, [], None)
         assert yielded == expected
 
     @pytest.mark.parametrize("incumbent", [False, True])
@@ -906,7 +906,7 @@ class TestNodeScoring:
         levels = compile_levels(g, dim)
         search = _Search(g, levels, SearchConfig(), CostParams(), limit, None)
         if incumbent:
-            search.best = (limit, [], None, False)
+            search.best = (limit, [], None)
         node = root_node(search, m, spent)
         dirty = node[5]
         children = list(search.children(node, search.depth_cap))
@@ -1438,7 +1438,7 @@ def counted_emission(monkeypatch) -> tuple:
 
     def counted_assemble(emission, *args):
         result = assemble(emission, *args)
-        built.append((len(emission[2]), len(result.sequence)))
+        built.append((sum(not record[4] for record in emission[1]), len(result.sequence)))
         return result
 
     monkeypatch.setattr(adaptive_module, "emit", counted_emit)

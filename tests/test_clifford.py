@@ -58,6 +58,10 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             generator_set(4)
 
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be prime, got 1"):
+            generator_set(1)
+
 
 class TestRandomClifford:
     def test_deterministic(self):

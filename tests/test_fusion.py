@@ -129,9 +129,11 @@ def step_model(theta, dist, params):
 def test_merge_only_where_it_costs_no_more(theta, merges):
     g, params = LINE3, CostParams(model=step_model)
     steps = pair_steps(theta)
-    walk, records, pulses, fused, saved = emit(g, steps, False, fuse_args(steps, params))
+    fuse = fuse_args(steps, params)
+    walk, records, cost, fused, saved = emit(g, steps, False, fuse)
     plain = emit(g, steps, False)
-    assert fused == merges and pulses == plain[2] == [0, 1]
+    # the steps route by 0 and 1 pulses, fused or not: a merged pulse is counted
+    assert fused == merges and cost == fuse[0][0] + (fuse[0][1] + fuse[3]) and plain[2] == 0.0
     assert walk.levels == plain[0].levels
     if merges:
         assert records[0][:3] == (0, 1, math.pi - theta) and len(records) == len(plain[1]) - 1

@@ -266,6 +266,13 @@ def test_rotation_gate_validation():
         RotationGate(0, 1, float("nan"), 0.0)
 
 
+def test_negative_levels_rejected():
+    with pytest.raises(ValueError, match="rotation levels must be non-negative"):
+        RotationGate(-1, 2, 0.1, 0.0)
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        VirtualZGate(-1, 0.3)
+
+
 # Each argument is checked, not converted: levels are integers (a
 # numbers.Integral, not a bool), angles real numbers (a numbers.Real, not a
 # bool) and finite, and routing a bool.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quditc import plan_routing
 from quditc._compile import assemble, emit
 from quditc.gates import (
     RotationGate,
@@ -27,7 +28,6 @@ from quditc.graph import (
     graph_from_dict,
     graph_to_dict,
     load_graph,
-    plan_routing,
     routed_levels,
     save_graph,
     state_key,
@@ -121,6 +121,26 @@ class TestDistance:
             g.shortest_level_path(0, 2)
 
 
+@st.composite
+def routing_cases(draw):
+    """A random connected graph of 2-11 levels, some of them unmapped and one
+    possibly holding an ancilla; the tracked states (the computational ones
+    or every mapped one) and two distinct indices i, j into them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 11))
+    mapped = draw(st.integers(2, n))
+    ancilla = mapped > 2 and draw(st.booleans())
+    labels = [str(k) for k in range(mapped - ancilla)] + ["a0"] * ancilla
+    levels = draw(st.permutations(range(n)))[:mapped]
+    g = CouplingGraph(n, random_connected_graph(n, rng), dict(zip(labels, levels)),
+                      frozenset(labels[mapped - ancilla:]))
+    states = g.state_order()
+    if draw(st.booleans()):
+        states = states[:g.num_computational]
+    i, j = draw(st.permutations(range(len(states))))[:2]
+    return g, states, i, j
+
+
 class TestPlanRouting:
     def test_already_adjacent(self, path3):
         plan = plan_routing(path3, 0, 1)
@@ -177,25 +197,35 @@ class TestPlanRouting:
         assert len(plan.pulses) == 1
         assert (plan.pulses[0].level_low, plan.pulses[0].level_high) == (1, 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=routing_cases())
+    def test_plan_walks_the_public_path(self, case):
+        # The plan is a step of emit, which reads the next-hop table, not
+        # shortest_level_path; it must pulse exactly that path's hops short
+        # of state i, move the tracked states as routed_levels does, and
+        # leave j adjacent to i.
+        g, states, i, j = case
+        levels = [g.logical_map[s] for s in states]
+        path = g.shortest_level_path(levels[j], levels[i])
+        plan = plan_routing(g, states[i], states[j])
+        assert plan.pulses == tuple(reorder_pulse(a, b) for a, b in zip(path, path[1:-1]))
+        moved = plan.resulting_graph
+        assert [moved.logical_map[s] for s in states] == routed_levels(g, levels, i, j)
+        assert plan_routing(moved, states[i], states[j]).pulses == ()
 
-@st.composite
-def routing_cases(draw):
-    """A random connected graph of 2-11 levels, some of them unmapped and one
-    possibly holding an ancilla; the tracked states (the computational ones
-    or every mapped one) and two distinct indices i, j into them."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 11))
-    mapped = draw(st.integers(2, n))
-    ancilla = mapped > 2 and draw(st.booleans())
-    labels = [str(k) for k in range(mapped - ancilla)] + ["a0"] * ancilla
-    levels = draw(st.permutations(range(n)))[:mapped]
-    g = CouplingGraph(n, random_connected_graph(n, rng), dict(zip(labels, levels)),
-                      frozenset(labels[mapped - ancilla:]))
-    states = g.state_order()
-    if draw(st.booleans()):
-        states = states[:g.num_computational]
-    i, j = draw(st.permutations(range(len(states))))[:2]
-    return g, states, i, j
+    @settings(max_examples=200, deadline=None)
+    @given(edges=connected_edges(), data=st.data())
+    def test_plan_between_adjacent_states_is_empty(self, edges, data):
+        n = 1 + max(b for _, b in edges)
+        placement = data.draw(st.permutations(range(n)))
+        phases = data.draw(st.lists(st.floats(-7.0, 7.0), min_size=n, max_size=n))
+        g = CouplingGraph(n, edges, {str(k): lv for k, lv in enumerate(placement)},
+                          node_phase=tuple(phases))
+        a, b = data.draw(st.sampled_from(sorted(edges)))
+        i, j = data.draw(st.permutations([placement.index(a), placement.index(b)]))
+        plan = plan_routing(g, i, j)
+        assert plan.pulses == ()
+        assert plan.resulting_graph == g
 
 
 class TestRoutedLevels:
@@ -305,35 +335,6 @@ class TestPlacementWalk:
         expected = [(stored[1] + dep_a) % (2 * math.pi), (stored[0] + dep_b) % (2 * math.pi)]
         assert [p.hex() for p in walk.phases] == [p.hex() for p in expected]
         assert (walk.levels, walk.state) == ([1], [None, 0])
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=routing_cases())
-    def test_route_walks_the_public_path(self, case):
-        # The walk reads the next-hop table, not shortest_level_path; it must
-        # pulse exactly that path's hops short of state i, move the tracked
-        # states as routed_levels does, and leave j adjacent to i.
-        g, states, i, j = case
-        walk = PlacementWalk(g)
-        levels = walk.levels[:len(states)]
-        path = g.shortest_level_path(levels[j], levels[i])
-        assert walk.route(i, j) == [(min(a, b), max(a, b)) for a, b in zip(path, path[1:-1])]
-        assert walk.levels[:len(states)] == routed_levels(g, levels, i, j)
-        assert walk.route(i, j) == []
-
-    @settings(max_examples=200, deadline=None)
-    @given(edges=connected_edges(), data=st.data())
-    def test_route_between_adjacent_states_is_empty(self, edges, data):
-        n = 1 + max(b for _, b in edges)
-        placement = data.draw(st.permutations(range(n)))
-        phases = data.draw(st.lists(st.floats(-7.0, 7.0), min_size=n, max_size=n))
-        g = CouplingGraph(n, edges, {str(k): lv for k, lv in enumerate(placement)},
-                          node_phase=tuple(phases))
-        walk = PlacementWalk(g)
-        before = (list(walk.levels), list(walk.state), list(walk.phases))
-        a, b = data.draw(st.sampled_from(sorted(edges)))
-        i, j = data.draw(st.permutations([walk.state[a], walk.state[b]]))
-        assert walk.route(i, j) == []
-        assert (walk.levels, walk.state, walk.phases) == before
 
     def test_unmapped_state_message(self, path3):
         with pytest.raises(ValueError, match="'5' is not mapped"):
@@ -528,6 +529,10 @@ class TestValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             CouplingGraph(3, frozenset({(0, 0), (1, 2)}), {"0": 0, "1": 1})
+
+    def test_empty_placement_rejected(self):
+        with pytest.raises(ValueError, match="at least one logical state must be mapped"):
+            CouplingGraph(2, frozenset({(0, 1)}), {})
 
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
